@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/dist"
@@ -39,7 +38,6 @@ func run(args []string, w io.Writer) error {
 	out := fs.String("out", "campaign-out", "output directory for populations and the report")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	workers := fs.String("workers", "", "comma-separated spaworker addresses (host:port,...) to distribute simulations across; results are byte-identical to a local run")
-	chunkTargetMS := fs.Int("chunk-target-ms", 250, "target wall time per dispatched chunk in milliseconds; chunks are sized from each worker's observed throughput (0 = fixed-size chunks)")
 	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns; hits are byte-identical to re-simulating")
 	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
 	chaosSeed := fs.Uint64("chaos-seed", 0, "DEV ONLY: inject deterministic transport faults on -workers connections, seeded by this value (0 disables)")
@@ -93,7 +91,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	runner := &manifest.Runner{OutDir: *out, Parallelism: *parallel, Obs: o, Workers: dist.SplitAddrs(*workers),
-		ChunkTarget: time.Duration(*chunkTargetMS) * time.Millisecond, Sampling: *samplingDesign}
+		Sampling: *samplingDesign}
 	// /statusz reports the campaign and the coordinator's live chunk and
 	// per-worker state for the duration of the run.
 	o.SetStatus(func() any {

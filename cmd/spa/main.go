@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/ci"
@@ -145,7 +144,6 @@ type dataFlags struct {
 	simSeed  uint64
 	workers  string
 	popcache string
-	chunkMS  int
 }
 
 func (d *dataFlags) register(fs *flag.FlagSet) {
@@ -159,7 +157,6 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&d.scale, "scale", 0.5, "workload scale with -sim")
 	fs.Uint64Var(&d.simSeed, "simseed", 1, "base seed with -sim (run i uses simseed+i)")
 	fs.StringVar(&d.workers, "workers", "", "comma-separated spaworker addresses to distribute -sim runs across (byte-identical to local)")
-	fs.IntVar(&d.chunkMS, "chunk-target-ms", 250, "target wall time per dispatched chunk in milliseconds with -workers; chunks are sized from each worker's observed throughput (0 = fixed-size chunks)")
 	fs.StringVar(&d.popcache, "popcache", "", "content-addressed population cache directory for -sim; hits are byte-identical to re-simulating")
 }
 
@@ -178,8 +175,7 @@ func (d *dataFlags) load() ([]float64, error) {
 		pop, _, err := cache.GetOrGenerate(
 			popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale, BaseSeed: d.simSeed, Runs: d.runs},
 			func() (*population.Population, error) {
-				coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry,
-					ChunkTarget: time.Duration(d.chunkMS) * time.Millisecond}
+				coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
 				return coord.GeneratePopulation(d.sim, cfg, d.scale, d.runs, d.simSeed,
 					population.ObserverHooks(telemetry, d.sim))
 			})
@@ -330,8 +326,7 @@ func runCollectedCI(d *dataFlags, p core.Params, design sampling.Design, targetW
 	if err != nil {
 		return err
 	}
-	coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry,
-		ChunkTarget: time.Duration(d.chunkMS) * time.Millisecond}
+	coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
 	var col core.Collector = coord.Collector(dist.Job{Benchmark: d.sim, Config: cfg, Scale: d.scale}, d.metric)
 	var cache *popcache.Cache
 	if d.popcache != "" {

@@ -59,7 +59,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 	dataDir := fs.String("data", "", "journal directory: one subdirectory per campaign (required)")
 	workers := fs.String("workers", "", "comma-separated spaworker addresses shared by all campaigns (empty = run in-process)")
 	parallel := fs.Int("parallel", 0, "max concurrent in-process simulations across all campaigns (0 = GOMAXPROCS)")
-	chunkTargetMS := fs.Int("chunk-target-ms", 250, "target wall time per dispatched chunk in milliseconds; chunks are sized from each worker's observed throughput (0 = fixed-size chunks)")
 	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns")
 	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
 	maxRunning := fs.Int("max-running", 0, "max concurrently executing campaigns across all tenants (0 = 4)")
@@ -100,7 +99,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 		DataDir:          *dataDir,
 		Workers:          dist.SplitAddrs(*workers),
 		Parallelism:      *parallel,
-		ChunkTarget:      time.Duration(*chunkTargetMS) * time.Millisecond,
 		MaxRunning:       *maxRunning,
 		TenantRunningCap: *tenantRunning,
 		TenantQueueCap:   *tenantQueue,

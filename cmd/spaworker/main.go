@@ -1,7 +1,7 @@
 // Command spaworker serves SPA campaign chunks to remote coordinators:
 // it listens on a TCP address, executes the workload+sim runs that
 // campaign/spa processes dispatch to it (see internal/dist), and streams
-// per-run results back. Because every run is deterministic for its seed,
+// the results back. Because every run is deterministic for its seed,
 // a fleet of spaworkers produces populations byte-identical to a local
 // campaign.
 //
@@ -41,8 +41,6 @@ func run(args []string, w io.Writer, ready func(*dist.Worker)) error {
 	fs := flag.NewFlagSet("spaworker", flag.ContinueOnError)
 	listen := fs.String("listen", ":9777", "TCP address to serve on (host:port; port 0 picks a free port)")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	batchRuns := fs.Int("batch-runs", 0, "flush a result_batch frame after this many buffered runs on v3 connections (0 = 64)")
-	batchFlush := fs.Duration("batch-flush", 0, "flush buffered results at least this often on v3 connections (0 = 25ms)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight chunks on SIGINT/SIGTERM before closing hard")
 	chaosSeed := fs.Uint64("chaos-seed", 0, "DEV ONLY: inject deterministic transport faults seeded by this value (0 disables)")
 	chaosProfile := fs.String("chaos-profile", "all", "DEV ONLY: comma-separated fault scenarios for -chaos-seed (delay,stall,close,partial,dup,refuse or all)")
@@ -61,7 +59,7 @@ func run(args []string, w io.Writer, ready func(*dist.Worker)) error {
 		return err
 	}
 
-	worker := &dist.Worker{Parallelism: *parallel, BatchRuns: *batchRuns, BatchFlush: *batchFlush, Obs: o}
+	worker := &dist.Worker{Parallelism: *parallel, Obs: o}
 	// /statusz reports the worker's own serving state (runs served,
 	// in-flight, active connections).
 	o.SetStatus(func() any { return worker.Status() })

@@ -49,7 +49,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	defer worker.Close()
 
-	coord := &dist.Coordinator{Workers: []string{worker.Addr()}, ChunkSize: 4}
+	coord := &dist.Coordinator{Workers: []string{worker.Addr()}}
 	pop, err := coord.GeneratePopulation("swaptions", sim.DefaultConfig(), 0.05, 8, 3, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)

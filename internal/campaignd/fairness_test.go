@@ -59,9 +59,9 @@ func TestTwoTenantChunkInterleaving(t *testing.T) {
 		Workers:    []string{w1.Addr(), w2.Addr()},
 		MaxRunning: 2,
 	})
-	// Small chunks give the scheduler and workers many dispatch points to
-	// interleave; both campaigns must be in flight before chunks flow.
-	s.Coordinator().ChunkSize = 3
+	// One-run chunks give the scheduler and workers many dispatch points
+	// to interleave; both campaigns must be in flight before chunks flow.
+	s.Coordinator().ChunkTarget = time.Nanosecond
 
 	mk := func(name, bench string) *manifest.Manifest {
 		return &manifest.Manifest{
@@ -129,10 +129,10 @@ func TestTwoTenantChunkInterleaving(t *testing.T) {
 			nB++
 		}
 	}
-	// 120 runs / 3-run chunks = 40 chunks per tenant (re-dispatches can
-	// add more, never fewer).
-	if nA < 40 || nB < 40 {
-		t.Fatalf("fleet served %d swaptions + %d canneal chunks, want >= 40 each", nA, nB)
+	// 120 runs in one-run chunks = 120 chunks per tenant (re-dispatches
+	// can add more, never fewer).
+	if nA < 120 || nB < 120 {
+		t.Fatalf("fleet served %d swaptions + %d canneal chunks, want >= 120 each", nA, nB)
 	}
 	// Interleaved dispatch: each tenant's first chunk starts before the
 	// other tenant's last chunk — neither campaign was serialized behind

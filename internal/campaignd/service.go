@@ -27,11 +27,6 @@ type Config struct {
 	Workers []string
 	// Parallelism bounds in-process simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// ChunkTarget enables throughput-adaptive chunk sizing on the shared
-	// coordinator: chunks for v3 workers are sized so each takes roughly
-	// this long at the worker's observed rate. Zero keeps fixed-size
-	// chunks.
-	ChunkTarget time.Duration
 	// MaxRunning bounds concurrently executing campaigns across all
 	// tenants (default 4).
 	MaxRunning int
@@ -144,7 +139,7 @@ func New(cfg Config) *Service {
 		cfg:       cfg,
 		obs:       cfg.Obs,
 		journal:   journal{dir: cfg.DataDir},
-		coord:     &dist.Coordinator{Workers: cfg.Workers, Parallelism: cfg.Parallelism, ChunkTarget: cfg.ChunkTarget, Obs: cfg.Obs, Dial: cfg.Dial},
+		coord:     &dist.Coordinator{Workers: cfg.Workers, Parallelism: cfg.Parallelism, Obs: cfg.Obs, Dial: cfg.Dial},
 		campaigns: make(map[string]*campaign),
 		sched:     newScheduler(cfg.Quantum, cfg.TenantRunningCap),
 		nextSeq:   1,

@@ -75,107 +75,33 @@ func countingDial(fc *frameCounter) DialFunc {
 	}
 }
 
-// TestV3FleetStreamsBatches: the v3 happy path end to end — a batching
-// worker and an adaptive coordinator complete a campaign byte-identical
-// to local, with results arriving as result_batch frames and zero
-// legacy per-run result frames on the wire.
+// TestV3FleetStreamsBatches: the protocol's happy path end to end — a
+// batching worker and an adaptive coordinator complete a campaign
+// byte-identical to local, with results arriving as result_batch frames.
 func TestV3FleetStreamsBatches(t *testing.T) {
 	const runs = 24
 	want := localPop(t, runs)
-	w := startWorker(t)
+	// The flush timer is held off so the frame count depends on the
+	// carve alone: on a slow host (the race detector's ~10x) it fires
+	// between most completions, as it should in production.
+	w := &Worker{Parallelism: 2, HeartbeatEvery: 50 * time.Millisecond}
+	w.batchLimit.flush = time.Hour
 	fc := &frameCounter{}
-	c := fastCoord(w.Addr())
-	c.ChunkTarget = 100 * time.Millisecond
+	c := fastCoord(startWorkerWith(t, w))
 	c.Dial = countingDial(fc)
 	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPopEqual(t, got, want)
-	if n := fc.get(frameResultBatch); n == 0 {
-		t.Error("v3 fleet sent no result_batch frames")
+	// Batching amortizes: every chunk here is under batchRuns, so it
+	// ships as exactly one result_batch — far fewer frames than runs.
+	n := fc.get(frameResultBatch)
+	if chunks := c.Status().ChunksCompleted; n != chunks {
+		t.Errorf("%d result_batch frames for %d chunks, want one per chunk", n, chunks)
 	}
-	if n := fc.get(frameResult); n != 0 {
-		t.Errorf("v3 fleet sent %d per-run result frames, want 0", n)
-	}
-	// Batching must actually amortize: far fewer batch frames than runs.
-	if n := fc.get(frameResultBatch); n > runs/2 {
+	if n == 0 || n > runs/2 {
 		t.Errorf("%d result_batch frames for %d runs — batching is not amortizing", n, runs)
-	}
-}
-
-// TestMixedVersionV2WorkerFallsBack is the negotiation satellite: a v3
-// coordinator (adaptive sizing requested) against a worker that only
-// speaks v2 must fall back to per-run result frames and fixed-size
-// chunks, and the campaign must still complete byte-identically.
-func TestMixedVersionV2WorkerFallsBack(t *testing.T) {
-	const runs = 12
-	want := localPop(t, runs)
-	w := startWorker(t)
-	w.maxVersion = 2 // simulate an old fleet binary
-	fc := &frameCounter{}
-	c := fastCoord(w.Addr()) // ChunkSize 3
-	c.ChunkTarget = 100 * time.Millisecond
-	c.Dial = countingDial(fc)
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPopEqual(t, got, want)
-	if n := fc.get(frameResultBatch); n != 0 {
-		t.Errorf("v2 peer sent %d result_batch frames, want 0", n)
-	}
-	if n := fc.get(frameResult); n != runs {
-		t.Errorf("v2 peer sent %d per-run result frames, want %d", n, runs)
-	}
-	// Below batchVersion the adaptive sizer must stand down: fixed
-	// ChunkSize carving, runs/ChunkSize first-attempt chunks.
-	if st := c.Status(); st.Chunks != 4 {
-		t.Errorf("v2 fallback carved %d chunks, want 4 fixed-size chunks", st.Chunks)
-	}
-	// Telemetry (a v2 feature) still flows on the fallback path.
-	if st := c.Status(); len(st.Workers) == 0 || st.Workers[0].RunsServed == 0 {
-		t.Error("v2 fallback lost worker telemetry")
-	}
-}
-
-// TestMixedVersionV1CoordinatorGetsPlainFrames drives the new worker
-// with a raw v1 hello — the other direction of the skew matrix — and
-// asserts the worker answers with plain per-run frames only.
-func TestMixedVersionV1CoordinatorGetsPlainFrames(t *testing.T) {
-	w := startWorker(t)
-	c := dialRaw(t, w.Addr())
-	if err := c.send(frame{Type: frameHello, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if f := recvT(t, c); f.Type != frameHelloOK || f.Version != 1 {
-		t.Fatalf("v1 hello answered with %s v%d", f.Type, f.Version)
-	}
-	cfg := sim.DefaultConfig()
-	if err := c.send(frame{Type: frameRunChunk, ID: 3, Benchmark: testBench,
-		Config: &cfg, Scale: testScale, BaseSeed: testSeed, Count: 5}); err != nil {
-		t.Fatal(err)
-	}
-	results := 0
-	for {
-		f := recvT(t, c)
-		switch f.Type {
-		case frameHeartbeat:
-		case frameResult:
-			if f.Telemetry != nil {
-				t.Error("v1 peer received telemetry")
-			}
-			results++
-		case frameResultBatch:
-			t.Fatal("v1 peer received a result_batch frame")
-		case frameChunkDone:
-			if results != 5 {
-				t.Fatalf("chunk_done after %d per-run results, want 5", results)
-			}
-			return
-		default:
-			t.Fatalf("unexpected %q frame", f.Type)
-		}
 	}
 }
 
@@ -330,28 +256,18 @@ func (b *syncBuffer) Bytes() []byte {
 	return append([]byte(nil), b.buf.Bytes()...)
 }
 
-// TestNextChunkSize pins the sizing policy: fixed below v3 or with the
-// target unset, rate x target when adaptive, seeded by hello
-// parallelism before any telemetry, and tail-capped to half a fair
-// share of what remains.
+// TestNextChunkSize pins the sizing policy: rate x ChunkTarget (250ms
+// when unset), seeded by hello parallelism before any telemetry, and
+// tail-capped to half a fair share of what remains.
 func TestNextChunkSize(t *testing.T) {
-	c := &Coordinator{Workers: []string{"a", "b"}, ChunkSize: 7}
-	// Adaptive off → fixed, regardless of version.
-	if got := c.nextChunkSize("a", ProtocolVersion, 1000); got != 7 {
-		t.Errorf("ChunkTarget=0: size %d, want fixed 7", got)
-	}
-	c.ChunkTarget = time.Second
-	// v2 peer → fixed even with the target set.
-	if got := c.nextChunkSize("a", 2, 1000); got != 7 {
-		t.Errorf("v2 peer: size %d, want fixed 7", got)
-	}
-	// No state at all → minimum chunk of 1.
-	if got := c.nextChunkSize("a", 3, 1000); got != 1 {
+	c := &Coordinator{Workers: []string{"a", "b"}, ChunkSize: 7, ChunkTarget: time.Second}
+	// No state at all → minimum chunk of 1; ChunkSize never applies.
+	if got := c.nextChunkSize("a", 1000); got != 1 {
 		t.Errorf("no estimate: size %d, want 1", got)
 	}
 	// hello_ok parallelism seeds the first estimate (~1 run/sec/slot).
 	c.noteWorkerHello("a", 6)
-	if got := c.nextChunkSize("a", 3, 1000); got != 6 {
+	if got := c.nextChunkSize("a", 1000); got != 6 {
 		t.Errorf("hello-seeded: size %d, want 6", got)
 	}
 	// A windowed throughput sample overrides the seed.
@@ -360,12 +276,17 @@ func TestNextChunkSize(t *testing.T) {
 	ws.windowed = true
 	ws.ThroughputRPS = 40
 	c.stMu.Unlock()
-	if got := c.nextChunkSize("a", 3, 1000); got != 40 {
+	if got := c.nextChunkSize("a", 1000); got != 40 {
 		t.Errorf("windowed 40 rps x 1s: size %d, want 40", got)
 	}
 	// Tail cap: never more than half a fair share of pending runs
 	// (2 live workers → pending/4, rounded up).
-	if got := c.nextChunkSize("a", 3, 30); got != 8 {
+	if got := c.nextChunkSize("a", 30); got != 8 {
 		t.Errorf("tail: size %d, want ceil(30/4)=8", got)
+	}
+	// An unset target is the 250ms default.
+	c.ChunkTarget = 0
+	if got := c.nextChunkSize("a", 1000); got != 10 {
+		t.Errorf("default target: size %d, want 40 rps x 250ms = 10", got)
 	}
 }

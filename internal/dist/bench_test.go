@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -12,97 +11,52 @@ import (
 	"repro/internal/sim"
 )
 
-// benchRunFrames builds n per-run result frames with a realistic metric
-// payload (one actual simulation's metric set, replicated).
-func benchRunFrames(b *testing.B, n int) []frame {
-	b.Helper()
+// BenchmarkDistWireEncode isolates the wire cost of shipping one chunk's
+// results: JSON encode + decode of 256 runs as result_batch frames,
+// flushed every batchRuns runs the way a worker sends them, with a
+// realistic metric payload (one actual simulation's metric set,
+// replicated). No sockets, no simulation — just the serialization the
+// hot path pays per run.
+func BenchmarkDistWireEncode(b *testing.B) {
+	const runs = 256
 	res, err := sim.Run(testBench, sim.DefaultConfig(), testScale, testSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	frames := make([]frame, n)
-	for i := range frames {
-		m := make(map[string]float64, len(res.Metrics))
-		for k, v := range res.Metrics {
-			m[k] = v
-		}
-		frames[i] = frame{Type: frameResult, ID: 1, Offset: i,
-			Metrics: m, Cycles: res.Cycles, ElapsedUS: 1234}
-	}
-	return frames
-}
-
-// BenchmarkDistWireEncode isolates the wire cost of shipping one chunk's
-// results: JSON encode + decode of 256 runs, the way a v2 worker sends
-// them (one result frame per run, metric names re-encoded every run)
-// versus the v3 columnar result_batch framing (metric names keyed once
-// per batch, default 64-run flush). No sockets, no simulation — just the
-// serialization the hot path pays per run.
-func BenchmarkDistWireEncode(b *testing.B) {
-	const runs = 256
-	perRun := benchRunFrames(b, runs)
-
-	b.Run("proto=v2", func(b *testing.B) {
-		b.ReportAllocs()
-		var bytesTotal int64
-		for b.Loop() {
-			for i := range perRun {
-				data, err := json.Marshal(perRun[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytesTotal += int64(len(data)) + 1 // newline
-				var g frame
-				if err := json.Unmarshal(data, &g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(1, "frames/run")
-		b.ReportMetric(float64(bytesTotal)/float64(b.N*runs), "wireB/run")
-	})
-
-	b.Run("proto=v3", func(b *testing.B) {
-		b.ReportAllocs()
-		// Batch exactly as a v3 worker would: flush every batchRuns.
-		w := &Worker{}
-		var batches []frame
-		rb := &ResultBatch{}
-		for _, f := range perRun {
-			rb.add(f.Offset, f.Metrics, f.Cycles, f.ElapsedUS)
-			if rb.len() >= w.batchRuns() {
-				batches = append(batches, frame{Type: frameResultBatch, ID: 1, Batch: rb})
-				rb = &ResultBatch{}
-			}
-		}
-		if rb.len() > 0 {
+	var batches []frame
+	rb := &ResultBatch{}
+	for i := 0; i < runs; i++ {
+		rb.add(i, res.Metrics, res.Cycles, 1234)
+		if rb.len() == batchRuns || i == runs-1 {
 			batches = append(batches, frame{Type: frameResultBatch, ID: 1, Batch: rb})
+			rb = &ResultBatch{}
 		}
-		var bytesTotal int64
-		for b.Loop() {
-			for i := range batches {
-				data, err := json.Marshal(batches[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytesTotal += int64(len(data)) + 1
-				var g frame
-				if err := json.Unmarshal(data, &g); err != nil {
-					b.Fatal(err)
-				}
-				if err := g.Batch.validate(); err != nil {
-					b.Fatal(err)
-				}
+	}
+	b.ReportAllocs()
+	var bytesTotal int64
+	for b.Loop() {
+		for i := range batches {
+			data, err := json.Marshal(batches[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytesTotal += int64(len(data)) + 1 // newline
+			var g frame
+			if err := json.Unmarshal(data, &g); err != nil {
+				b.Fatal(err)
+			}
+			if err := g.Batch.validate(); err != nil {
+				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(batches))/runs, "frames/run")
-		b.ReportMetric(float64(bytesTotal)/float64(b.N*runs), "wireB/run")
-	})
+	}
+	b.ReportMetric(float64(len(batches))/runs, "frames/run")
+	b.ReportMetric(float64(bytesTotal)/float64(b.N*runs), "wireB/run")
 }
 
 // lineCountConn counts newline-delimited frames read from the peer — a
-// zero-parse tap on everything the coordinator receives (results or
-// batches, heartbeats, handshakes, chunk_done).
+// zero-parse tap on everything the coordinator receives (batches,
+// heartbeats, handshakes, chunk_done).
 type lineCountConn struct {
 	net.Conn
 	lines *atomic.Int64
@@ -119,62 +73,47 @@ func (c lineCountConn) Read(p []byte) (int, error) {
 }
 
 // BenchmarkDistCampaignThroughput runs a real 2-worker loopback campaign
-// per iteration and reports coordinator-side inbound frames per run and
-// end-to-end ns per run. The v2 arm caps the workers at protocol v2
-// (per-run result frames, fixed-size chunks); the v3 arm negotiates
-// batching and adaptive chunk sizing.
+// per iteration, with batched results and adaptive chunk sizing at the
+// CLIs' 250ms target, and reports coordinator-side inbound frames per
+// run and end-to-end ns per run.
 func BenchmarkDistCampaignThroughput(b *testing.B) {
 	const runs = 96
-	for _, arm := range []struct {
-		name        string
-		maxVersion  int
-		chunkTarget time.Duration
-	}{
-		{"proto=v2", 2, 0},
-		{"proto=v3", 0, 250 * time.Millisecond},
-	} {
-		b.Run(fmt.Sprintf("proto=%s", arm.name[len("proto="):]), func(b *testing.B) {
-			addrs := make([]string, 2)
-			for i := range addrs {
-				w := &Worker{
-					Parallelism:    2,
-					HeartbeatEvery: 200 * time.Millisecond,
-					WriteTimeout:   2 * time.Second,
-					IdleTimeout:    time.Minute,
-					maxVersion:     arm.maxVersion,
-				}
-				if err := w.Listen("127.0.0.1:0"); err != nil {
-					b.Fatal(err)
-				}
-				go w.Serve()
-				b.Cleanup(func() { w.Close() })
-				addrs[i] = w.Addr()
-			}
-			var lines atomic.Int64
-			c := &Coordinator{
-				Workers:      addrs,
-				ChunkSize:    8,
-				ChunkTarget:  arm.chunkTarget,
-				ChunkTimeout: 30 * time.Second,
-				ReadTimeout:  5 * time.Second,
-				DialTimeout:  2 * time.Second,
-				Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
-					cn, err := net.DialTimeout(network, addr, timeout)
-					if err != nil {
-						return nil, err
-					}
-					return lineCountConn{cn, &lines}, nil
-				},
-			}
-			for b.Loop() {
-				if _, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale,
-					runs, testSeed, population.RunHooks{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(lines.Load())/float64(b.N*runs), "frames/run")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs), "ns/run")
-		})
+	addrs := make([]string, 2)
+	for i := range addrs {
+		w := &Worker{
+			Parallelism:    2,
+			HeartbeatEvery: 200 * time.Millisecond,
+			WriteTimeout:   2 * time.Second,
+			IdleTimeout:    time.Minute,
+		}
+		if err := w.Listen("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		go w.Serve()
+		b.Cleanup(func() { w.Close() })
+		addrs[i] = w.Addr()
 	}
+	var lines atomic.Int64
+	c := &Coordinator{
+		Workers:      addrs,
+		ChunkTimeout: 30 * time.Second,
+		ReadTimeout:  5 * time.Second,
+		DialTimeout:  2 * time.Second,
+		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+			cn, err := net.DialTimeout(network, addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return lineCountConn{cn, &lines}, nil
+		},
+	}
+	for b.Loop() {
+		if _, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale,
+			runs, testSeed, population.RunHooks{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(lines.Load())/float64(b.N*runs), "frames/run")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs), "ns/run")
 }

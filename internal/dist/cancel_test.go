@@ -78,7 +78,7 @@ func TestNoChunkDispatchAfterConvergence(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	c := fastCoord(w1.Addr(), w2.Addr())
-	c.ChunkSize = 2 // several chunks per round: convergence races carving
+	c.ChunkTarget = time.Nanosecond // one-run chunks, several per round: convergence races carving
 	c.Obs = o
 
 	dispatched := func() int64 {
@@ -105,6 +105,9 @@ func TestNoChunkDispatchAfterConvergence(t *testing.T) {
 	at := atConvergence.Load()
 	if at < 0 {
 		t.Fatal("analysis returned without reporting a converged round")
+	}
+	if at < 2 {
+		t.Fatalf("%d chunks launched before convergence, want several racing the carve", at)
 	}
 	// Give any straggling worker goroutine time to (wrongly) dispatch.
 	time.Sleep(300 * time.Millisecond)

@@ -48,9 +48,9 @@ func startChaosWorker(t *testing.T, inj *faultx.Injector) *Worker {
 		HeartbeatEvery: 50 * time.Millisecond,
 		WriteTimeout:   500 * time.Millisecond,
 		IdleTimeout:    30 * time.Second,
-		BatchRuns:      4,
-		BatchFlush:     5 * time.Millisecond,
 	}
+	w.batchLimit.runs = 4
+	w.batchLimit.flush = 5 * time.Millisecond
 	return startChaos(t, w, inj)
 }
 
@@ -79,10 +79,10 @@ func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
 // chaosCoord builds a coordinator with failure handling tuned for
 // soak-test speed and a fault budget large enough that chaos rarely
 // abandons both workers (and byte-identity holds even when it does —
-// the coordinator degrades to local execution). ChunkTarget is set so
-// the soak runs the adaptive carving path — re-dispatch of variably
-// sized, partially-streamed batched chunks is exactly where scheduling
-// bugs would corrupt assembly.
+// the coordinator degrades to local execution). The short ChunkTarget
+// carves many variably sized chunks — re-dispatch of partially-streamed
+// batched chunks is exactly where scheduling bugs would corrupt
+// assembly.
 func chaosCoord(dial *faultx.Injector, obsv *obs.Observer, addrs ...string) *Coordinator {
 	return &Coordinator{
 		Workers:           addrs,

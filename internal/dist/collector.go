@@ -32,13 +32,6 @@ func (c *Coordinator) GeneratePopulationCtx(ctx context.Context, benchmark strin
 	return population.FromRuns(benchmark, baseSeed, metrics), nil
 }
 
-// DistCollect runs the job across the workers and returns one metric's
-// samples ordered by seed offset — the distributed equivalent of
-// core.Collect over a simulator-backed RunFunc.
-func (c *Coordinator) DistCollect(job Job, metric string, baseSeed uint64, n int) ([]float64, error) {
-	return c.Collector(job, metric).Collect(baseSeed, n, 0, core.Hooks{})
-}
-
 // Collector binds the coordinator to one (job, metric) pair as a
 // core.Collector, so Analyze/AnalyzeToWidth/CheckBatched can consume a
 // remote backend unchanged.

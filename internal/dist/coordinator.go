@@ -50,19 +50,17 @@ type Coordinator struct {
 	// Workers are worker addresses (host:port). Empty means run
 	// everything in-process.
 	Workers []string
-	// ChunkSize is the number of consecutive seeds per dispatch
-	// (0 = 16). Smaller chunks re-balance faster after a failure;
-	// larger ones amortize framing. With ChunkTarget set it is only the
-	// fallback size for peers below protocol v3 and the local path.
+	// ChunkSize is the number of consecutive seeds per in-process chunk
+	// (0 = 16): the local path only. Remote chunks are sized for
+	// ChunkTarget.
 	ChunkSize int
-	// ChunkTarget, when positive, switches chunk carving from fixed
-	// ChunkSize slices to throughput-adaptive sizing: each v3 worker's
-	// next chunk is sized from its observed runs/sec (wire telemetry,
-	// seeded by hello_ok parallelism before the first sample) to take
-	// about ChunkTarget of wall time, and shrinks near the tail so no
-	// single worker strags the job on one oversized final chunk.
-	// Scheduling becomes non-deterministic; assembled results do not —
-	// they stay keyed by seed offset. Zero keeps fixed-size chunks.
+	// ChunkTarget is the wall time each remote chunk is sized to take
+	// (0 = 250ms): each worker's next chunk is sized from its observed
+	// runs/sec (wire telemetry, seeded by hello_ok parallelism before
+	// the first sample), and shrinks near the tail so no single worker
+	// strags the job on one oversized final chunk. Scheduling is
+	// non-deterministic; assembled results are not — they stay keyed by
+	// seed offset.
 	ChunkTarget time.Duration
 	// ChunkTimeout bounds one chunk's total execution including
 	// streaming (0 = 5m). A chunk that exceeds it is re-dispatched.
@@ -80,7 +78,8 @@ type Coordinator struct {
 	// (internal/faultx) and tests. Nil uses net.DialTimeout.
 	Dial DialFunc
 	// MaxWorkerFailures is the consecutive-failure budget before a
-	// worker is abandoned for the rest of the job (0 = 3).
+	// worker is abandoned for the rest of the job (0 = 3). A worker at
+	// another protocol version is abandoned on its first handshake.
 	MaxWorkerFailures int
 	// BackoffBase/BackoffMax bound the jittered exponential reconnect
 	// backoff (0 = 50ms / 5s).
@@ -115,6 +114,13 @@ func (c *Coordinator) chunkSize() int {
 		return 16
 	}
 	return c.ChunkSize
+}
+
+func (c *Coordinator) chunkTarget() time.Duration {
+	if c.ChunkTarget <= 0 {
+		return 250 * time.Millisecond
+	}
+	return c.ChunkTarget
 }
 
 func (c *Coordinator) chunkTimeout() time.Duration {
@@ -427,9 +433,9 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 // connects, carves chunks off the shared work queue sized for this
 // worker's throughput, dispatches them, and applies the failure policy
 // (reconnect with jittered backoff, re-dispatch on error, abandon the
-// worker after too many consecutive failures). Connecting happens
-// before carving — the negotiated version and advertised parallelism
-// decide how the first chunk is sized.
+// worker after too many consecutive failures, or at once when it speaks
+// another protocol version). Connecting happens before carving — the
+// advertised parallelism sizes the first chunk.
 func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runState, queue *workQueue, h population.RunHooks) {
 	hsh := fnv.New64a()
 	hsh.Write([]byte(addr))
@@ -453,7 +459,12 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 		}
 		c.noteWorkerDead(addr)
 		c.Obs.M().Counter(obs.MetricDistWorkersDead).Inc()
-		c.Obs.T().Event("dist.worker_dead", obs.Str("worker", addr), obs.Str("error", why.Error()))
+		attrs := []obs.Attr{obs.Str("worker", addr), obs.Str("error", why.Error())}
+		var skew *HandshakeError
+		if errors.As(why, &skew) {
+			attrs = append(attrs, obs.Int("worker_version", skew.Version), obs.Int("coordinator_version", ProtocolVersion))
+		}
+		c.Obs.T().Event("dist.worker_dead", attrs...)
 		c.Obs.Logf("dist: abandoning worker %s: %v", addr, why)
 	}
 	for {
@@ -465,6 +476,13 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 				bo.reset()
 				c.noteWorkerHello(addr, cn.parallelism)
 				break
+			}
+			// A stale binary answers every redial the same way: abandon
+			// it now instead of spending the failure budget on it.
+			var skew *HandshakeError
+			if errors.As(err, &skew) {
+				abandon(nil, err)
+				return
 			}
 			c.Obs.M().Counter(obs.MetricDistRetries).Inc()
 			failures++
@@ -478,7 +496,7 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 			case <-time.After(bo.next()):
 			}
 		}
-		ch := queue.take(c.nextChunkSize(addr, cn.version, queue.pending()))
+		ch := queue.take(c.nextChunkSize(addr, queue.pending()))
 		if ch == nil {
 			// Queue drained, but the job may still be waiting on chunks
 			// in flight elsewhere — one of which may yet fail and requeue
@@ -532,19 +550,12 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 const maxAdaptiveChunk = 4096
 
 // nextChunkSize decides how many runs to carve for a worker's next
-// dispatch. Fixed ChunkSize unless adaptive sizing is on (ChunkTarget
-// set) and the peer speaks v3 — batching is what makes large chunks
-// cheap, and a per-run-framing peer with a huge chunk would regress the
-// very hot path this exists to fix. Adaptive size = observed runs/sec ×
-// ChunkTarget (seeded from hello_ok parallelism before telemetry
-// exists), capped at half a fair share of the remaining work so chunks
-// shrink toward the tail and no worker strags the job on one oversized
-// final dispatch.
-func (c *Coordinator) nextChunkSize(addr string, version, pending int) int {
-	if c.ChunkTarget <= 0 || version < batchVersion {
-		return c.chunkSize()
-	}
-	size := int(c.rateEstimate(addr)*c.ChunkTarget.Seconds() + 0.5)
+// dispatch: observed runs/sec × ChunkTarget (seeded from hello_ok
+// parallelism before telemetry exists), capped at half a fair share of
+// the remaining work so chunks shrink toward the tail and no worker
+// strags the job on one oversized final dispatch.
+func (c *Coordinator) nextChunkSize(addr string, pending int) int {
+	size := int(c.rateEstimate(addr)*c.chunkTarget().Seconds() + 0.5)
 	if size > maxAdaptiveChunk {
 		size = maxAdaptiveChunk
 	}
@@ -632,15 +643,6 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 	deadline := time.Now().Add(c.chunkTimeout())
 	runs := make([]RunResult, 0, ch.count)
 	seen := make(map[int]bool, ch.count)
-	accept := func(off int, metrics map[string]float64, cycles uint64, elapsedUS int64) error {
-		if off < ch.start || off >= ch.start+ch.count || seen[off] {
-			return fmt.Errorf("dist: worker %s sent offset %d outside chunk [%d,%d)", cn.addr, off, ch.start, ch.start+ch.count)
-		}
-		seen[off] = true
-		runs = append(runs, RunResult{Offset: off, Metrics: metrics,
-			Cycles: cycles, Elapsed: time.Duration(elapsedUS) * time.Microsecond})
-		return nil
-	}
 	for {
 		// A slow dispatch racing its own re-dispatch stops as soon as the
 		// job finishes elsewhere, instead of streaming to completion.
@@ -670,11 +672,6 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 		switch f.Type {
 		case frameHeartbeat:
 			continue
-		case frameResult:
-			if err := accept(f.Offset, f.Metrics, f.Cycles, f.ElapsedUS); err != nil {
-				span.End(obs.Str("error", "bad offset"))
-				return err
-			}
 		case frameResultBatch:
 			b := f.Batch
 			if b == nil {
@@ -686,16 +683,20 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 				return err
 			}
 			for i, off := range b.Offsets {
+				if off < ch.start || off >= ch.start+ch.count || seen[off] {
+					span.End(obs.Str("error", "bad offset"))
+					return fmt.Errorf("dist: worker %s sent duplicate or out-of-chunk offset %d for chunk [%d,%d)",
+						cn.addr, off, ch.start, ch.start+ch.count)
+				}
+				seen[off] = true
 				// Rebuild the per-run metric map from the columns: names
 				// decode once per batch instead of once per run.
 				m := make(map[string]float64, len(b.Metrics))
 				for k, vs := range b.Metrics {
 					m[k] = vs[i]
 				}
-				if err := accept(off, m, b.Cycles[i], b.ElapsedUS[i]); err != nil {
-					span.End(obs.Str("error", "bad offset"))
-					return err
-				}
+				runs = append(runs, RunResult{Offset: off, Metrics: m, Cycles: b.Cycles[i],
+					Elapsed: time.Duration(b.ElapsedUS[i]) * time.Microsecond})
 			}
 		case frameChunkDone:
 			if len(runs) != ch.count {
@@ -837,24 +838,4 @@ func SplitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// Ping checks one worker's liveness with a hello/ping round trip.
-func (c *Coordinator) Ping(addr string) error {
-	cn, err := c.dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cn.close()
-	if err := cn.send(frame{Type: framePing}); err != nil {
-		return err
-	}
-	f, err := cn.recv(time.Now().Add(c.readTimeout()))
-	if err != nil {
-		return err
-	}
-	if f.Type != framePong {
-		return fmt.Errorf("dist: worker %s answered ping with %s", addr, f.Type)
-	}
-	return nil
 }

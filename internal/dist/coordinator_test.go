@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,26 +190,13 @@ func TestUnreachableWorkerFallsBackLocal(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	w := startWorker(t)
-	c := fastCoord()
-	if err := c.Ping(w.Addr()); err != nil {
-		t.Errorf("ping healthy worker: %v", err)
-	}
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	dead := ln.Addr().String()
-	ln.Close()
-	if err := c.Ping(dead); err == nil {
-		t.Error("ping dead address should error")
-	}
-}
-
 // fakeWorker serves scripted protocol conversations for failure-mode
 // tests. Each accepted connection is handed to handle; when handle
 // returns, the connection closes.
 type fakeWorker struct {
-	ln net.Listener
-	wg sync.WaitGroup
+	ln      net.Listener
+	wg      sync.WaitGroup
+	accepts atomic.Int64 // connections accepted: the coordinator's dials
 }
 
 func startFakeWorker(t *testing.T, handle func(c *conn)) *fakeWorker {
@@ -225,6 +214,7 @@ func startFakeWorker(t *testing.T, handle func(c *conn)) *fakeWorker {
 			if err != nil {
 				return
 			}
+			f.accepts.Add(1)
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
@@ -243,18 +233,25 @@ func startFakeWorker(t *testing.T, handle func(c *conn)) *fakeWorker {
 
 func (f *fakeWorker) addr() string { return f.ln.Addr().String() }
 
+// fakeParallelism is the slot count fake workers advertise at hello:
+// with no telemetry on their frames it alone sizes their chunks, at
+// about one run per slot-second of ChunkTarget — so several runs each.
+const fakeParallelism = 16
+
 // answerHello consumes the hello frame and accepts it.
 func answerHello(t *testing.T, c *conn) bool {
 	f, err := c.recv(time.Now().Add(5 * time.Second))
 	if err != nil || f.Type != frameHello {
 		return false
 	}
-	return c.send(frame{Type: frameHelloOK, Version: ProtocolVersion, Parallelism: 1}) == nil
+	return c.send(frame{Type: frameHelloOK, Version: ProtocolVersion, Parallelism: fakeParallelism}) == nil
 }
 
 func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
-	// A worker that streams results in reverse offset order: legal under
-	// the protocol, and must not perturb the returned sample order.
+	// A worker that streams results in reverse offset order, two runs
+	// per result_batch: legal under the protocol, and must not perturb
+	// the returned sample order.
+	var multiRun atomic.Bool
 	fake := startFakeWorker(t, func(c *conn) {
 		if !answerHello(t, c) {
 			return
@@ -264,6 +261,10 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 			if err != nil || req.Type != frameRunChunk {
 				return
 			}
+			if req.Count > 1 {
+				multiRun.Store(true)
+			}
+			rb := &ResultBatch{}
 			for i := req.Count - 1; i >= 0; i-- {
 				off := req.Start + i
 				res, err := sim.Run(req.Benchmark, *req.Config, req.Scale, req.BaseSeed+uint64(off))
@@ -271,9 +272,12 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 					c.send(frame{Type: frameError, ID: req.ID, Error: err.Error()})
 					return
 				}
-				if c.send(frame{Type: frameResult, ID: req.ID, Offset: off,
-					Metrics: res.Metrics, Cycles: res.Cycles}) != nil {
-					return
+				rb.add(off, res.Metrics, res.Cycles, 0)
+				if rb.len() == 2 || i == 0 {
+					if c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}) != nil {
+						return
+					}
+					rb.reset()
 				}
 			}
 			if c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count}) != nil {
@@ -288,6 +292,9 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPopEqual(t, got, localPop(t, 10))
+	if !multiRun.Load() {
+		t.Error("every chunk held one run: reverse order was never exercised")
+	}
 }
 
 func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
@@ -303,10 +310,11 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 		if err != nil || req.Type != frameRunChunk {
 			return
 		}
+		rb := &ResultBatch{}
 		for i := 0; i < 2 && i < req.Count; i++ {
-			c.send(frame{Type: frameResult, ID: req.ID, Offset: req.Start + i,
-				Metrics: map[string]float64{sim.MetricRuntime: -12345}}) // poison: must never commit
+			rb.add(req.Start+i, map[string]float64{sim.MetricRuntime: -12345}, 0, 0) // poison: must never commit
 		}
+		c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb})
 		// close without chunk_done: mid-chunk death
 	})
 	healthy := startWorker(t)
@@ -360,6 +368,59 @@ func TestSlowWorkerDuplicateCommitDiscarded(t *testing.T) {
 	checkPopEqual(t, got, localPop(t, 9))
 }
 
+func TestVersionSkewedWorkerAbandonedAtOnce(t *testing.T) {
+	// A stale binary answers hello_ok at v2. Redialing cannot cure that,
+	// so it gets exactly one dial — not MaxWorkerFailures backoff rounds
+	// — and the healthy worker finishes the job local-identically.
+	stale := startFakeWorker(t, func(c *conn) {
+		if f, err := c.recv(time.Now().Add(5 * time.Second)); err == nil && f.Type == frameHello {
+			c.send(frame{Type: frameHelloOK, Version: 2, Parallelism: fakeParallelism})
+		}
+	})
+	healthy := startWorker(t)
+
+	reg := obs.NewRegistry()
+	trace := &syncBuffer{}
+	c := fastCoord(stale.addr(), healthy.Addr())
+	c.MaxWorkerFailures = 5
+	c.Obs = &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(trace)}
+	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPopEqual(t, got, localPop(t, 12))
+	if n := stale.accepts.Load(); n != 1 {
+		t.Errorf("version-skewed worker was dialed %d times, want exactly 1", n)
+	}
+	if v := reg.Counter(obs.MetricDistRetries).Value(); v != 0 {
+		t.Errorf("%d dial retries spent on a version-skewed worker, want 0", v)
+	}
+	// The worker_dead event names both versions.
+	var ev struct {
+		Attrs struct {
+			Worker   string `json:"worker"`
+			WorkerV  int    `json:"worker_version"`
+			CoordinV int    `json:"coordinator_version"`
+		} `json:"attrs"`
+	}
+	found := false
+	for _, line := range bytes.Split(trace.Bytes(), []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"dist.worker_dead"`)) {
+			continue
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad trace line %s: %v", line, err)
+		}
+		found = true
+		if ev.Attrs.Worker != stale.addr() || ev.Attrs.WorkerV != 2 || ev.Attrs.CoordinV != ProtocolVersion {
+			t.Errorf("worker_dead event %s, want worker %s at v2 against v%d", line, stale.addr(), ProtocolVersion)
+		}
+	}
+	if !found {
+		t.Error("no dist.worker_dead event for the version-skewed worker")
+	}
+}
+
 func TestHooksFireOncePerRun(t *testing.T) {
 	w := startWorker(t)
 	var mu sync.Mutex
@@ -390,10 +451,10 @@ func TestHooksFireOncePerRun(t *testing.T) {
 	}
 }
 
-func TestDistCollectMatchesLocalSamples(t *testing.T) {
+func TestCollectorMatchesLocalSamples(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
-	got, err := c.DistCollect(testJob(), sim.MetricRuntime, testSeed, 10)
+	got, err := c.Collector(testJob(), sim.MetricRuntime).Collect(testSeed, 10, 0, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,13 +472,13 @@ func TestDistCollectMatchesLocalSamples(t *testing.T) {
 func TestCollectorRejectsMissingMetric(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
-	_, err := c.DistCollect(testJob(), "no-such-metric", testSeed, 4)
+	_, err := c.Collector(testJob(), "no-such-metric").Collect(testSeed, 4, 0, core.Hooks{})
 	if err == nil || !strings.Contains(err.Error(), "no-such-metric") {
 		t.Errorf("missing metric should error by name, got %v", err)
 	}
 }
 
-func TestAnalyzeWithDistCollector(t *testing.T) {
+func TestAnalyzeWithCoordinatorCollector(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
 	p := core.Params{F: 0.5, C: 0.9}

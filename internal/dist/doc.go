@@ -18,6 +18,14 @@
 // only, one connection per worker, chunks dispatched pull-style so fast
 // workers naturally take more of the seed range.
 //
+// There is one protocol version, ProtocolVersion, so workers and
+// coordinators must come from the same build: a peer at any other
+// version is refused at hello (a typed HandshakeError) and abandoned at
+// once, never retried. Every remote chunk is sized from the worker's
+// observed throughput to take about Coordinator.ChunkTarget of wall
+// time, and workers stream its results back as columnar result_batch
+// frames.
+//
 // Failure layer: per-chunk deadlines, read and write deadlines on every
 // frame, heartbeats during long chunks, idle-connection reaping and TCP
 // keepalive on the worker side, bounded exponential backoff with jitter

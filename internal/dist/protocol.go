@@ -11,29 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// ProtocolVersion guards against coordinator/worker skew. Peers accept
-// any version in [MinProtocolVersion, ProtocolVersion] at hello time and
-// speak the lower of the two — so a v1 fleet keeps working against a v2
-// coordinator (and vice versa), while anything outside the window is
-// rejected before a campaign starts.
-//
-//	v1: base protocol (chunks, results, heartbeats)
-//	v2: worker telemetry piggybacked on heartbeat/chunk_done frames
-//	v3: batched columnar result frames (result_batch) and, coordinator
-//	    side, throughput-adaptive chunk sizing; v1/v2 peers keep getting
-//	    per-run result frames and fixed chunks
-const (
-	ProtocolVersion    = 3
-	MinProtocolVersion = 1
-	// telemetryVersion is the negotiated version from which workers
-	// attach telemetry snapshots to their frames.
-	telemetryVersion = 2
-	// batchVersion is the negotiated version from which workers ship
-	// results as columnar result_batch frames instead of one result
-	// frame per run — and from which the coordinator may size chunks
-	// adaptively rather than carving fixed ones.
-	batchVersion = 3
-)
+// ProtocolVersion is the one protocol coordinators and workers speak.
+// Both sides of hello accept exactly this version: workers and
+// coordinators ship from the same build, so a peer at any other version
+// is a stale binary, refused before a campaign starts.
+const ProtocolVersion = 3
 
 // Frame types. The protocol is newline-delimited JSON: every message is
 // one frame object on one line, in both directions.
@@ -41,16 +23,13 @@ const (
 	// coordinator → worker
 	frameHello    = "hello"     // handshake: version check
 	frameRunChunk = "run_chunk" // execute a contiguous seed chunk
-	framePing     = "ping"      // liveness probe on an idle connection
 
 	// worker → coordinator
 	frameHelloOK     = "hello_ok"     // handshake accepted
-	frameResult      = "result"       // one completed run (any order within a chunk)
-	frameResultBatch = "result_batch" // many completed runs, columnar (v3+)
+	frameResultBatch = "result_batch" // completed runs, columnar
 	frameHeartbeat   = "heartbeat"    // liveness while a chunk is executing
-	frameChunkDone = "chunk_done"
-	frameError     = "error" // chunk failed worker-side
-	framePong      = "pong"
+	frameChunkDone   = "chunk_done"
+	frameError       = "error" // chunk failed worker-side, or a refused frame
 )
 
 // frame is the single wire message shape; Type selects which fields are
@@ -67,20 +46,14 @@ type frame struct {
 	BaseSeed  uint64      `json:"base_seed,omitempty"`
 	Start     int         `json:"start,omitempty"`
 	Count     int         `json:"count,omitempty"`
-	// Per-run result payload (result frames).
-	Offset    int                `json:"offset,omitempty"`
-	Metrics   map[string]float64 `json:"metrics,omitempty"`
-	Cycles    uint64             `json:"cycles,omitempty"`
-	ElapsedUS int64              `json:"elapsed_us,omitempty"`
-	// Batch is the columnar multi-run payload (result_batch frames,
-	// protocol v3+).
+	// Batch is the columnar result payload (result_batch frames).
 	Batch *ResultBatch `json:"batch,omitempty"`
 	// Worker capability (hello_ok) and failure detail (error frames).
 	Parallelism int    `json:"parallelism,omitempty"`
 	Error       string `json:"error,omitempty"`
 	// Telemetry is the worker's compact metrics snapshot, piggybacked on
-	// heartbeat and chunk_done frames from protocol v2 on; omitted when
-	// the peer negotiated v1 or the worker has nothing to report yet.
+	// heartbeat and chunk_done frames; omitted while the worker has
+	// nothing to report yet.
 	Telemetry *WorkerTelemetry `json:"telemetry,omitempty"`
 }
 
@@ -108,7 +81,7 @@ func (t *WorkerTelemetry) empty() bool {
 	return t == nil || (t.RunsServed == 0 && t.InFlight == 0 && t.RunSeconds == 0)
 }
 
-// ResultBatch is the v3 columnar result payload: many completed runs in
+// ResultBatch is the columnar result payload: many completed runs in
 // one frame, with the per-metric value arrays keyed once by metric name
 // instead of one map[string]float64 per run. Index i across all arrays
 // describes one run; the arrays are always the same length. Batching
@@ -116,8 +89,8 @@ func (t *WorkerTelemetry) empty() bool {
 // across the whole batch — the dist hot path's dominant cost at small
 // simulation scales.
 type ResultBatch struct {
-	// Offsets are the runs' seed offsets within the campaign (the same
-	// identity per-run result frames carry), in completion order.
+	// Offsets are the runs' seed offsets within the campaign, in
+	// completion order.
 	Offsets []int `json:"offsets"`
 	// Cycles and ElapsedUS align with Offsets.
 	Cycles    []uint64 `json:"cycles"`
@@ -208,10 +181,6 @@ type conn struct {
 	// whatever holds the lock next (heartbeats, result streaming).
 	writeTimeout time.Duration
 	addr         string
-	// version is the negotiated protocol version — min(ours, peer's) —
-	// set by the handshake on the coordinator side and by the hello
-	// exchange on the worker side. Zero means not yet negotiated.
-	version int
 	// parallelism is the worker's advertised simulation slot count from
 	// hello_ok (coordinator side only) — the adaptive chunk sizer's seed
 	// before any throughput sample exists for the worker.
@@ -264,8 +233,27 @@ func (c *conn) recv(deadline time.Time) (frame, error) {
 
 func (c *conn) close() error { return c.net.Close() }
 
+// HandshakeError is a worker that refused the coordinator's hello or
+// answered it at a protocol version other than ProtocolVersion — a
+// stale binary. Unlike a transport failure, retrying cannot cure it.
+type HandshakeError struct {
+	Addr string
+	// Version is the version the worker's hello_ok named; zero when the
+	// worker refused the hello with an error frame instead.
+	Version int
+	// Refusal is the worker's error text when it refused the hello.
+	Refusal string
+}
+
+func (e *HandshakeError) Error() string {
+	if e.Refusal != "" {
+		return fmt.Sprintf("dist: worker %s refused protocol v%d: %s", e.Addr, ProtocolVersion, e.Refusal)
+	}
+	return fmt.Sprintf("dist: worker %s speaks protocol v%d, coordinator speaks v%d", e.Addr, e.Version, ProtocolVersion)
+}
+
 // handshake runs the coordinator side of the hello exchange and records
-// the negotiated version on the connection.
+// the worker's advertised parallelism on the connection.
 func (c *conn) handshake(timeout time.Duration) error {
 	if err := c.send(frame{Type: frameHello, Version: ProtocolVersion}); err != nil {
 		return fmt.Errorf("dist: hello to %s: %w", c.addr, err)
@@ -274,14 +262,14 @@ func (c *conn) handshake(timeout time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("dist: hello reply from %s: %w", c.addr, err)
 	}
-	if f.Type == frameError {
-		return fmt.Errorf("dist: worker %s rejected hello: %s", c.addr, f.Error)
+	switch {
+	case f.Type == frameError:
+		return &HandshakeError{Addr: c.addr, Refusal: f.Error}
+	case f.Type != frameHelloOK:
+		return fmt.Errorf("dist: worker %s answered hello with %s, want %s", c.addr, f.Type, frameHelloOK)
+	case f.Version != ProtocolVersion:
+		return &HandshakeError{Addr: c.addr, Version: f.Version}
 	}
-	if f.Type != frameHelloOK || f.Version < MinProtocolVersion || f.Version > ProtocolVersion {
-		return fmt.Errorf("dist: worker %s spoke %s v%d, want %s v%d..v%d",
-			c.addr, f.Type, f.Version, frameHelloOK, MinProtocolVersion, ProtocolVersion)
-	}
-	c.version = f.Version // worker already replied with min(its, ours)
 	c.parallelism = f.Parallelism
 	return nil
 }

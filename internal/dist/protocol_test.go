@@ -45,22 +45,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultFrameZeroOffset(t *testing.T) {
-	// Offset 0 is a legitimate seed offset; it must round-trip even
-	// though the field is omitempty on the wire.
-	a, b := pipePair()
-	defer a.close()
-	defer b.close()
-	go a.send(frame{Type: frameResult, ID: 1, Offset: 0, Metrics: map[string]float64{"m": 1.5}})
-	got, err := b.recv(time.Now().Add(2 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Offset != 0 || got.Metrics["m"] != 1.5 {
-		t.Errorf("zero offset mangled: %+v", got)
-	}
-}
-
 func TestRecvDeadline(t *testing.T) {
 	a, b := pipePair()
 	defer a.close()
@@ -70,21 +54,34 @@ func TestRecvDeadline(t *testing.T) {
 	}
 }
 
+// TestHandshakeVersionMismatch: a hello_ok at any version but
+// ProtocolVersion, and a refused hello, are typed HandshakeErrors naming
+// the coordinator's version — the error workerLoop does not retry.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	a, b := pipePair()
-	defer a.close()
-	defer b.close()
-	go func() {
-		f, err := b.recv(time.Now().Add(2 * time.Second))
-		if err != nil || f.Type != frameHello {
-			return
+	for _, reply := range []frame{
+		{Type: frameHelloOK, Version: ProtocolVersion + 1},
+		{Type: frameHelloOK, Version: ProtocolVersion - 1},
+		{Type: frameError, Error: "protocol version 3, worker speaks 4"},
+	} {
+		a, b := pipePair()
+		go func() {
+			f, err := b.recv(time.Now().Add(2 * time.Second))
+			if err != nil || f.Type != frameHello {
+				return
+			}
+			b.send(reply)
+		}()
+		err := a.handshake(2 * time.Second)
+		a.close()
+		b.close()
+		var he *HandshakeError
+		if !errors.As(err, &he) || he.Version != reply.Version || he.Refusal != reply.Error {
+			t.Errorf("reply %+v: got %v, want a HandshakeError carrying it", reply, err)
+			continue
 		}
-		b.send(frame{Type: frameHelloOK, Version: ProtocolVersion + 1})
-	}()
-	err := a.handshake(2 * time.Second)
-	want := fmt.Sprintf("v%d", ProtocolVersion)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("version mismatch should be rejected naming %s, got %v", want, err)
+		if want := fmt.Sprintf("v%d", ProtocolVersion); !strings.Contains(err.Error(), want) {
+			t.Errorf("reply %+v: %q does not name the coordinator's %s", reply, err, want)
+		}
 	}
 }
 
@@ -100,7 +97,7 @@ func TestSendWriteDeadlineUnsticksStalledReader(t *testing.T) {
 	defer c.close()
 
 	done := make(chan error, 1)
-	go func() { done <- c.send(frame{Type: framePing}) }()
+	go func() { done <- c.send(frame{Type: frameHeartbeat}) }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -121,8 +118,8 @@ func TestSendWithoutTimeoutStillWorks(t *testing.T) {
 	a, b := pipePair()
 	defer a.close()
 	defer b.close()
-	go a.send(frame{Type: framePong})
-	if f, err := b.recv(time.Now().Add(2 * time.Second)); err != nil || f.Type != framePong {
+	go a.send(frame{Type: frameHeartbeat})
+	if f, err := b.recv(time.Now().Add(2 * time.Second)); err != nil || f.Type != frameHeartbeat {
 		t.Fatalf("recv: %v %+v", err, f)
 	}
 }

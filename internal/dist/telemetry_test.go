@@ -43,28 +43,31 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 	if got := reg.GaugeL(obs.MetricDistWorkerMeanRunSeconds, l).Value(); got <= 0 {
 		t.Errorf("mean_run_seconds{worker=%s} = %v, want > 0", addr, got)
 	}
-	if got := reg.CounterL(obs.MetricDistWorkerChunks, l).Value(); got != 4 {
-		t.Errorf("chunks{worker=%s} = %d, want 4 (12 runs / chunk size 3)", addr, got)
-	}
-
+	// Adaptive carving picks the chunk count; every ledger must agree on
+	// it: the coordinator's status, its worker row, the labeled chunk
+	// counter, and the worker's own status.
 	st := coord.Status()
 	if !st.Done || st.LastError != "" {
 		t.Errorf("status not done cleanly: %+v", st)
 	}
-	if st.Runs != runs || st.Chunks != 4 || st.ChunksCompleted != 4 || st.ChunksInFlight != 0 {
+	chunks := st.Chunks
+	if st.Runs != runs || chunks < 1 || st.ChunksCompleted != chunks || st.ChunksInFlight != 0 {
 		t.Errorf("chunk accounting wrong: %+v", st)
+	}
+	if got := reg.CounterL(obs.MetricDistWorkerChunks, l).Value(); got != int64(chunks) {
+		t.Errorf("chunks{worker=%s} = %d, coordinator status says %d", addr, got, chunks)
 	}
 	if len(st.Workers) != 1 {
 		t.Fatalf("%d worker rows, want 1: %+v", len(st.Workers), st.Workers)
 	}
 	row := st.Workers[0]
-	if row.Addr != addr || row.RunsServed != runs || row.ChunksDone != 4 || row.Dead {
-		t.Errorf("worker row wrong: %+v", row)
+	if row.Addr != addr || row.RunsServed != runs || row.ChunksDone != chunks || row.Dead {
+		t.Errorf("worker row wrong (want %d chunks): %+v", chunks, row)
 	}
 
 	ws := w.Status()
-	if ws.RunsServed != runs || ws.InFlight != 0 || ws.RunSeconds <= 0 || ws.ChunksServed != 4 {
-		t.Errorf("worker self-status wrong: %+v", ws)
+	if ws.RunsServed != runs || ws.InFlight != 0 || ws.RunSeconds <= 0 || ws.ChunksServed != int64(chunks) {
+		t.Errorf("worker self-status wrong (want %d chunks): %+v", chunks, ws)
 	}
 
 	// Status marshals for /statusz.
@@ -73,54 +76,8 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 	}
 }
 
-// TestTelemetryOmittedForV1Peer drives the worker over a raw v1
-// connection and asserts no telemetry field ever appears on the wire —
-// the version gate that keeps old coordinators decoding happily.
-func TestTelemetryOmittedForV1Peer(t *testing.T) {
-	w := startWorker(t)
-
-	raw, err := net.Dial("tcp", w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := newConn(raw, 2*time.Second)
-	defer nc.close()
-	if err := nc.send(frame{Type: frameHello, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := nc.recv(time.Now().Add(2 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != frameHelloOK || f.Version != 1 {
-		t.Fatalf("v1 hello answered with %s v%d, want %s v1", f.Type, f.Version, frameHelloOK)
-	}
-
-	cfg := testJob().Config
-	err = nc.send(frame{Type: frameRunChunk, ID: 7, Benchmark: testBench,
-		Config: &cfg, Scale: testScale, BaseSeed: testSeed, Start: 0, Count: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		f, err := nc.recv(time.Now().Add(10 * time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Telemetry != nil {
-			t.Fatalf("v1 peer received telemetry on %s frame", f.Type)
-		}
-		if f.Type == frameChunkDone {
-			return
-		}
-		if f.Type == frameError {
-			t.Fatalf("chunk failed: %s", f.Error)
-		}
-	}
-}
-
-// TestTelemetryAttachedForV2Peer is the inverse: a v2 connection must
-// see a snapshot on chunk_done once the worker has served runs.
+// TestTelemetryAttachedForV2Peer: the worker telemetry protocol v2
+// introduced rides on every chunk_done once the worker has served runs.
 func TestTelemetryAttachedForV2Peer(t *testing.T) {
 	w := startWorker(t)
 
@@ -132,9 +89,6 @@ func TestTelemetryAttachedForV2Peer(t *testing.T) {
 	defer nc.close()
 	if err := nc.handshake(2 * time.Second); err != nil {
 		t.Fatal(err)
-	}
-	if nc.version != ProtocolVersion {
-		t.Fatalf("negotiated v%d, want v%d", nc.version, ProtocolVersion)
 	}
 
 	cfg := testJob().Config
@@ -151,7 +105,7 @@ func TestTelemetryAttachedForV2Peer(t *testing.T) {
 		switch f.Type {
 		case frameChunkDone:
 			if f.Telemetry == nil {
-				t.Fatal("v2 chunk_done carried no telemetry")
+				t.Fatal("chunk_done carried no telemetry")
 			}
 			if f.Telemetry.RunsServed != 3 || f.Telemetry.RunSeconds <= 0 {
 				t.Fatalf("telemetry wrong: %+v", f.Telemetry)

@@ -17,12 +17,21 @@ import (
 	"repro/internal/sim"
 )
 
+// Result batching limits: a worker flushes its result_batch frame once
+// it holds batchRuns runs, and at least every batchFlush while runs are
+// buffered, so a slow trickle of results still reaches the coordinator —
+// and its progress hooks — promptly.
+const (
+	batchRuns  = 64
+	batchFlush = 25 * time.Millisecond
+)
+
 // Worker serves seed chunks to coordinators: it listens on a TCP
 // address, executes the requested workload+sim runs with bounded local
-// parallelism, and streams per-run results back as they complete
-// (offsets identify runs, so arrival order is free to be whatever the
-// scheduler produces). One worker serves any number of coordinator
-// connections concurrently.
+// parallelism, and streams results back in columnar batches as they
+// complete (offsets identify runs, so arrival order is free to be
+// whatever the scheduler produces). One worker serves any number of
+// coordinator connections concurrently.
 type Worker struct {
 	// Parallelism bounds concurrent simulations across all connections
 	// (0 = GOMAXPROCS).
@@ -43,21 +52,16 @@ type Worker struct {
 	// (internal/faultx) and in-memory test transports. Nil uses a TCP
 	// listener with keepalive enabled.
 	ListenFunc func(network, address string) (net.Listener, error)
-	// BatchRuns caps how many completed runs accumulate in one
-	// result_batch frame before a flush (0 = 64). Only v3+ connections
-	// batch; older peers get one result frame per run.
-	BatchRuns int
-	// BatchFlush bounds how long a completed run may sit in an unflushed
-	// batch (0 = 25ms), so a slow trickle of results still reaches the
-	// coordinator — and its progress hooks — promptly.
-	BatchFlush time.Duration
 	// Obs receives spans and counters for served chunks; nil disables.
 	Obs *obs.Observer
 
-	// maxVersion, when positive, caps the protocol version this worker
-	// negotiates — a test seam for exercising mixed-version fleets
-	// without building old binaries.
-	maxVersion int
+	// batchLimit, when its fields are positive, overrides batchRuns and
+	// batchFlush — the chaos soak's seam for many flush boundaries per
+	// chunk.
+	batchLimit struct {
+		runs  int
+		flush time.Duration
+	}
 
 	ln       net.Listener
 	sem      chan struct{}
@@ -172,17 +176,17 @@ func (w *Worker) idleTimeout() time.Duration {
 }
 
 func (w *Worker) batchRuns() int {
-	if w.BatchRuns <= 0 {
-		return 64
+	if w.batchLimit.runs <= 0 {
+		return batchRuns
 	}
-	return w.BatchRuns
+	return w.batchLimit.runs
 }
 
 func (w *Worker) batchFlush() time.Duration {
-	if w.BatchFlush <= 0 {
-		return 25 * time.Millisecond
+	if w.batchLimit.flush <= 0 {
+		return batchFlush
 	}
-	return w.BatchFlush
+	return w.batchLimit.flush
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -282,6 +286,7 @@ func (w *Worker) serveConn(nc net.Conn) {
 		w.mu.Unlock()
 	}()
 	c := newConn(nc, w.writeTimeout())
+	hello := false
 	for {
 		f, err := c.recv(time.Now().Add(w.idleTimeout()))
 		if err != nil {
@@ -293,30 +298,22 @@ func (w *Worker) serveConn(nc net.Conn) {
 			}
 			return
 		}
-		switch f.Type {
-		case frameHello:
-			if f.Version < MinProtocolVersion || f.Version > ProtocolVersion {
+		switch {
+		case f.Type == frameHello:
+			if f.Version != ProtocolVersion {
 				c.send(frame{Type: frameError,
-					Error: fmt.Sprintf("protocol version %d, worker speaks %d..%d", f.Version, MinProtocolVersion, ProtocolVersion)})
+					Error: fmt.Sprintf("protocol version %d, worker speaks %d", f.Version, ProtocolVersion)})
 				return
 			}
-			// Speak the lower of the two versions: a v1 coordinator gets
-			// plain v1 frames, a v2 one gets telemetry piggybacks but
-			// per-run results, a v3 one gets batched result frames.
-			effective := ProtocolVersion
-			if w.maxVersion > 0 && w.maxVersion < effective {
-				effective = w.maxVersion
-			}
-			c.version = min(f.Version, effective)
-			p := cap(w.sem)
-			if err := c.send(frame{Type: frameHelloOK, Version: c.version, Parallelism: p}); err != nil {
+			if err := c.send(frame{Type: frameHelloOK, Version: ProtocolVersion, Parallelism: cap(w.sem)}); err != nil {
 				return
 			}
-		case framePing:
-			if err := c.send(frame{Type: framePong}); err != nil {
-				return
-			}
-		case frameRunChunk:
+			hello = true
+		case !hello:
+			// A peer that skipped the version check gets no work.
+			c.send(frame{Type: frameError, ID: f.ID, Error: fmt.Sprintf("%q frame before hello", f.Type)})
+			return
+		case f.Type == frameRunChunk:
 			w.mu.Lock()
 			draining := w.draining
 			w.mu.Unlock()
@@ -348,15 +345,6 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	w.chunks.Add(1)
 	w.activeChunks.Add(1)
 	defer w.activeChunks.Add(-1)
-	// Telemetry piggybacks are version-gated: a v1 coordinator never sees
-	// the field, so old fleets interoperate unchanged.
-	sendTelemetry := c.version >= telemetryVersion
-	snapshot := func() *WorkerTelemetry {
-		if !sendTelemetry {
-			return nil
-		}
-		return w.telemetry()
-	}
 	if req.Count <= 0 || req.Config == nil || req.Benchmark == "" {
 		span.End(obs.Str("error", "malformed chunk"))
 		return c.send(frame{Type: frameError, ID: req.ID, Error: "malformed run_chunk frame"})
@@ -390,7 +378,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 				// A failed heartbeat means the coordinator is gone: the
 				// error itself also surfaces on the result path, but
 				// dooming here stops run launches a heartbeat sooner.
-				if c.send(frame{Type: frameHeartbeat, ID: req.ID, Telemetry: snapshot()}) != nil {
+				if c.send(frame{Type: frameHeartbeat, ID: req.ID, Telemetry: w.telemetry()}) != nil {
 					doom()
 				}
 			}
@@ -415,28 +403,21 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	// the chunk (the coordinator decides whether to surface it); runs
 	// already executing still drain so the semaphore is returned.
 	//
-	// On v3+ connections completed runs accumulate into a columnar
-	// result_batch, flushed every BatchRuns runs or BatchFlush of wall
-	// time — one frame and one syscall amortized over the whole batch
-	// instead of per run. Older peers keep one result frame per run.
+	// Completed runs accumulate into a columnar result_batch, flushed
+	// every batchRuns runs or batchFlush of wall time — one frame and one
+	// syscall amortized over the whole batch instead of per run.
 	type outcome struct {
 		runErr, sendErr error
 		sent            int
 	}
 	outcomeCh := make(chan outcome, 1)
-	batching := c.version >= batchVersion
 	go func() {
 		var o outcome
-		var rb *ResultBatch
-		var flushC <-chan time.Time // nil (never fires) unless batching
-		if batching {
-			rb = &ResultBatch{}
-			t := time.NewTicker(w.batchFlush())
-			defer t.Stop()
-			flushC = t.C
-		}
+		rb := &ResultBatch{}
+		flushT := time.NewTicker(w.batchFlush())
+		defer flushT.Stop()
 		flush := func() {
-			if rb == nil || rb.len() == 0 || o.sendErr != nil || o.runErr != nil {
+			if rb.len() == 0 || o.sendErr != nil || o.runErr != nil {
 				return
 			}
 			if err := c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}); err != nil {
@@ -456,16 +437,6 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 				return
 			}
 			if o.sendErr != nil || o.runErr != nil {
-				return
-			}
-			if !batching {
-				if err := c.send(frame{Type: frameResult, ID: req.ID, Offset: r.offset,
-					Metrics: r.metrics, Cycles: r.cycles, ElapsedUS: r.elapsed.Microseconds()}); err != nil {
-					o.sendErr = err
-					doom()
-				} else {
-					o.sent++
-				}
 				return
 			}
 			if !rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds()) {
@@ -490,7 +461,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 					return
 				}
 				handle(r)
-			case <-flushC:
+			case <-flushT.C:
 				flush()
 			}
 		}
@@ -547,5 +518,5 @@ launch:
 		return err
 	}
 	span.End(obs.Int("results", o.sent))
-	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: o.sent, Telemetry: snapshot()})
+	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: o.sent, Telemetry: w.telemetry()})
 }

@@ -34,29 +34,64 @@ func recvT(t *testing.T, c *conn) frame {
 	return f
 }
 
+// TestWorkerHelloAndPing: hello is answered at ProtocolVersion with the
+// worker's slot count, and a legacy ping — gone with the old protocol
+// versions — is refused by name and the connection closed.
 func TestWorkerHelloAndPing(t *testing.T) {
 	w := startWorker(t)
 	c := dialRaw(t, w.Addr())
-	if err := c.handshake(2 * time.Second); err != nil {
+	if err := c.send(frame{Type: frameHello, Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send(frame{Type: framePing}); err != nil {
+	if f := recvT(t, c); f.Type != frameHelloOK || f.Version != ProtocolVersion || f.Parallelism != 2 {
+		t.Fatalf("hello answered with %+v, want %s v%d with parallelism 2", f, frameHelloOK, ProtocolVersion)
+	}
+	if err := c.send(frame{Type: "ping"}); err != nil {
 		t.Fatal(err)
 	}
-	if f := recvT(t, c); f.Type != framePong {
-		t.Errorf("ping answered with %q", f.Type)
+	if f := recvT(t, c); f.Type != frameError || !strings.Contains(f.Error, "ping") {
+		t.Errorf("ping answered with %+v", f)
+	}
+	if _, err := c.recv(time.Now().Add(2 * time.Second)); err == nil {
+		t.Error("worker should close the connection after a ping")
 	}
 }
 
 func TestWorkerRejectsVersionSkew(t *testing.T) {
 	w := startWorker(t)
+	// Newer and older coordinators alike: only ProtocolVersion is served.
+	for _, v := range []int{ProtocolVersion + 7, ProtocolVersion - 1} {
+		c := dialRaw(t, w.Addr())
+		if err := c.send(frame{Type: frameHello, Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		f := recvT(t, c)
+		if f.Type != frameError || !strings.Contains(f.Error, "version") {
+			t.Errorf("hello v%d answered with %+v", v, f)
+		}
+	}
+}
+
+// TestWorkerRefusesChunkBeforeHello: a run_chunk on a connection that
+// never completed hello skipped the version check, so it gets an error
+// frame naming it and a closed connection — never a result.
+func TestWorkerRefusesChunkBeforeHello(t *testing.T) {
+	w := startWorker(t)
 	c := dialRaw(t, w.Addr())
-	if err := c.send(frame{Type: frameHello, Version: ProtocolVersion + 7}); err != nil {
+	cfg := sim.DefaultConfig()
+	if err := c.send(frame{Type: frameRunChunk, ID: 4, Benchmark: testBench,
+		Config: &cfg, Scale: testScale, BaseSeed: testSeed, Count: 2}); err != nil {
 		t.Fatal(err)
 	}
 	f := recvT(t, c)
-	if f.Type != frameError || !strings.Contains(f.Error, "version") {
-		t.Errorf("version skew answered with %+v", f)
+	if f.Type != frameError || !strings.Contains(f.Error, frameRunChunk) {
+		t.Fatalf("un-negotiated run_chunk answered with %+v", f)
+	}
+	if f, err := c.recv(time.Now().Add(2 * time.Second)); err == nil {
+		t.Errorf("worker sent %+v after refusing the chunk, want the connection closed", f)
+	}
+	if n := w.Status().RunsServed; n != 0 {
+		t.Errorf("worker ran %d runs for an un-negotiated connection", n)
 	}
 }
 
@@ -79,13 +114,7 @@ func TestWorkerStreamsChunk(t *testing.T) {
 		switch f.Type {
 		case frameHeartbeat:
 			continue
-		case frameResult:
-			if f.ID != id {
-				t.Fatalf("result for chunk %d, want %d", f.ID, id)
-			}
-			got[f.Offset] = f.Metrics
 		case frameResultBatch:
-			// The handshake negotiated v3, so results arrive batched.
 			if f.ID != id {
 				t.Fatalf("result_batch for chunk %d, want %d", f.ID, id)
 			}
@@ -146,11 +175,18 @@ func TestWorkerReportsRunErrorInBand(t *testing.T) {
 		break
 	}
 	// The failure was in-band: the connection must still serve.
-	if err := c.send(frame{Type: framePing}); err != nil {
+	if err := c.send(frame{Type: frameRunChunk, ID: 2, Benchmark: testBench,
+		Config: &cfg, Scale: testScale, BaseSeed: testSeed, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if f := recvT(t, c); f.Type != framePong {
-		t.Errorf("connection dead after in-band error: got %q", f.Type)
+	for {
+		f := recvT(t, c)
+		if f.Type == frameChunkDone {
+			break
+		}
+		if f.Type == frameError {
+			t.Fatalf("connection dead after in-band error: %s", f.Error)
+		}
 	}
 }
 

@@ -111,10 +111,10 @@ type Runner struct {
 	// is non-empty — the fault-injection seam (internal/faultx) behind
 	// the CLIs' -chaos-seed flag. Nil uses the real network.
 	Dial dist.DialFunc
-	// ChunkTarget enables throughput-adaptive chunk sizing on the lazily
-	// created coordinator: chunks sent to v3 workers are sized so each
-	// takes roughly this long at the worker's observed run rate. Zero
-	// keeps fixed-size chunks. Ignored when Coord is injected.
+	// ChunkTarget is the wall time each remote chunk of the lazily
+	// created coordinator is sized to take at the worker's observed run
+	// rate (0 = 250ms, see dist.Coordinator). Ignored when Coord is
+	// injected.
 	ChunkTarget time.Duration
 	// PopCache, when non-nil, is consulted before simulating an entry and
 	// fed after. It is content-addressed by the full generation recipe, so

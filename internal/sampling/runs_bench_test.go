@@ -9,9 +9,14 @@ package sampling
 // BENCH_10.json via benchreport:
 //
 //	full-runs/op   full-fidelity executions (the paper's unit of cost)
-//	pilot-runs/op  quarter-scale proxy executions the design spent
+//	pilot-runs/op  pilot-scale proxy executions the design spent
 //	run-cost/op    full-runs + pilot-runs scaled by relative simulation
 //	               cost, i.e. total work in full-run equivalents
+//
+// The design rows run their pilot at half the campaign scale. The rows
+// suffixed -pilot0.1 rerun them with the pilot at a tenth of it: ranked
+// set sampling assumes a pilot much cheaper than a full run (Ekman), and
+// those rows test whether RSS pays off when that holds.
 //
 // Run with -benchtime=1x: one campaign per sub-benchmark is the
 // measurement — everything is seed-deterministic, so more iterations
@@ -28,9 +33,10 @@ import (
 )
 
 const (
-	benchScale      = 0.05
-	benchPilotScale = benchScale / 2
-	benchTargetN    = 400
+	benchScale           = 0.05
+	benchPilotScale      = benchScale / 2
+	benchTenthPilotScale = benchScale / 10
+	benchTargetN         = 400
 )
 
 var benchParams = core.Params{F: 0.5, C: 0.9}
@@ -53,9 +59,9 @@ func targetWidthFor(b *testing.B, bench string, cfg sim.Config) float64 {
 	return an.Interval.Width()
 }
 
-// runsToWidth runs one adaptive campaign under the design and returns
-// (full runs, pilot runs, final sample count).
-func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, target float64) (int, int, int) {
+// runsToWidth runs one adaptive campaign under the design, with its pilot
+// at pilotScale, and returns (full runs, pilot runs, final sample count).
+func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, pilotScale, target float64) (int, int, int) {
 	b.Helper()
 	var fullRuns atomic.Int64
 	counted := core.RunFunc(func(seed uint64) (float64, error) {
@@ -72,7 +78,7 @@ func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, target fl
 		return int(fullRuns.Load()), 0, len(an.Samples)
 	}
 
-	pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, benchPilotScale)), 0)
+	pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, pilotScale)), 0)
 	c, err := New(Options{Design: d}, core.FuncCollector(counted), pilot)
 	if err != nil {
 		b.Fatal(err)
@@ -87,13 +93,24 @@ func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, target fl
 
 func BenchmarkRunsToWidth(b *testing.B) {
 	cfg := sim.DefaultConfig()
+	rows := []struct {
+		d          Design
+		pilotScale float64
+		suffix     string
+	}{
+		{Plain, benchPilotScale, ""},
+		{Stratified, benchPilotScale, ""},
+		{RSS, benchPilotScale, ""},
+		{Stratified, benchTenthPilotScale, "-pilot0.1"},
+		{RSS, benchTenthPilotScale, "-pilot0.1"},
+	}
 	for _, bench := range workload.Names() {
-		for _, d := range []Design{Plain, Stratified, RSS} {
-			b.Run(bench+"/"+d.String(), func(b *testing.B) {
+		for _, row := range rows {
+			b.Run(bench+"/"+row.d.String()+row.suffix, func(b *testing.B) {
 				target := targetWidthFor(b, bench, cfg)
 				var full, pilots, samples int
 				for i := 0; i < b.N; i++ {
-					f, p, n := runsToWidth(b, bench, cfg, d, target)
+					f, p, n := runsToWidth(b, bench, cfg, row.d, row.pilotScale, target)
 					full += f
 					pilots += p
 					samples += n
@@ -101,7 +118,7 @@ func BenchmarkRunsToWidth(b *testing.B) {
 				n := float64(b.N)
 				b.ReportMetric(float64(full)/n, "full-runs/op")
 				b.ReportMetric(float64(pilots)/n, "pilot-runs/op")
-				b.ReportMetric((float64(full)+float64(pilots)*benchPilotScale/benchScale)/n, "run-cost/op")
+				b.ReportMetric((float64(full)+float64(pilots)*row.pilotScale/benchScale)/n, "run-cost/op")
 				b.ReportMetric(float64(samples)/n, "samples/op")
 			})
 		}
