@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -20,7 +21,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/obs"
-	"repro/internal/population"
+	"repro/internal/popcache"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -66,20 +67,9 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	var cfg sim.Config
-	switch *variant {
-	case "default":
-		cfg = sim.DefaultConfig()
-	case "hardware":
-		cfg = sim.HardwareLikeConfig()
-	case "l2half":
-		cfg = sim.DefaultConfig()
-		cfg.L2Size = 512 * 1024
-	case "l2double":
-		cfg = sim.DefaultConfig()
-		cfg.L2Size = 1024 * 1024
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	cfg, err := sim.VariantConfig(*variant)
+	if err != nil {
+		return err
 	}
 	if *l2kb > 0 {
 		cfg.L2Size = *l2kb * 1024
@@ -101,9 +91,8 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	o.P().AddTotal(*runs)
-	pop, err := population.GenerateHooked(*bench, cfg, *scale, *runs, *seed, *parallel,
-		population.ObserverHooks(o, *bench))
+	pop, _, err := (&popcache.Source{Parallelism: *parallel, Obs: o}).Population(context.Background(),
+		popcache.Key{Benchmark: *bench, Config: cfg, Scale: *scale, BaseSeed: *seed, Runs: *runs})
 	if err != nil {
 		closeObs()
 		return err

@@ -24,6 +24,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,11 +38,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gem5"
-	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/popcache"
 	"repro/internal/population"
 	"repro/internal/sampling"
+	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/stats"
 )
@@ -160,25 +161,26 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.popcache, "popcache", "", "content-addressed population cache directory for -sim; hits are byte-identical to re-simulating")
 }
 
+// source serves -sim populations and pilot blocks: the -popcache cache
+// in front of a coordinator over -workers (in-process when none).
+func (d *dataFlags) source() *popcache.Source {
+	var cache *popcache.Cache
+	if d.popcache != "" {
+		cache = popcache.New(d.popcache, 0)
+	}
+	return &popcache.Source{Cache: cache, Obs: telemetry,
+		Coord: &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}}
+}
+
 func (d *dataFlags) load() ([]float64, error) {
 	switch {
 	case d.sim != "":
-		e := manifest.Entry{Benchmark: d.sim, Variant: d.variant}
-		cfg, err := e.Config()
+		cfg, err := sim.VariantConfig(d.variant)
 		if err != nil {
 			return nil, err
 		}
-		var cache *popcache.Cache
-		if d.popcache != "" {
-			cache = popcache.New(d.popcache, 0)
-		}
-		pop, _, err := cache.GetOrGenerate(
-			popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale, BaseSeed: d.simSeed, Runs: d.runs},
-			func() (*population.Population, error) {
-				coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
-				return coord.GeneratePopulation(d.sim, cfg, d.scale, d.runs, d.simSeed,
-					population.ObserverHooks(telemetry, d.sim))
-			})
+		pop, _, err := d.source().Population(context.Background(),
+			popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale, BaseSeed: d.simSeed, Runs: d.runs})
 		if err != nil {
 			return nil, err
 		}
@@ -321,30 +323,24 @@ func runCollectedCI(d *dataFlags, p core.Params, design sampling.Design, targetW
 	if d.sim == "" {
 		return errors.New("-sampling and -target-width need -sim (they collect, not load)")
 	}
-	e := manifest.Entry{Benchmark: d.sim, Variant: d.variant}
-	cfg, err := e.Config()
+	cfg, err := sim.VariantConfig(d.variant)
 	if err != nil {
 		return err
 	}
-	coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
-	var col core.Collector = coord.Collector(dist.Job{Benchmark: d.sim, Config: cfg, Scale: d.scale}, d.metric)
-	var cache *popcache.Cache
-	if d.popcache != "" {
-		cache = popcache.New(d.popcache, 0)
-	}
+	ctx := context.Background()
+	src := d.source()
+	var col core.Collector = src.Coord.CollectorCtx(ctx, dist.Job{Benchmark: d.sim, Config: cfg, Scale: d.scale}, d.metric)
 	var dcol *sampling.Collector
 	if design != sampling.Plain {
 		ps := pilotScale
 		if ps == 0 {
 			ps = d.scale / 2
 		}
-		pilot := sampling.PilotFromCollector(
-			coord.Collector(dist.Job{Benchmark: d.sim, Config: cfg, Scale: ps}, d.metric), 0)
 		dcol, err = sampling.New(sampling.Options{
-			Design: design, Metric: d.metric, Cache: cache,
+			Design: design, Metric: d.metric, Cache: src.Cache,
 			Recipe: popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale,
 				PilotScale: ps, ProxyMetric: d.metric},
-		}, col, pilot)
+		}, col, src.Pilot(ctx, popcache.Key{Benchmark: d.sim, Config: cfg, Scale: ps}, d.metric))
 		if err != nil {
 			return err
 		}

@@ -120,7 +120,7 @@ type Service struct {
 	cfg     Config
 	obs     *obs.Observer
 	journal journal
-	coord   *dist.Coordinator
+	src     *popcache.Source // the shared popcache and coordinator
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
@@ -136,10 +136,11 @@ type Service struct {
 // New builds a Service (no IO yet; Start scans the journal).
 func New(cfg Config) *Service {
 	return &Service{
-		cfg:       cfg,
-		obs:       cfg.Obs,
-		journal:   journal{dir: cfg.DataDir},
-		coord:     &dist.Coordinator{Workers: cfg.Workers, Parallelism: cfg.Parallelism, Obs: cfg.Obs, Dial: cfg.Dial},
+		cfg:     cfg,
+		obs:     cfg.Obs,
+		journal: journal{dir: cfg.DataDir},
+		src: &popcache.Source{Cache: cfg.PopCache, Obs: cfg.Obs,
+			Coord: &dist.Coordinator{Workers: cfg.Workers, Parallelism: cfg.Parallelism, Obs: cfg.Obs, Dial: cfg.Dial}},
 		campaigns: make(map[string]*campaign),
 		sched:     newScheduler(cfg.Quantum, cfg.TenantRunningCap),
 		nextSeq:   1,
@@ -147,7 +148,7 @@ func New(cfg Config) *Service {
 }
 
 // Coordinator exposes the shared coordinator (the /statusz source).
-func (s *Service) Coordinator() *dist.Coordinator { return s.coord }
+func (s *Service) Coordinator() *dist.Coordinator { return s.src.Coord }
 
 // Start replays the journal and begins scheduling: terminal campaigns
 // are loaded for status/report serving, queued ones re-enter their
@@ -296,10 +297,8 @@ func (s *Service) execute(ctx context.Context, c *campaign) {
 		OutDir:       s.journal.campaignDir(rec.ID),
 		Parallelism:  s.cfg.Parallelism,
 		Obs:          s.obs,
-		Workers:      s.cfg.Workers,
-		PopCache:     s.cfg.PopCache,
 		Sampling:     s.cfg.Sampling,
-		Coord:        s.coord,
+		Source:       s.src,
 		StableReport: true,
 		Hooks: manifest.Hooks{
 			OnEntryStart: func(idx int, key string) {
@@ -503,7 +502,7 @@ func (s *Service) Status() any {
 	return struct {
 		Queue QueueStatus            `json:"queue"`
 		Coord dist.CoordinatorStatus `json:"coordinator"`
-	}{s.Queue(), s.coord.Status()}
+	}{s.Queue(), s.src.Coord.Status()}
 }
 
 // Drain gracefully shuts the service down: admission closes, every

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"sync"
@@ -89,7 +90,7 @@ func TestV3FleetStreamsBatches(t *testing.T) {
 	fc := &frameCounter{}
 	c := fastCoord(startWorkerWith(t, w))
 	c.Dial = countingDial(fc)
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestHeterogeneousFleetAdaptive(t *testing.T) {
 		}
 		runMu.Unlock()
 	}}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, h)
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed, h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"sync/atomic"
@@ -108,7 +109,7 @@ func BenchmarkDistCampaignThroughput(b *testing.B) {
 		},
 	}
 	for b.Loop() {
-		if _, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale,
+		if _, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale,
 			runs, testSeed, population.RunHooks{}); err != nil {
 			b.Fatal(err)
 		}

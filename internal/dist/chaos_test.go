@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -130,7 +131,7 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 				addrs[i] = w.Addr()
 			}
 			c := chaosCoord(faultx.New(base+7, prof, chaosObs), &obs.Observer{Metrics: reg}, addrs...)
-			got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+			got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
 			if err != nil {
 				t.Fatalf("chaos campaign (%s, seed %d) failed outright: %v", name, seed, err)
 			}
@@ -171,7 +172,7 @@ func TestChaosHooksNeverDuplicate(t *testing.T) {
 		},
 	}
 	c := chaosCoord(faultx.New(seed*7+3, prof, nil), nil, w1.Addr(), w2.Addr())
-	if _, err := c.Run(testJob(), testSeed, runs, h); err != nil {
+	if _, err := c.RunCtx(context.Background(), testJob(), testSeed, runs, h); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -10,16 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// GeneratePopulation is the distributed twin of population.Generate: it
-// runs the job `runs` times with seeds baseSeed+i across the workers and
-// assembles the population through the same code path local generation
-// uses, so the two are byte-identical for the same manifest seed.
-func (c *Coordinator) GeneratePopulation(benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, h population.RunHooks) (*population.Population, error) {
-	return c.GeneratePopulationCtx(context.Background(), benchmark, cfg, scale, runs, baseSeed, h)
-}
-
-// GeneratePopulationCtx is GeneratePopulation with cooperative
-// cancellation (see RunCtx).
+// GeneratePopulationCtx is the distributed twin of population.Generate:
+// it runs the job `runs` times with seeds baseSeed+i across the workers
+// and assembles the population through the same code path local
+// generation uses, so the two are byte-identical for the same seed.
 func (c *Coordinator) GeneratePopulationCtx(ctx context.Context, benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, h population.RunHooks) (*population.Population, error) {
 	results, err := c.RunCtx(ctx, Job{Benchmark: benchmark, Config: cfg, Scale: scale}, baseSeed, runs, h)
 	if err != nil {
@@ -32,16 +26,9 @@ func (c *Coordinator) GeneratePopulationCtx(ctx context.Context, benchmark strin
 	return population.FromRuns(benchmark, baseSeed, metrics), nil
 }
 
-// Collector binds the coordinator to one (job, metric) pair as a
+// CollectorCtx binds the coordinator to one (job, metric) pair as a
 // core.Collector, so Analyze/AnalyzeToWidth/CheckBatched can consume a
-// remote backend unchanged.
-func (c *Coordinator) Collector(job Job, metric string) core.Collector {
-	return c.CollectorCtx(context.Background(), job, metric)
-}
-
-// CollectorCtx is Collector bound to a context: every Collect the
-// analysis loop issues is cancelled with it. core.Collector has no ctx
-// parameter, so the binding happens here.
+// remote backend unchanged; every Collect is cancelled with ctx.
 func (c *Coordinator) CollectorCtx(ctx context.Context, job Job, metric string) core.Collector {
 	return &metricCollector{c: c, ctx: ctx, job: job, metric: metric}
 }

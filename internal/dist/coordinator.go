@@ -342,16 +342,11 @@ func (st *runState) finished() (bool, error) {
 	return st.closed, st.err
 }
 
-// Run executes n runs with seeds baseSeed+0 … baseSeed+n−1 across the
-// workers and returns the results ordered by seed offset — byte-for-byte
-// the samples a local run would produce, independent of worker count,
-// chunk size, or arrival order. Hooks (may be zero) observe runs as
-// their chunks commit.
-func (c *Coordinator) Run(job Job, baseSeed uint64, n int, h population.RunHooks) ([]RunResult, error) {
-	return c.RunCtx(context.Background(), job, baseSeed, n, h)
-}
-
-// RunCtx is Run with cooperative cancellation: when ctx is cancelled the
+// RunCtx executes n runs with seeds baseSeed+0 … baseSeed+n−1 across
+// the workers and returns the results ordered by seed offset —
+// byte-for-byte the samples a local run would produce, independent of
+// worker count, chunk size, or arrival order. Hooks (may be zero) observe
+// runs as their chunks commit. When ctx is cancelled the
 // job fails with the context's error at the next chunk boundary —
 // in-flight runs finish (a simulator run is not interruptible) but no
 // new chunk is dispatched or launched. The campaign service's DELETE

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"strings"
@@ -93,7 +94,7 @@ func checkPopEqual(t *testing.T, got, want *population.Population) {
 
 func TestNoWorkersRunsLocally(t *testing.T) {
 	c := fastCoord() // zero workers: a purely local runner
-	results, err := c.Run(testJob(), testSeed, 8, population.RunHooks{})
+	results, err := c.RunCtx(context.Background(), testJob(), testSeed, 8, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestWorkerCountsByteIdentical(t *testing.T) {
 			addrs[i] = startWorker(t).Addr()
 		}
 		c := fastCoord(addrs...)
-		got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+		got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
 		if err != nil {
 			t.Fatalf("%d workers: %v", nw, err)
 		}
@@ -133,15 +134,15 @@ func TestWorkerCountsByteIdentical(t *testing.T) {
 
 func TestRunRejectsBadJobs(t *testing.T) {
 	c := fastCoord()
-	if _, err := c.Run(testJob(), testSeed, 0, population.RunHooks{}); err == nil {
+	if _, err := c.RunCtx(context.Background(), testJob(), testSeed, 0, population.RunHooks{}); err == nil {
 		t.Error("zero runs should error")
 	}
-	if _, err := c.Run(Job{Config: sim.DefaultConfig()}, testSeed, 4, population.RunHooks{}); err == nil {
+	if _, err := c.RunCtx(context.Background(), Job{Config: sim.DefaultConfig()}, testSeed, 4, population.RunHooks{}); err == nil {
 		t.Error("missing benchmark should error")
 	}
 	bad := testJob()
 	bad.Config.Cores = -1
-	if _, err := c.Run(bad, testSeed, 4, population.RunHooks{}); err == nil {
+	if _, err := c.RunCtx(context.Background(), bad, testSeed, 4, population.RunHooks{}); err == nil {
 		t.Error("invalid config should error")
 	}
 }
@@ -154,7 +155,7 @@ func TestExecErrorAbortsJob(t *testing.T) {
 	} {
 		job := testJob()
 		job.Benchmark = "no-such-benchmark"
-		_, err := c.Run(job, testSeed, 4, population.RunHooks{})
+		_, err := c.RunCtx(context.Background(), job, testSeed, 4, population.RunHooks{})
 		if err == nil {
 			t.Fatalf("%s: unknown benchmark should abort the job", name)
 		}
@@ -177,7 +178,7 @@ func TestUnreachableWorkerFallsBackLocal(t *testing.T) {
 	c := fastCoord(addr)
 	c.MaxWorkerFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 8, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 8, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 	})
 
 	c := fastCoord(fake.addr())
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 10, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 10, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 	c := fastCoord(dying.addr(), healthy.Addr())
 	c.MaxWorkerFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestSlowWorkerDuplicateCommitDiscarded(t *testing.T) {
 	c := fastCoord(silent.addr(), healthy.Addr())
 	c.ReadTimeout = 300 * time.Millisecond
 	c.MaxWorkerFailures = 1
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 9, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 9, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestVersionSkewedWorkerAbandonedAtOnce(t *testing.T) {
 	c := fastCoord(stale.addr(), healthy.Addr())
 	c.MaxWorkerFailures = 5
 	c.Obs = &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(trace)}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestHooksFireOncePerRun(t *testing.T) {
 		},
 	}
 	c := fastCoord(w.Addr())
-	if _, err := c.Run(testJob(), testSeed, 7, h); err != nil {
+	if _, err := c.RunCtx(context.Background(), testJob(), testSeed, 7, h); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -454,7 +455,7 @@ func TestHooksFireOncePerRun(t *testing.T) {
 func TestCollectorMatchesLocalSamples(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
-	got, err := c.Collector(testJob(), sim.MetricRuntime).Collect(testSeed, 10, 0, core.Hooks{})
+	got, err := c.CollectorCtx(context.Background(), testJob(), sim.MetricRuntime).Collect(testSeed, 10, 0, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +473,7 @@ func TestCollectorMatchesLocalSamples(t *testing.T) {
 func TestCollectorRejectsMissingMetric(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
-	_, err := c.Collector(testJob(), "no-such-metric").Collect(testSeed, 4, 0, core.Hooks{})
+	_, err := c.CollectorCtx(context.Background(), testJob(), "no-such-metric").Collect(testSeed, 4, 0, core.Hooks{})
 	if err == nil || !strings.Contains(err.Error(), "no-such-metric") {
 		t.Errorf("missing metric should error by name, got %v", err)
 	}
@@ -484,7 +485,7 @@ func TestAnalyzeWithCoordinatorCollector(t *testing.T) {
 	p := core.Params{F: 0.5, C: 0.9}
 	opts := core.Options{Samples: 40, BaseSeed: testSeed}
 
-	distA, err := core.AnalyzeWith(c.Collector(testJob(), sim.MetricRuntime), p, opts)
+	distA, err := core.AnalyzeWith(c.CollectorCtx(context.Background(), testJob(), sim.MetricRuntime), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

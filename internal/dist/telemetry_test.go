@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"testing"
@@ -22,7 +23,7 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 	coord.Obs = &obs.Observer{Metrics: reg}
 
 	const runs = 12
-	results, err := coord.Run(testJob(), testSeed, runs, population.RunHooks{})
+	results, err := coord.RunCtx(context.Background(), testJob(), testSeed, runs, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

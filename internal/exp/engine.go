@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -96,54 +97,28 @@ func (v Variant) String() string {
 
 // Config returns the simulator configuration for the variant.
 func (v Variant) Config() sim.Config {
-	switch v {
-	case VariantHardware:
-		return sim.HardwareLikeConfig()
-	case VariantL2Half:
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 512 * 1024
-		return cfg
-	case VariantL2Double:
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 1024 * 1024
-		return cfg
-	default:
-		return sim.DefaultConfig()
-	}
+	cfg, _ := sim.VariantConfig([...]string{"default", "hardware", "l2half", "l2double"}[v]) // every name is known
+	return cfg
 }
 
 // Engine caches benchmark populations across figures so each campaign is
 // simulated once.
 type Engine struct {
-	opts  Options
-	obs   *obs.Observer
-	cache *popcache.Cache
-
-	mu   sync.Mutex
-	pops map[string]*popEntry
-}
-
-// popEntry is one population slot. The sync.Once gives concurrent figure
-// cells single-flight semantics: when two cells need the same population,
-// one simulates and the other waits, instead of both simulating.
-type popEntry struct {
-	once sync.Once
-	pop  *population.Population
-	err  error
+	opts Options
+	// src's cache is the cross-figure reuse; its Obs is the telemetry.
+	src *popcache.Source
 }
 
 // SetObserver attaches campaign telemetry: per-simulation spans/counters
 // during population generation, per-evaluation spans, and trial counters.
 // Telemetry never touches the trial or simulation RNG streams, so results
 // are identical with or without it.
-func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
+func (e *Engine) SetObserver(o *obs.Observer) { e.src.Obs = o }
 
-// SetPopCache attaches a content-addressed population cache consulted
-// before any campaign is simulated. Because cache keys cover the complete
-// generation recipe and entries are byte-identical to fresh generation, an
-// engine with a warm cache produces exactly the figures a cold one would —
-// just without re-simulating. A nil cache (the default) disables the layer.
-func (e *Engine) SetPopCache(c *popcache.Cache) { e.cache = c }
+// SetPopCache replaces the engine's in-memory population cache, typically
+// with one backed by a disk directory. Entries are byte-identical to fresh
+// generation, so a warm cache changes no figure, only the time taken.
+func (e *Engine) SetPopCache(c *popcache.Cache) { e.src.Cache = c }
 
 // NewEngine builds an engine. Zero-valued option fields are filled from
 // DefaultOptions.
@@ -173,7 +148,7 @@ func NewEngine(opts Options) *Engine {
 	if opts.Seed == 0 {
 		opts.Seed = def.Seed
 	}
-	return &Engine{opts: opts, pops: make(map[string]*popEntry)}
+	return &Engine{opts: opts, src: &popcache.Source{Cache: popcache.New("", 0), Parallelism: opts.Parallelism}}
 }
 
 // Options returns the engine's effective options.
@@ -189,37 +164,9 @@ func (e *Engine) Population(bench string, v Variant) (*population.Population, er
 	if v == VariantHardware {
 		runs = e.opts.HWRuns
 	}
-	key := fmt.Sprintf("%s/%s/%d", bench, v, runs)
-	e.mu.Lock()
-	entry, ok := e.pops[key]
-	if !ok {
-		entry = &popEntry{}
-		e.pops[key] = entry
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		ck := popcache.Key{
-			Benchmark: bench,
-			Config:    v.Config(),
-			Scale:     e.opts.Scale,
-			BaseSeed:  e.opts.Seed*1_000_003 + uint64(v)*1009,
-			Runs:      runs,
-		}
-		if pop := e.cache.Get(ck); pop != nil {
-			e.obs.Logf("population cache hit for %s/%s: %d runs", bench, v, runs)
-			entry.pop = pop
-			return
-		}
-		e.obs.Logf("simulating %s/%s: %d runs", bench, v, runs)
-		e.obs.P().AddTotal(runs)
-		entry.pop, entry.err = population.GenerateHooked(bench, v.Config(), e.opts.Scale, runs,
-			ck.BaseSeed, e.opts.Parallelism,
-			population.ObserverHooks(e.obs, bench))
-		if entry.err == nil {
-			_ = e.cache.Put(ck, entry.pop)
-		}
-	})
-	return entry.pop, entry.err
+	pop, _, err := e.src.Population(context.Background(), popcache.Key{Benchmark: bench, Config: v.Config(),
+		Scale: e.opts.Scale, BaseSeed: e.opts.Seed*1_000_003 + uint64(v)*1009, Runs: runs})
+	return pop, err
 }
 
 // Method identifies a CI construction technique in comparisons.
@@ -366,7 +313,7 @@ func (e *Engine) trialSamples(f, c float64) (int, error) {
 // CI from the same draw, and coverage of the population ground truth and
 // widths are tallied.
 func (e *Engine) EvaluateCI(pop *population.Population, metric string, f, c float64, methods []Method) ([]MethodEval, error) {
-	span := e.obs.T().StartSpan("exp.evaluate_ci",
+	span := e.src.Obs.T().StartSpan("exp.evaluate_ci",
 		obs.Str("benchmark", pop.Benchmark), obs.Str("metric", metric),
 		obs.F64("f", f), obs.F64("c", c), obs.Int("trials", e.opts.Trials))
 	defer span.End()
@@ -460,7 +407,7 @@ func (e *Engine) EvaluateCI(pop *population.Population, metric string, f, c floa
 		return nil, firstErr
 	}
 	if len(evals) > 0 {
-		e.obs.M().Counter(obs.MetricTrials).Add(int64(evals[0].Trials))
+		e.src.Obs.M().Counter(obs.MetricTrials).Add(int64(evals[0].Trials))
 	}
 	for i := range evals {
 		widthSum := 0.0

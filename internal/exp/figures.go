@@ -304,7 +304,7 @@ func (e *Engine) benchmarkFigure(id, title, metric string, width bool) (*Table, 
 		}
 	}
 	t := &Table{ID: id, Title: title, Columns: cols}
-	// Benchmark cells fan out like metric cells; the popEntry single-flight
+	// Benchmark cells fan out like metric cells; the Source's single-flight
 	// in Population keeps concurrent cells from duplicating simulations.
 	all := make([][]MethodEval, len(benchmarks))
 	err := e.runCells(len(benchmarks), func(cell int) error {

@@ -1,11 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 
-	"repro/internal/population"
+	"repro/internal/popcache"
 	"repro/internal/property"
 	"repro/internal/sim"
 	"repro/internal/smc"
@@ -224,7 +225,8 @@ func (e *Engine) AblationTable() (*Table, error) {
 	for _, cse := range cases {
 		cfg := sim.DefaultConfig()
 		cse.mut(&cfg)
-		pop, err := population.Generate("ferret", cfg, e.opts.Scale, runs, e.opts.Seed*77, e.opts.Parallelism)
+		pop, _, err := e.src.Population(context.Background(), popcache.Key{Benchmark: "ferret", Config: cfg,
+			Scale: e.opts.Scale, BaseSeed: e.opts.Seed * 77, Runs: runs})
 		if err != nil {
 			return nil, err
 		}

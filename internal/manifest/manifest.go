@@ -128,22 +128,7 @@ type Entry struct {
 
 // Config resolves the entry's simulator configuration.
 func (e Entry) Config() (sim.Config, error) {
-	switch e.Variant {
-	case "", "default":
-		return sim.DefaultConfig(), nil
-	case "hardware":
-		return sim.HardwareLikeConfig(), nil
-	case "l2half":
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 512 * 1024
-		return cfg, nil
-	case "l2double":
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 1024 * 1024
-		return cfg, nil
-	default:
-		return sim.Config{}, fmt.Errorf("manifest: unknown variant %q", e.Variant)
-	}
+	return sim.VariantConfig(e.Variant)
 }
 
 // Key identifies the entry — "<benchmark>-<variant>" — naming its

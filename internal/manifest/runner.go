@@ -113,8 +113,8 @@ type Runner struct {
 	Dial dist.DialFunc
 	// ChunkTarget is the wall time each remote chunk of the lazily
 	// created coordinator is sized to take at the worker's observed run
-	// rate (0 = 250ms, see dist.Coordinator). Ignored when Coord is
-	// injected.
+	// rate (0 = 250ms, see dist.Coordinator). Ignored when Source
+	// injects a coordinator.
 	ChunkTarget time.Duration
 	// PopCache, when non-nil, is consulted before simulating an entry and
 	// fed after. It is content-addressed by the full generation recipe, so
@@ -122,20 +122,18 @@ type Runner struct {
 	// OutDir resume files it is shared across campaigns and manifests.
 	// Variance-reduction designs also route their pilot populations and
 	// cumulative measured populations through it, which is what makes a
-	// repeated design campaign nearly free.
+	// repeated design campaign nearly free. Ignored when Source is set.
 	PopCache *popcache.Cache
 	// Sampling is the default variance-reduction design for adaptive
 	// analyses that don't set their own ("", "plain", "stratified" or
 	// "rss") — the CLIs' -sampling flag and the campaign service's
 	// config land here. Analysis-level settings win.
 	Sampling string
-	// Coord, when non-nil, replaces the runner's own lazily-created
-	// coordinator — the campaign service shares one coordinator (and with
-	// it the worker fleet, its telemetry, and the local parallelism
-	// bound) across every tenant's campaigns. When set, all population
-	// generation routes through it, so cancellation applies at chunk
-	// granularity even with no workers configured.
-	Coord *dist.Coordinator
+	// Source, when non-nil, supplies every population (entries and pilot
+	// blocks) and backs the design collectors with its cache; its
+	// coordinator, if any, also runs adaptive collection. The campaign
+	// service injects one shared by every tenant. Nil uses PopCache.
+	Source *popcache.Source
 	// Hooks receive per-entry and per-analysis progress callbacks.
 	Hooks Hooks
 	// StableReport omits resume bookkeeping (the Reused list) from the
@@ -158,8 +156,8 @@ type Runner struct {
 // no Workers configured it degrades to a purely local runner, so it is
 // never nil.
 func (r *Runner) Coordinator() *dist.Coordinator {
-	if r.Coord != nil {
-		return r.Coord
+	if r.Source != nil && r.Source.Coord != nil {
+		return r.Source.Coord
 	}
 	r.coordMu.Lock()
 	defer r.coordMu.Unlock()
@@ -167,6 +165,18 @@ func (r *Runner) Coordinator() *dist.Coordinator {
 		r.coord = &dist.Coordinator{Workers: r.Workers, Parallelism: r.Parallelism, ChunkTarget: r.ChunkTarget, Obs: r.Obs, Dial: r.Dial}
 	}
 	return r.coord
+}
+
+// source returns the injected Source, or one over PopCache that is local without Workers.
+func (r *Runner) source() *popcache.Source {
+	if r.Source != nil {
+		return r.Source
+	}
+	src := &popcache.Source{Cache: r.PopCache, Parallelism: r.Parallelism, Obs: r.Obs}
+	if len(r.Workers) > 0 {
+		src.Coord = r.Coordinator()
+	}
+	return src
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -443,10 +453,10 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 
 // designCollector builds the variance-reduction collector for an
 // adaptive analysis, or returns nil when the effective design is plain.
-// The pilot pass runs the same benchmark at a reduced scale through the
-// shared coordinator, with its block populations cached under plain
-// popcache recipes (shared with anything else running that scale) and
-// the cumulative measured population cached under the design recipe —
+// Each pilot block is the full population of the same benchmark at a
+// reduced scale, fetched through the runner's Source under its plain
+// recipe — so it is shared with anything else running that recipe — and
+// the cumulative measured population is cached under the design recipe,
 // so a repeated campaign re-ranks and re-selects without simulating.
 func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg sim.Config, scale float64, full core.Collector) (sampling.Design, *sampling.Collector, error) {
 	s := a.Sampling
@@ -464,23 +474,7 @@ func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg s
 	if pilotScale == 0 {
 		pilotScale = scale / 2
 	}
-	pilotJob := dist.Job{Benchmark: e.Benchmark, Config: cfg, Scale: pilotScale}
-	pilotCol := r.Coordinator().CollectorCtx(ctx, pilotJob, a.Metric)
-	pilot := func(baseSeed uint64, n int) ([]float64, error) {
-		key := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: pilotScale, BaseSeed: baseSeed, Runs: n}
-		pop, _, err := r.PopCache.GetOrGenerate(key, func() (*population.Population, error) {
-			vals, err := pilotCol.Collect(baseSeed, n, r.Parallelism, core.Hooks{})
-			if err != nil {
-				return nil, err
-			}
-			return &population.Population{Benchmark: e.Benchmark, Runs: len(vals), BaseSeed: baseSeed,
-				Metrics: map[string][]float64{a.Metric: vals}}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return pop.Metric(a.Metric)
-	}
+	src := r.source()
 	alloc, err := sampling.ParseAllocation(a.SamplingAllocation)
 	if err != nil {
 		return design, nil, err
@@ -492,24 +486,49 @@ func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg s
 		PilotBlock: a.PilotRuns,
 		Fidelity:   a.Fidelity,
 		Metric:     a.Metric,
-		Cache:      r.PopCache,
+		Cache:      src.Cache,
 		Recipe: popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale,
 			PilotScale: pilotScale, ProxyMetric: a.Metric},
-	}, full, pilot)
+	}, full, src.Pilot(ctx, popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: pilotScale}, a.Metric))
 	if err != nil {
 		return design, nil, err
 	}
 	return design, dcol, nil
 }
 
-// loadOrGenerate resumes an entry's population from disk or simulates it.
+// StaleOutputError reports an output-directory population file of another
+// recipe, such as one an edited manifest left behind.
+type StaleOutputError struct {
+	Path string
+	Err  error // how the file differs from the entry's recipe
+}
+
+func (e *StaleOutputError) Error() string {
+	return fmt.Sprintf("manifest: %s is not this manifest's population (%v); remove it or use another output directory", e.Path, e.Err)
+}
+
+func (e *StaleOutputError) Unwrap() error { return e.Err }
+
+// loadOrGenerate resumes an entry's population from disk or gets it from
+// the runner's Source.
 func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int, scale float64) (*population.Population, bool, error) {
+	runs := e.Runs
+	if runs <= 0 {
+		runs = m.Runs
+	}
+	if runs <= 0 {
+		runs = 100
+	}
+	baseSeed := m.Seed + uint64(idx)*1_000_000
 	path := r.popPath(m, e)
 	if f, err := os.Open(path); err == nil {
 		defer f.Close()
 		pop, err := population.Load(f)
 		if err != nil {
 			return nil, false, fmt.Errorf("resuming from %s: %w", path, err)
+		}
+		if err := pop.CheckRecipe(e.Benchmark, baseSeed, runs); err != nil {
+			return nil, false, &StaleOutputError{Path: path, Err: err}
 		}
 		r.logf("reusing %s (%d runs)", path, pop.Runs)
 		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
@@ -520,48 +539,19 @@ func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx i
 	if err != nil {
 		return nil, false, err
 	}
-	runs := e.Runs
-	if runs <= 0 {
-		runs = m.Runs
-	}
-	if runs <= 0 {
-		runs = 100
-	}
-	baseSeed := m.Seed + uint64(idx)*1_000_000
-	ck := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale, BaseSeed: baseSeed, Runs: runs}
-	if pop := r.PopCache.Get(ck); pop != nil {
-		r.logf("population cache hit for %s (%d runs)", e.key(), pop.Runs)
-		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
-		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", e.key()), obs.Int("runs", pop.Runs))
-		if err := WriteFileAtomic(path, pop.Save); err != nil {
-			return nil, false, err
-		}
-		return pop, true, nil
-	}
-	r.logf("simulating %s: %d runs at scale %g", e.key(), runs, scale)
-	// Totals grow entry by entry (resume skips entries), so ETA reflects
-	// the work discovered so far.
-	r.Obs.P().AddTotal(runs)
-	hooks := population.ObserverHooks(r.Obs, e.Benchmark)
-	var pop *population.Population
-	if len(r.Workers) > 0 || r.Coord != nil {
-		// The coordinator path covers both worker fleets and — with an
-		// injected coordinator and no workers — bounded in-process
-		// execution with chunk-boundary cancellation; its populations are
-		// byte-identical to GenerateHooked's for the same seeds.
-		pop, err = r.Coordinator().GeneratePopulationCtx(ctx, e.Benchmark, cfg, scale, runs, baseSeed, hooks)
-	} else {
-		pop, err = population.GenerateHooked(e.Benchmark, cfg, scale, runs,
-			baseSeed, r.Parallelism, hooks)
-	}
+	pop, hit, err := r.source().Population(ctx, popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale, BaseSeed: baseSeed, Runs: runs})
 	if err != nil {
 		return nil, false, err
 	}
-	_ = r.PopCache.Put(ck, pop)
+	if hit {
+		r.logf("population cache hit for %s (%d runs)", e.key(), pop.Runs)
+		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
+		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", e.key()), obs.Int("runs", pop.Runs))
+	}
 	if err := WriteFileAtomic(path, pop.Save); err != nil {
 		return nil, false, err
 	}
-	return pop, false, nil
+	return pop, hit, nil
 }
 
 // Render writes the report as an aligned text table.

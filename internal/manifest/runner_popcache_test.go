@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/popcache"
+	"repro/internal/population"
+	"repro/internal/sim"
 )
 
 // popFiles are the campaign's population artifacts (the report is compared
@@ -110,5 +112,77 @@ func TestRunnerPopCacheThroughDistWorkers(t *testing.T) {
 	comparePopFiles(t, "hit after distributed fill", hitDir, plainDir)
 	if len(rep.Reused) != 2 {
 		t.Fatalf("expected both entries served from cache, got %v", rep.Reused)
+	}
+}
+
+// pilotManifest asks two stratified adaptive questions — on runtime_s
+// and on l2_mpki — of one entry, so both designs fetch the same pilot
+// blocks (swaptions at half the campaign scale, 32 seeds from 21).
+func pilotManifest() *Manifest {
+	m := samplingManifest("stratified")
+	m.Analyses = append(m.Analyses, Analysis{Metric: sim.MetricL2MPKI, F: 0.5, C: 0.9,
+		TargetWidth: 1e-9, MaxSamples: 48, Sampling: "stratified"})
+	return m
+}
+
+// TestRunnerPilotBlocksCachedWhole: with a shared popcache, the second
+// analysis's pilot blocks come from the cache, so they must carry every
+// metric — the report is byte-identical to an uncached campaign's.
+func TestRunnerPilotBlocksCachedWhole(t *testing.T) {
+	plain := &Runner{OutDir: t.TempDir()}
+	if _, err := plain.Run(pilotManifest()); err != nil {
+		t.Fatal(err)
+	}
+	cached := &Runner{OutDir: t.TempDir(), PopCache: popcache.New("", 0)}
+	if _, err := cached.Run(pilotManifest()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(plain.ReportPath(pilotManifest()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(cached.ReportPath(pilotManifest()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("report with a shared popcache differs:\n%s\nwithout:\n%s", got, want)
+	}
+}
+
+// TestRunnerEntryAtPilotRecipe: a fixed entry whose recipe equals a
+// pilot block's is served that block from the cache, and gets every
+// metric, byte-identical to an uncached generation.
+func TestRunnerEntryAtPilotRecipe(t *testing.T) {
+	cache := popcache.New("", 0)
+	design := samplingManifest("stratified")
+	if _, err := (&Runner{OutDir: t.TempDir(), PopCache: cache}).Run(design); err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{Name: "pilot", Seed: design.Seed, Scale: design.Scale / 2, Runs: 32,
+		Entries:  []Entry{{Benchmark: "swaptions"}},
+		Analyses: []Analysis{{Metric: sim.MetricIPC, F: 0.5, C: 0.9}}}
+	dir := t.TempDir()
+	rep, err := (&Runner{OutDir: dir, PopCache: cache}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Reused) != 1 || rep.Results[0].Err != "" {
+		t.Fatalf("entry at the pilot recipe: reused %v, result %+v", rep.Reused, rep.Results[0])
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "pilot-swaptions-default.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := population.GenerateHooked("swaptions", sim.DefaultConfig(), m.Scale, m.Runs, m.Seed, 0, population.RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := pop.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Error("entry served from a cached pilot block differs from an uncached generation")
 	}
 }

@@ -168,6 +168,32 @@ func TestRunnerResume(t *testing.T) {
 	}
 }
 
+// TestRunnerResumeEditedManifest: a manifest edited between runs into
+// the same output directory must not resume from the old recipe's
+// population files.
+func TestRunnerResumeEditedManifest(t *testing.T) {
+	dir := t.TempDir()
+	m := tinyManifest()
+	m.Entries = m.Entries[:1]
+	if _, err := (&Runner{OutDir: dir}).Run(m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "tiny-swaptions-default.json")
+	for name, edit := range map[string]func(*Manifest){
+		"runs": func(m *Manifest) { m.Runs = 40 },
+		"seed": func(m *Manifest) { m.Seed = 8 },
+	} {
+		edited := tinyManifest()
+		edited.Entries = edited.Entries[:1]
+		edit(edited)
+		_, err := (&Runner{OutDir: dir}).Run(edited)
+		var stale *StaleOutputError
+		if !errors.As(err, &stale) || stale.Path != path {
+			t.Errorf("edited %s: resume returned %v, want a StaleOutputError naming %s", name, err, path)
+		}
+	}
+}
+
 func TestRunnerResumeCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	m := tinyManifest()

@@ -4,10 +4,10 @@
 // configuration, workload scale, base seed, run count) — because every
 // execution is seed-deterministic. The cache therefore keys populations by
 // a stable hash of that recipe: any process that asks for the same recipe
-// gets byte-identical metric vectors without re-simulating. This extends
-// the Engine's in-process cross-figure reuse across processes and across
-// distributed re-dispatches, in the spirit of the sampling literature's
-// "never re-execute what you already know".
+// gets byte-identical metric vectors without re-simulating, in the spirit
+// of the sampling literature's "never re-execute what you already know".
+// Source is the one path from a recipe to a population: this cache, then
+// one generation per recipe in flight, then a coordinator or in-process.
 //
 // Hits are served from an in-memory LRU first and, when a directory is
 // configured, from an on-disk JSON store second. Disk writes go through a
@@ -238,7 +238,8 @@ func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, "pop-"+hash+".json")
 }
 
-// loadDisk reads and verifies an on-disk entry; nil on any miss or damage.
+// loadDisk reads and verifies an on-disk entry against its key and
+// recipe; nil on any miss, damage or mismatch.
 func (c *Cache) loadDisk(hash string, k Key) *population.Population {
 	data, err := os.ReadFile(c.path(hash))
 	if err != nil {
@@ -248,7 +249,7 @@ func (c *Cache) loadDisk(hash string, k Key) *population.Population {
 	if err := json.Unmarshal(data, &ent); err != nil {
 		return nil
 	}
-	if ent.Key != k || ent.Population == nil || ent.Population.Metrics == nil {
+	if ent.Key != k || ent.Population == nil || ent.Population.CheckRecipe(k.Benchmark, k.BaseSeed, k.Runs) != nil {
 		return nil
 	}
 	return ent.Population
@@ -283,20 +284,4 @@ func (c *Cache) storeDisk(hash string, k Key, pop *population.Population) error 
 		return fmt.Errorf("popcache: publishing entry: %w", err)
 	}
 	return nil
-}
-
-// GetOrGenerate returns the cached population for the recipe or invokes
-// generate, storing its result. The hit flag reports whether simulation was
-// skipped. Generation errors pass through; a Put disk error is dropped (the
-// population itself is valid and cached in memory).
-func (c *Cache) GetOrGenerate(k Key, generate func() (*population.Population, error)) (pop *population.Population, hit bool, err error) {
-	if pop := c.Get(k); pop != nil {
-		return pop, true, nil
-	}
-	pop, err = generate()
-	if err != nil {
-		return nil, false, err
-	}
-	_ = c.Put(k, pop)
-	return pop, false, nil
 }

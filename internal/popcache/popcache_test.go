@@ -2,6 +2,8 @@ package popcache
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,7 +24,7 @@ func testKey() Key {
 	}
 }
 
-func generate(t *testing.T, k Key) *population.Population {
+func generate(t testing.TB, k Key) *population.Population {
 	t.Helper()
 	pop, err := population.Generate(k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, 2)
 	if err != nil {
@@ -33,7 +35,7 @@ func generate(t *testing.T, k Key) *population.Population {
 
 // popBytes renders a population in its exact on-disk form, so comparisons
 // are byte-for-byte rather than approximate.
-func popBytes(t *testing.T, p *population.Population) []byte {
+func popBytes(t testing.TB, p *population.Population) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
@@ -85,11 +87,9 @@ func TestNilCacheIsInert(t *testing.T) {
 	if err := c.Put(k, &population.Population{}); err != nil {
 		t.Fatal(err)
 	}
-	pop, hit, err := c.GetOrGenerate(k, func() (*population.Population, error) {
-		return generate(t, k), nil
-	})
+	pop, hit, err := (&Source{}).Population(context.Background(), k)
 	if err != nil || hit || pop == nil {
-		t.Fatalf("nil cache GetOrGenerate = (%v, %v, %v)", pop, hit, err)
+		t.Fatalf("uncached Source.Population = (%v, %v, %v)", pop, hit, err)
 	}
 }
 
@@ -147,20 +147,18 @@ func TestHitEqualsMissByteForByte(t *testing.T) {
 	// metric vectors a run that missed (and simulated) would have.
 	dir := t.TempDir()
 	k := testKey()
-	c1 := New(dir, 0)
-	missPop, hit, err := c1.GetOrGenerate(k, func() (*population.Population, error) {
-		return generate(t, k), nil
-	})
+	ctx := context.Background()
+	missPop, hit, err := (&Source{Cache: New(dir, 0)}).Population(ctx, k)
 	if err != nil || hit {
-		t.Fatalf("first GetOrGenerate = (hit=%v, err=%v)", hit, err)
+		t.Fatalf("first request = (hit=%v, err=%v)", hit, err)
 	}
 	c2 := New(dir, 0)
-	hitPop, hit, err := c2.GetOrGenerate(k, func() (*population.Population, error) {
-		t.Fatal("generator ran on what should be a hit")
-		return nil, nil
-	})
+	hitPop, hit, err := (&Source{Cache: c2}).Population(ctx, k)
 	if err != nil || !hit {
-		t.Fatalf("second GetOrGenerate = (hit=%v, err=%v)", hit, err)
+		t.Fatalf("second request = (hit=%v, err=%v)", hit, err)
+	}
+	if s := c2.Stats(); s.DiskHits != 1 || s.Misses != 0 {
+		t.Fatalf("second request simulated instead of hitting disk: %+v", s)
 	}
 	missBytes, hitBytes := popBytes(t, missPop), popBytes(t, hitPop)
 	if !bytes.Equal(missBytes, hitBytes) {
@@ -216,6 +214,34 @@ func TestCorruptAndMismatchedEntriesMiss(t *testing.T) {
 	}
 	if fresh.Get(k) != nil {
 		t.Fatal("entry with mismatched key served as a hit")
+	}
+
+	// Entries whose embedded key is right but whose population is not the
+	// key's: a metric vector shorter than the run count, and another
+	// recipe's population (benchmark, base seed and run count all differ).
+	short := generate(t, k)
+	short.Metrics[sim.MetricRuntime] = short.Metrics[sim.MetricRuntime][:3]
+	foreignKey := Key{Benchmark: "ferret", Config: k.Config, Scale: k.Scale, BaseSeed: 99, Runs: 7}
+	for name, pop := range map[string]*population.Population{
+		"short runtime vector": short,
+		"foreign population":   generate(t, foreignKey),
+	} {
+		writeEntry(t, path, k, pop)
+		if got := New(dir, 0).Get(k); got != nil {
+			t.Errorf("%s served as a hit", name)
+		}
+	}
+}
+
+// writeEntry writes an on-disk entry for key k holding pop, bypassing Put.
+func writeEntry(t testing.TB, path string, k Key, pop *population.Population) {
+	t.Helper()
+	data, err := json.Marshal(diskEntry{Key: k, Population: pop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

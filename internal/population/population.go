@@ -161,6 +161,21 @@ func FromValues(name, metric string, values []float64) *Population {
 	}
 }
 
+// CheckRecipe reports how p differs from the population of runs seeds of
+// benchmark from baseSeed, or nil; populations read from disk pass it.
+func (p *Population) CheckRecipe(benchmark string, baseSeed uint64, runs int) error {
+	if p.Benchmark != benchmark || p.BaseSeed != baseSeed || p.Runs != runs || p.Metrics == nil {
+		return fmt.Errorf("population: %d runs of %q from seed %d with %d metrics, want %d runs of %q from seed %d",
+			p.Runs, p.Benchmark, p.BaseSeed, len(p.Metrics), runs, benchmark, baseSeed)
+	}
+	for name, vs := range p.Metrics {
+		if len(vs) != runs {
+			return fmt.Errorf("population: metric %q has %d values for %d runs", name, len(vs), runs)
+		}
+	}
+	return nil
+}
+
 // Metric returns the population's value vector for a metric.
 func (p *Population) Metric(name string) ([]float64, error) {
 	vs, ok := p.Metrics[name]

@@ -99,6 +99,15 @@ func coverageOptions(d Design) Options {
 	return Options{Design: d, Strata: 3, PilotBlock: 24}
 }
 
+// simPilot is a pilot pass over the down-scaled simulator, collected at
+// the given batch bound.
+func simPilot(bench string, cfg sim.Config, scale float64, batch int) PilotFunc {
+	col := core.FuncCollector(simRunFunc(bench, cfg, scale))
+	return func(baseSeed uint64, n int) ([]float64, error) {
+		return col.Collect(baseSeed, n, batch, core.Hooks{})
+	}
+}
+
 // coverageInterval runs one replication of the design at the base seed
 // and returns its confidence interval.
 func coverageInterval(bench string, cfg sim.Config, d Design, base uint64) (stats.Interval, error) {
@@ -111,8 +120,7 @@ func coverageInterval(bench string, cfg sim.Config, d Design, base uint64) (stat
 		}
 		return core.ConfidenceInterval(samples, p)
 	}
-	pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, covPilotScale)), 0)
-	c, err := New(coverageOptions(d), full, pilot)
+	c, err := New(coverageOptions(d), full, simPilot(bench, cfg, covPilotScale, 0))
 	if err != nil {
 		return stats.Interval{}, err
 	}
@@ -235,8 +243,7 @@ func TestSamplingSchedulingIdentity(t *testing.T) {
 	collect := func(bench string, d Design, batch int) ([]float64, Stats) {
 		t.Helper()
 		full := core.FuncCollector(simRunFunc(bench, cfg, covScale))
-		pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, covPilotScale)), batch)
-		c, err := New(coverageOptions(d), full, pilot)
+		c, err := New(coverageOptions(d), full, simPilot(bench, cfg, covPilotScale, batch))
 		if err != nil {
 			t.Fatal(err)
 		}

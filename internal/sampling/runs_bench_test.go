@@ -78,8 +78,7 @@ func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, pilotScal
 		return int(fullRuns.Load()), 0, len(an.Samples)
 	}
 
-	pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, pilotScale)), 0)
-	c, err := New(Options{Design: d}, core.FuncCollector(counted), pilot)
+	c, err := New(Options{Design: d}, core.FuncCollector(counted), simPilot(bench, cfg, pilotScale, 0))
 	if err != nil {
 		b.Fatal(err)
 	}

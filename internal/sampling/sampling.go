@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/popcache"
 )
 
@@ -121,19 +120,8 @@ func ParseAllocation(s string) (Allocation, error) {
 // (baseSeed, n) — the design's seed selection is a pure function of its
 // output. The collector only ever asks for block-aligned contiguous
 // ranges, so implementations can serve them from a plain population
-// cache (see PilotFromCollector).
+// cache (see popcache.Source.Pilot).
 type PilotFunc func(baseSeed uint64, n int) ([]float64, error)
-
-// PilotFromCollector adapts any core.Collector — a local FuncCollector
-// over the down-scaled simulator, or a distributed coordinator — into a
-// PilotFunc. Hooks are deliberately not forwarded: pilot runs are design
-// overhead, not campaign samples, and accounting them as campaign runs
-// would corrupt runs-to-width comparisons.
-func PilotFromCollector(c core.Collector, batch int) PilotFunc {
-	return func(baseSeed uint64, n int) ([]float64, error) {
-		return c.Collect(baseSeed, n, batch, core.Hooks{})
-	}
-}
 
 // DefaultStrata is the stratum count (stratified) or set size (RSS) when
 // Options.Strata is zero. Four is small enough that ranking errors in the

@@ -218,6 +218,25 @@ func HardwareLikeConfig() Config {
 	return cfg
 }
 
+// VariantConfig returns a named system variant: "default" (or ""),
+// "hardware" (HardwareLikeConfig), or the Fig. 4 pair "l2half" and
+// "l2double" with a 512 kB and a 1 MB L2.
+func VariantConfig(name string) (Config, error) {
+	cfg := DefaultConfig()
+	switch name {
+	case "", "default":
+	case "hardware":
+		cfg = HardwareLikeConfig()
+	case "l2half":
+		cfg.L2Size = 512 * 1024
+	case "l2double":
+		cfg.L2Size = 1024 * 1024
+	default:
+		return Config{}, fmt.Errorf("sim: unknown variant %q (want default, hardware, l2half or l2double)", name)
+	}
+	return cfg, nil
+}
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	switch {
