@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -455,7 +454,7 @@ func (s *Service) ReportPath(id string) (string, error) {
 	if c.rec.State != StateDone {
 		return "", fmt.Errorf("campaignd: campaign %s is %s, report exists only when done", id, c.rec.State)
 	}
-	return filepath.Join(s.journal.campaignDir(id), fmt.Sprintf("%s-report.json", c.rec.Spec.Manifest.Name)), nil
+	return c.rec.Spec.Manifest.ReportPath(s.journal.campaignDir(id)), nil
 }
 
 // List returns every known campaign's record snapshot, newest first.

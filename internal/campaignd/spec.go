@@ -62,21 +62,14 @@ func (s *Spec) Weight() int {
 }
 
 // Cost is the campaign's scheduling cost in simulated runs — the unit
-// deficits accrue in. It mirrors the runner's per-entry run-count
-// defaulting so the scheduler charges what the fleet will actually
-// execute (analyses re-collect on top of this for adaptive mode, but
-// population generation dominates).
+// deficits accrue in. It sums the entries' population sizes as the
+// runner resolves them, so the scheduler charges what the fleet will
+// actually execute (analyses re-collect on top of this for adaptive mode,
+// but population generation dominates).
 func (s *Spec) Cost() int {
 	total := 0
 	for _, e := range s.Manifest.Entries {
-		runs := e.Runs
-		if runs <= 0 {
-			runs = s.Manifest.Runs
-		}
-		if runs <= 0 {
-			runs = 100
-		}
-		total += runs
+		total += s.Manifest.EntryRuns(e)
 	}
 	return total
 }

@@ -261,8 +261,8 @@ func (b *syncBuffer) Bytes() []byte {
 // when unset), seeded by hello parallelism before any telemetry, and
 // tail-capped to half a fair share of what remains.
 func TestNextChunkSize(t *testing.T) {
-	c := &Coordinator{Workers: []string{"a", "b"}, ChunkSize: 7, ChunkTarget: time.Second}
-	// No state at all → minimum chunk of 1; ChunkSize never applies.
+	c := &Coordinator{Workers: []string{"a", "b"}, ChunkTarget: time.Second}
+	// No state at all → minimum chunk of 1.
 	if got := c.nextChunkSize("a", 1000); got != 1 {
 		t.Errorf("no estimate: size %d, want 1", got)
 	}

@@ -2,13 +2,37 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/population"
 )
+
+// TestLocalRunStopsOnCancel: a worker-less job cancelled in its first
+// run launches no further run and fails with context.Canceled.
+func TestLocalRunStopsOnCancel(t *testing.T) {
+	c := &Coordinator{Parallelism: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int64
+	_, err := c.RunCtx(ctx, testJob(), testSeed, 64, population.RunHooks{
+		OnRunStart: func(int, uint64) {
+			if started.Add(1) == 1 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job returned %v, want context.Canceled", err)
+	}
+	if n := started.Load(); n > 2 {
+		t.Errorf("%d of 64 runs started after a cancel in the first, want at most 2", n)
+	}
+}
 
 // TestNoTakeAfterJobDone is the deterministic regression test for
 // post-completion dispatch: a chunk held by a slow worker gets requeued

@@ -87,7 +87,6 @@ func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
 func chaosCoord(dial *faultx.Injector, obsv *obs.Observer, addrs ...string) *Coordinator {
 	return &Coordinator{
 		Workers:           addrs,
-		ChunkSize:         3,
 		ChunkTarget:       100 * time.Millisecond,
 		ChunkTimeout:      20 * time.Second,
 		ReadTimeout:       500 * time.Millisecond,

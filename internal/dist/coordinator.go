@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,8 +28,9 @@ type Job struct {
 }
 
 // RunResult is one completed run: its seed offset within the campaign
-// and the simulator's scalar metrics. Elapsed is the executing worker's
-// wall time (local or remote).
+// and the simulator's scalar metrics. Cycles and Elapsed (wall time on
+// the worker) are set for remote runs, whose hooks replay when their
+// chunk commits.
 type RunResult struct {
 	Offset  int
 	Metrics map[string]float64
@@ -50,10 +51,6 @@ type Coordinator struct {
 	// Workers are worker addresses (host:port). Empty means run
 	// everything in-process.
 	Workers []string
-	// ChunkSize is the number of consecutive seeds per in-process chunk
-	// (0 = 16): the local path only. Remote chunks are sized for
-	// ChunkTarget.
-	ChunkSize int
 	// ChunkTarget is the wall time each remote chunk is sized to take
 	// (0 = 250ms): each worker's next chunk is sized from its observed
 	// runs/sec (wire telemetry, seeded by hello_ok parallelism before
@@ -85,8 +82,8 @@ type Coordinator struct {
 	// backoff (0 = 50ms / 5s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Parallelism bounds in-process execution when degrading to local
-	// runs (0 = GOMAXPROCS).
+	// Parallelism is the arena count of the in-process executor that
+	// runs whatever no worker takes (0 = GOMAXPROCS).
 	Parallelism int
 	// Obs receives dispatch/retry/re-dispatch/health telemetry.
 	Obs *obs.Observer
@@ -97,23 +94,16 @@ type Coordinator struct {
 	jobSt    *jobState
 	workerSt map[string]*workerState
 
-	// localSem bounds in-process execution across every concurrent job
-	// (lazily sized from Parallelism), so campaigns degrading to local
-	// runs share one CPU budget instead of multiplying it.
-	localOnce sync.Once
-	localSem  chan struct{}
+	// exec runs every job's in-process segments (lazily built from
+	// Parallelism), so campaigns degrading to local runs share one CPU
+	// budget instead of multiplying it.
+	execOnce sync.Once
+	exec     *population.Executor
 
 	// chunkSeq issues process-unique chunk IDs, so a stale frame from an
 	// abandoned exchange can never alias a live chunk on a reused
 	// connection.
 	chunkSeq atomic.Uint64
-}
-
-func (c *Coordinator) chunkSize() int {
-	if c.ChunkSize <= 0 {
-		return 16
-	}
-	return c.ChunkSize
 }
 
 func (c *Coordinator) chunkTarget() time.Duration {
@@ -346,11 +336,11 @@ func (st *runState) finished() (bool, error) {
 // the workers and returns the results ordered by seed offset —
 // byte-for-byte the samples a local run would produce, independent of
 // worker count, chunk size, or arrival order. Hooks (may be zero) observe
-// runs as their chunks commit. When ctx is cancelled the
-// job fails with the context's error at the next chunk boundary —
-// in-flight runs finish (a simulator run is not interruptible) but no
-// new chunk is dispatched or launched. The campaign service's DELETE
-// and drain paths ride on this.
+// remote runs as their chunks commit and in-process runs as they execute.
+// When ctx is cancelled the job fails with the context's error: in-flight
+// runs finish (a simulator run is not interruptible) but no new chunk is
+// dispatched and no new in-process run launched. The campaign service's
+// DELETE and drain paths ride on this.
 func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n int, h population.RunHooks) ([]RunResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dist: non-positive run count %d", n)
@@ -370,8 +360,8 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 		obs.U64("base_seed", baseSeed), obs.Int("runs", n),
 		obs.Int("workers", len(c.Workers)))
 
-	// Cancellation fails the run state, which every dispatch and local
-	// loop already observes at chunk boundaries.
+	// Cancellation fails the run state, which every dispatch observes at
+	// chunk boundaries; the executor watches ctx itself.
 	if ctx.Done() != nil {
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
@@ -409,7 +399,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 				c.Obs.Logf("dist: no reachable workers, running remaining chunks in-process")
 				c.Obs.T().Event("dist.fallback_local", obs.Int("workers", len(c.Workers)))
 			}
-			c.runLocal(job, baseSeed, st, queue, h)
+			c.runLocal(ctx, job, baseSeed, st, queue, h)
 		}
 	}
 	<-allDead // worker goroutines all observe st.done before returning
@@ -716,34 +706,22 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 	}
 }
 
-// localSemaphore returns the process-wide in-process execution bound,
-// shared by every concurrent job so N campaigns degrading locally still
-// run at most Parallelism simulations at once.
-func (c *Coordinator) localSemaphore() chan struct{} {
-	c.localOnce.Do(func() {
-		par := c.Parallelism
-		if par <= 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
-		c.localSem = make(chan struct{}, par)
-	})
-	return c.localSem
+// executor returns the in-process executor shared by every concurrent
+// job, so N campaigns degrading locally still run at most Parallelism
+// simulations at once.
+func (c *Coordinator) executor() *population.Executor {
+	c.execOnce.Do(func() { c.exec = population.NewExecutor(c.Parallelism) })
+	return c.exec
 }
 
-// runLocal executes every still-queued chunk in-process — the
-// degradation path, and the whole path when no workers are configured.
-// It uses the same chunk/commit machinery so determinism is shared.
-func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *workQueue, h population.RunHooks) {
-	sem := c.localSemaphore()
-	var wg sync.WaitGroup
+// runLocal executes every still-queued segment in-process, each in one
+// executor call — the degradation path, and the whole path when no
+// workers are configured. Results commit through the same ledger as
+// remote chunks, so determinism is shared.
+func (c *Coordinator) runLocal(ctx context.Context, job Job, baseSeed uint64, st *runState, queue *workQueue, h population.RunHooks) {
 	for {
-		ch := queue.take(c.chunkSize())
+		ch := queue.take(math.MaxInt)
 		if ch == nil {
-			wg.Wait()
-			return
-		}
-		if done, _ := st.finished(); done {
-			wg.Wait()
 			return
 		}
 		c.Obs.M().Counter(obs.MetricDistLocalChunks).Inc()
@@ -753,48 +731,18 @@ func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *wo
 				j.chunks++
 			}
 		})
-		runs := make([]RunResult, ch.count)
-		var cwg sync.WaitGroup
-		failed := false
-		var mu sync.Mutex
-		for i := 0; i < ch.count; i++ {
-			cwg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer cwg.Done()
-				defer func() { <-sem }()
-				off := ch.start + i
-				seed := baseSeed + uint64(off)
-				if h.OnRunStart != nil {
-					h.OnRunStart(off, seed)
-				}
-				start := time.Now()
-				res, err := sim.Run(job.Benchmark, job.Config, job.Scale, seed)
-				elapsed := time.Since(start)
-				if h.OnRunDone != nil {
-					h.OnRunDone(off, seed, res, err, elapsed)
-				}
-				if err != nil {
-					mu.Lock()
-					failed = true
-					mu.Unlock()
-					st.fail(fmt.Errorf("dist: local run with seed %d: %w", seed, err))
-					return
-				}
-				runs[i] = RunResult{Offset: off, Metrics: res.Metrics, Cycles: res.Cycles, Elapsed: elapsed}
-			}(i)
+		metrics, err := c.executor().Run(ctx, job.Benchmark, job.Config, job.Scale, baseSeed, ch.start, ch.count, h)
+		if err != nil {
+			st.fail(err)
+			return
 		}
-		wg.Add(1)
-		go func(ch *chunk) {
-			defer wg.Done()
-			cwg.Wait()
-			mu.Lock()
-			bad := failed
-			mu.Unlock()
-			if !bad && st.commit(runs) != nil {
-				c.jobStat(func(j *jobState) { j.chunksCompleted++ })
-			}
-		}(ch)
+		runs := make([]RunResult, ch.count)
+		for i, m := range metrics {
+			runs[i] = RunResult{Offset: ch.start + i, Metrics: m}
+		}
+		if st.commit(runs) != nil {
+			c.jobStat(func(j *jobState) { j.chunksCompleted++ })
+		}
 	}
 }
 

@@ -45,7 +45,6 @@ func startWorker(t *testing.T) *Worker {
 func fastCoord(workers ...string) *Coordinator {
 	return &Coordinator{
 		Workers:      workers,
-		ChunkSize:    3,
 		ChunkTimeout: 10 * time.Second,
 		ReadTimeout:  2 * time.Second,
 		DialTimeout:  time.Second,

@@ -34,6 +34,12 @@
 // execution when no worker is reachable (a coordinator with no workers
 // at all is simply a local runner).
 //
+// In-process execution is population.Executor on both sides: a worker
+// runs each chunk on its executor, and a coordinator hands every
+// still-queued seed range whole to one executor shared by its concurrent
+// jobs. Its arenas bound how many simulations run at once, and it stops
+// launching as soon as a job is cancelled or a run fails.
+//
 // The transport is injectable — Coordinator.Dial and Worker.ListenFunc
 // replace the real network — which is how internal/faultx subjects the
 // whole layer to deterministic, seeded chaos (delays, stalls, abrupt

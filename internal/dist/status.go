@@ -16,7 +16,8 @@ type CoordinatorStatus struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	// Runs/Chunks accumulate across jobs; JobsActive counts Run calls in
 	// flight right now, and Done is true when the coordinator has run at
-	// least one job and none is in flight.
+	// least one job and none is in flight. LocalChunks counts the queued
+	// seed ranges handed whole to the in-process executor.
 	Runs            int                 `json:"runs"`
 	Chunks          int                 `json:"chunks"`
 	JobsStarted     int                 `json:"jobs_started,omitempty"`

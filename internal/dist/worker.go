@@ -8,12 +8,12 @@ import (
 	"math"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/population"
 	"repro/internal/sim"
 )
 
@@ -64,7 +64,7 @@ type Worker struct {
 	}
 
 	ln       net.Listener
-	sem      chan struct{}
+	exec     *population.Executor
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	closed   bool
@@ -124,9 +124,13 @@ func (w *Worker) Status() WorkerStatus {
 	w.mu.Lock()
 	conns := len(w.conns)
 	w.mu.Unlock()
+	par := 0
+	if w.exec != nil {
+		par = w.exec.Parallelism()
+	}
 	return WorkerStatus{
 		Addr:         w.Addr(),
-		Parallelism:  cap(w.sem),
+		Parallelism:  par,
 		ActiveConns:  conns,
 		ChunksServed: w.chunks.Load(),
 		RunsServed:   w.runsDone.Load(),
@@ -152,11 +156,7 @@ func (w *Worker) Listen(addr string) error {
 		return fmt.Errorf("dist: worker listen %s: %w", addr, err)
 	}
 	w.ln = ln
-	p := w.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	w.sem = make(chan struct{}, p)
+	w.exec = population.NewExecutor(w.Parallelism)
 	w.conns = make(map[net.Conn]struct{})
 	return nil
 }
@@ -305,7 +305,7 @@ func (w *Worker) serveConn(nc net.Conn) {
 					Error: fmt.Sprintf("protocol version %d, worker speaks %d", f.Version, ProtocolVersion)})
 				return
 			}
-			if err := c.send(frame{Type: frameHelloOK, Version: ProtocolVersion, Parallelism: cap(w.sem)}); err != nil {
+			if err := c.send(frame{Type: frameHelloOK, Version: ProtocolVersion, Parallelism: w.exec.Parallelism()}); err != nil {
 				return
 			}
 			hello = true
@@ -350,14 +350,13 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		return c.send(frame{Type: frameError, ID: req.ID, Error: "malformed run_chunk frame"})
 	}
 
-	// doomed flips once the chunk cannot complete on this connection —
-	// a failed send (dead coordinator), a failed heartbeat, or a failed
-	// seed. Launching stops immediately so a doomed chunk doesn't burn
-	// CPU and hold semaphore slots that other coordinators' chunks need;
-	// runs already in flight finish and release their slots.
-	doomed := make(chan struct{})
-	var doomOnce sync.Once
-	doom := func() { doomOnce.Do(func() { close(doomed) }) }
+	// doom ends the chunk's context once it cannot complete on this
+	// connection — a failed send or heartbeat means the coordinator is
+	// gone. The executor then stops launching, so a doomed chunk doesn't
+	// burn CPU and hold arenas other coordinators' chunks need; runs
+	// already in flight finish and free theirs.
+	ctx, doom := context.WithCancel(context.Background())
+	defer doom()
 
 	hb := w.HeartbeatEvery
 	if hb <= 0 {
@@ -394,129 +393,86 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		metrics map[string]float64
 		cycles  uint64
 		elapsed time.Duration
-		err     error
 	}
 	outs := make(chan runOut, req.Count)
 
-	// Drain concurrently with launching, so the first failure dooms the
-	// chunk while later seeds are still unlaunched. A failed seed aborts
-	// the chunk (the coordinator decides whether to surface it); runs
-	// already executing still drain so the semaphore is returned.
-	//
 	// Completed runs accumulate into a columnar result_batch, flushed
 	// every batchRuns runs or batchFlush of wall time — one frame and one
-	// syscall amortized over the whole batch instead of per run.
-	type outcome struct {
-		runErr, sendErr error
-		sent            int
-	}
-	outcomeCh := make(chan outcome, 1)
+	// syscall amortized over the whole batch instead of per run. A failed
+	// send dooms the chunk and drops every later result.
+	sendErrCh := make(chan error, 1)
 	go func() {
-		var o outcome
+		var sendErr error
 		rb := &ResultBatch{}
 		flushT := time.NewTicker(w.batchFlush())
 		defer flushT.Stop()
 		flush := func() {
-			if rb.len() == 0 || o.sendErr != nil || o.runErr != nil {
+			if rb.len() == 0 || sendErr != nil {
 				return
 			}
-			if err := c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}); err != nil {
-				o.sendErr = err
+			if sendErr = c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}); sendErr != nil {
 				doom()
 				return
 			}
-			o.sent += rb.len()
 			rb.reset() // send encodes synchronously, so the columns are free to reuse
-		}
-		handle := func(r runOut) {
-			if r.err != nil {
-				if o.runErr == nil {
-					o.runErr = fmt.Errorf("seed %d: %w", req.BaseSeed+uint64(r.offset), r.err)
-					doom()
-				}
-				return
-			}
-			if o.sendErr != nil || o.runErr != nil {
-				return
-			}
-			if !rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds()) {
-				// Metric key set changed mid-chunk (rare): flush the
-				// homogeneous batch and start over on a fresh one.
-				flush()
-				if o.sendErr != nil || o.runErr != nil {
-					return
-				}
-				rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds())
-			}
-			if rb.len() >= w.batchRuns() {
-				flush()
-			}
 		}
 		for {
 			select {
 			case r, ok := <-outs:
 				if !ok {
 					flush()
-					outcomeCh <- o
+					sendErrCh <- sendErr
 					return
 				}
-				handle(r)
+				if sendErr != nil {
+					continue
+				}
+				if !rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds()) {
+					// Metric key set changed mid-chunk (rare): flush the
+					// homogeneous batch and start over on a fresh one.
+					flush()
+					rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds())
+				}
+				if rb.len() >= w.batchRuns() {
+					flush()
+				}
 			case <-flushT.C:
 				flush()
 			}
 		}
 	}()
 
-	var wg sync.WaitGroup
-	launched := 0
-launch:
-	for i := 0; i < req.Count; i++ {
-		select {
-		case <-doomed:
-			break launch
-		case w.sem <- struct{}{}:
-		}
-		wg.Add(1)
-		launched++
-		go func(off int) {
-			defer wg.Done()
-			defer func() { <-w.sem }()
+	_, runErr := w.exec.Run(ctx, req.Benchmark, *req.Config, req.Scale, req.BaseSeed, req.Start, req.Count, population.RunHooks{
+		OnRunStart: func(int, uint64) {
 			w.Obs.M().Counter(obs.MetricDistWorkerRuns).Inc()
 			w.inflight.Add(1)
-			seed := req.BaseSeed + uint64(off)
-			start := time.Now()
-			res, err := sim.Run(req.Benchmark, *req.Config, req.Scale, seed)
-			elapsed := time.Since(start)
+		},
+		OnRunDone: func(off int, _ uint64, res *sim.Result, err error, elapsed time.Duration) {
 			w.inflight.Add(-1)
 			w.runsDone.Add(1)
 			w.addRunSeconds(elapsed.Seconds())
-			o := runOut{offset: off, elapsed: elapsed, err: err}
 			if err == nil {
-				o.metrics = res.Metrics
-				o.cycles = res.Cycles
+				outs <- runOut{offset: off, metrics: res.Metrics, cycles: res.Cycles, elapsed: elapsed}
 			}
-			outs <- o
-		}(req.Start + i)
-	}
-	wg.Wait()
+		},
+	})
 	close(outs)
-	o := <-outcomeCh
+	sendErr := <-sendErrCh
 
-	if o.sendErr != nil {
-		span.End(obs.Str("error", o.sendErr.Error()))
-		return o.sendErr
-	}
-	if o.runErr != nil {
-		span.End(obs.Str("error", o.runErr.Error()))
-		return c.send(frame{Type: frameError, ID: req.ID, Error: o.runErr.Error()})
-	}
-	if launched < req.Count {
+	switch {
+	case sendErr != nil:
+		span.End(obs.Str("error", sendErr.Error()))
+		return sendErr
+	case errors.Is(runErr, context.Canceled):
 		// Doomed by a heartbeat failure before any result send failed:
 		// the coordinator is gone, so tear the connection down.
 		err := errors.New("dist: chunk aborted, coordinator connection lost")
 		span.End(obs.Str("error", err.Error()))
 		return err
+	case runErr != nil:
+		span.End(obs.Str("error", runErr.Error()))
+		return c.send(frame{Type: frameError, ID: req.ID, Error: runErr.Error()})
 	}
-	span.End(obs.Int("results", o.sent))
-	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: o.sent, Telemetry: w.telemetry()})
+	span.End(obs.Int("results", req.Count))
+	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count, Telemetry: w.telemetry()})
 }

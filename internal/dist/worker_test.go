@@ -348,7 +348,7 @@ func TestWorkerStalledReaderDoesNotWedgeChunk(t *testing.T) {
 	// the connection instead of wedging forever.
 	waitConnsDrained(t, w, 10*time.Second, "stalled-reader chunk")
 
-	// The semaphore must be fully released: a fresh chunk on a fresh
+	// Every executor arena must be released: a fresh chunk on a fresh
 	// connection has to complete.
 	c2 := newConn(pl.dial(t), 0)
 	if err := c2.handshake(5 * time.Second); err != nil {
@@ -394,7 +394,7 @@ func TestWorkerIdleConnReaped(t *testing.T) {
 
 // TestDoomedChunkStopsLaunchingRuns is the regression test for the
 // CPU-burn bug: a chunk whose coordinator disconnected used to keep
-// launching and executing every remaining seed, holding semaphore slots
+// launching and executing every remaining seed, holding execution slots
 // hostage. Once doomed, launching must stop.
 func TestDoomedChunkStopsLaunchingRuns(t *testing.T) {
 	const count = 400
@@ -423,16 +423,12 @@ func TestDoomedChunkStopsLaunchingRuns(t *testing.T) {
 	c.close()
 
 	waitConnsDrained(t, w, 10*time.Second, "disconnected chunk")
-	// The semaphore must be free promptly: acquire every slot.
-	for i := 0; i < cap(w.sem); i++ {
-		select {
-		case w.sem <- struct{}{}:
-		case <-time.After(5 * time.Second):
-			t.Fatal("semaphore slot still held after the chunk aborted")
-		}
-	}
-	for i := 0; i < cap(w.sem); i++ {
-		<-w.sem
+	// The executor's arenas must be free promptly: a job needing every
+	// one of them completes within the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := w.exec.Run(ctx, testBench, cfg, testScale, testSeed, 0, w.exec.Parallelism(), population.RunHooks{}); err != nil {
+		t.Fatalf("executor arenas still held after the chunk aborted: %v", err)
 	}
 	if launched := reg.Counter(obs.MetricDistWorkerRuns).Value(); launched >= count {
 		t.Fatalf("worker executed all %d runs of a doomed chunk (launched %d)", count, launched)

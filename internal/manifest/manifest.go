@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -155,6 +156,29 @@ type Manifest struct {
 	Runs     int        `json:"runs,omitempty"`
 	Entries  []Entry    `json:"entries"`
 	Analyses []Analysis `json:"analyses"`
+}
+
+// EntryRuns is the population size of entry e: its own Runs, else the
+// manifest's, else 100.
+func (m *Manifest) EntryRuns(e Entry) int {
+	if e.Runs > 0 {
+		return e.Runs
+	}
+	if m.Runs > 0 {
+		return m.Runs
+	}
+	return 100
+}
+
+// EntrySeed is the base seed of entry idx's population: entries sit a
+// million seeds apart from Seed.
+func (m *Manifest) EntrySeed(idx int) uint64 {
+	return m.Seed + uint64(idx)*1_000_000
+}
+
+// ReportPath is the report file a campaign of m writes into dir.
+func (m *Manifest) ReportPath(dir string) string {
+	return filepath.Join(dir, m.Name+"-report.json")
 }
 
 // Load parses a manifest and validates it.

@@ -190,7 +190,7 @@ func (r *Runner) popPath(m *Manifest, e Entry) string {
 
 // ReportPath is the report file the campaign writes.
 func (r *Runner) ReportPath(m *Manifest) string {
-	return filepath.Join(r.OutDir, fmt.Sprintf("%s-report.json", m.Name))
+	return m.ReportPath(r.OutDir)
 }
 
 // TelemetryPath is the convergence journal the campaign writes next to
@@ -209,10 +209,11 @@ func (r *Runner) Run(m *Manifest) (*Report, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the campaign stops at
-// the next entry, analysis, or — when generation routes through a
-// coordinator — chunk boundary, returning the context's error. Entry
-// populations already persisted stay on disk, so a later RunContext with
-// the same manifest resumes exactly where this one stopped.
+// the next entry or analysis, and a generation in progress launches no
+// further run, whether in-process or through a coordinator, returning
+// the context's error. Entry populations already persisted stay on disk,
+// so a later RunContext with the same manifest resumes exactly where this
+// one stopped.
 func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -399,7 +400,7 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 	if err != nil {
 		return fail(err)
 	}
-	baseSeed := m.Seed + uint64(idx)*1_000_000
+	baseSeed := m.EntrySeed(idx)
 	job := dist.Job{Benchmark: e.Benchmark, Config: cfg, Scale: scale}
 	var col core.Collector = r.Coordinator().CollectorCtx(ctx, job, a.Metric)
 	design, dcol, err := r.designCollector(ctx, e, a, cfg, scale, col)
@@ -512,14 +513,7 @@ func (e *StaleOutputError) Unwrap() error { return e.Err }
 // loadOrGenerate resumes an entry's population from disk or gets it from
 // the runner's Source.
 func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int, scale float64) (*population.Population, bool, error) {
-	runs := e.Runs
-	if runs <= 0 {
-		runs = m.Runs
-	}
-	if runs <= 0 {
-		runs = 100
-	}
-	baseSeed := m.Seed + uint64(idx)*1_000_000
+	runs, baseSeed := m.EntryRuns(e), m.EntrySeed(idx)
 	path := r.popPath(m, e)
 	if f, err := os.Open(path); err == nil {
 		defer f.Close()

@@ -16,8 +16,9 @@ import (
 // zero value generates in-process without caching.
 type Source struct {
 	Cache *Cache // nil disables caching
-	// Coord's in-process chunks, unlike GenerateHooked, stop at a chunk
-	// boundary when the leader is cancelled.
+	// Coord, when set, generates across its workers (and its own
+	// executor); otherwise each leader runs a fresh executor of
+	// Parallelism arenas. Either way a cancelled leader stops launching.
 	Coord       *dist.Coordinator
 	Parallelism int           // bounds in-process generation (0 = GOMAXPROCS)
 	Obs         *obs.Observer // run hooks and progress totals of Population requests
@@ -88,7 +89,7 @@ func (s *Source) lead(ctx context.Context, k Key, hash string, f *flight, pilot 
 	if s.Coord != nil {
 		f.pop, f.err = s.Coord.GeneratePopulationCtx(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, hooks)
 	} else {
-		f.pop, f.err = population.GenerateHooked(k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, s.Parallelism, hooks)
+		f.pop, f.err = population.NewExecutor(s.Parallelism).Generate(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, hooks)
 	}
 	if f.err == nil {
 		_ = s.Cache.Put(k, f.pop) // a disk error still leaves it cached in memory

@@ -144,6 +144,58 @@ func TestSourceLeaderCancelled(t *testing.T) {
 	}
 }
 
+// blockingWriter holds the first write (a leader's "simulating" log line)
+// until release is closed, announcing it on writing; later writes pass.
+type blockingWriter struct {
+	once             sync.Once
+	writing, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.writing)
+		<-w.release
+	})
+	return len(p), nil
+}
+
+// TestSourceInProcessLeaderCancelled is TestSourceLeaderCancelled without
+// a coordinator: an in-process leader cancelled inside its flight
+// simulates nothing and abandons the flight, and its waiter leads a fresh
+// one to the same bytes.
+func TestSourceInProcessLeaderCancelled(t *testing.T) {
+	k := testKey()
+	log := &blockingWriter{writing: make(chan struct{}), release: make(chan struct{})}
+	reg := obs.NewRegistry()
+	c := New("", 0)
+	src := &Source{Cache: c, Obs: &obs.Observer{Metrics: reg, Progress: obs.NewProgress(log, "runs", 0)}}
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := request(leaderCtx, src, k)
+	<-log.writing
+	waiterCtx := newWaitSignal(context.Background())
+	waiter := request(waiterCtx, src, k)
+	<-waiterCtx.waiting
+	cancel()
+	close(log.release)
+	if r := <-leader; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", r.err)
+	}
+	r := <-waiter
+	if r.err != nil {
+		t.Fatalf("waiter failed with its cancelled leader: %v", r.err)
+	}
+	if !bytes.Equal(popBytes(t, r.pop), popBytes(t, generate(t, k))) {
+		t.Error("waiter's population differs from GenerateHooked")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Puts != 1 {
+		t.Errorf("cache stats %+v, want one lookup per request and one put", s)
+	}
+	if got := reg.Counter(obs.MetricRunsStarted).Value(); got != int64(k.Runs) {
+		t.Errorf("%d runs started, want only the waiter's %d", got, k.Runs)
+	}
+}
+
 // TestSourceWaiterCancelled: a waiter whose own context is cancelled
 // returns at once, while its leader is still blocked, and the leader
 // finishes unaffected.

@@ -7,13 +7,12 @@
 package population
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -31,9 +30,9 @@ type Population struct {
 	Metrics   map[string][]float64 `json:"metrics"`
 }
 
-// RunHooks are optional per-execution callbacks for GenerateHooked, the
-// attachment points for the observability layer. Either field may be nil;
-// both may be called from many goroutines concurrently. Hooks only
+// RunHooks are optional per-execution callbacks for an Executor's runs,
+// the attachment points for the observability layer. Either field may be
+// nil; both may be called from many goroutines concurrently. Hooks only
 // observe — the simulation RNG is seeded before they fire, so telemetry
 // cannot perturb determinism.
 type RunHooks struct {
@@ -67,68 +66,10 @@ func Generate(benchmark string, cfg sim.Config, scale float64, runs int, baseSee
 	return GenerateHooked(benchmark, cfg, scale, runs, baseSeed, parallelism, RunHooks{})
 }
 
-// GenerateHooked is Generate with per-execution observability callbacks.
-//
-// Runs execute on a fixed pool of workers, each owning one reusable
-// sim.Runner arena: run i always computes from seed baseSeed+i into slot i,
-// so results are independent of which worker picks up which run, and each
-// worker's machine allocations are paid once rather than per run.
+// GenerateHooked is Generate with per-execution observability callbacks,
+// run on a fresh Executor of parallelism arenas.
 func GenerateHooked(benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, parallelism int, h RunHooks) (*Population, error) {
-	if runs <= 0 {
-		return nil, fmt.Errorf("population: non-positive run count %d", runs)
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > runs {
-		parallelism = runs
-	}
-	observed := h.OnRunStart != nil || h.OnRunDone != nil
-	results := make([]*sim.Result, runs)
-	errs := make([]error, runs)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := sim.NewRunner()
-			for i := range indices {
-				seed := baseSeed + uint64(i)
-				if !observed {
-					results[i], errs[i] = runner.Run(benchmark, cfg, scale, seed)
-					continue
-				}
-				if h.OnRunStart != nil {
-					h.OnRunStart(i, seed)
-				}
-				start := time.Now()
-				results[i], errs[i] = runner.Run(benchmark, cfg, scale, seed)
-				if h.OnRunDone != nil {
-					h.OnRunDone(i, seed, results[i], errs[i], time.Since(start))
-				}
-			}
-		}()
-	}
-	for i := 0; i < runs; i++ {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-	var failures []error
-	for i, err := range errs {
-		if err != nil {
-			failures = append(failures, fmt.Errorf("population: run %d of %s: %w", i, benchmark, err))
-		}
-	}
-	if len(failures) > 0 {
-		return nil, errors.Join(failures...)
-	}
-	metrics := make([]map[string]float64, runs)
-	for i, res := range results {
-		metrics[i] = res.Metrics
-	}
-	return FromRuns(benchmark, baseSeed, metrics), nil
+	return NewExecutor(parallelism).Generate(context.Background(), benchmark, cfg, scale, runs, baseSeed, h)
 }
 
 // FromRuns assembles a population from per-run scalar metric maps

@@ -13,9 +13,9 @@ import (
 // queue — is reset in place and reused for subsequent runs with the same
 // Config, instead of being reallocated per run. A Runner is stateful and
 // must not be used from multiple goroutines concurrently; callers that
-// simulate in parallel hold one Runner per worker (population.Generate) or
-// rely on the pool behind the package-level Run, which hands each goroutine
-// its own arena.
+// simulate in parallel hold one Runner per goroutine (population.Executor)
+// or rely on the pool behind the package-level Run, which hands each
+// goroutine its own arena.
 //
 // Reuse is byte-identical to cold construction: fresh and reused machines
 // share the single initRun code path, so every run sees the same initial
@@ -69,9 +69,10 @@ func (r *Runner) RunProgram(prog *workload.Program, cfg Config, rng *randx.Rand)
 }
 
 // runnerPool recycles arenas across package-level Run/RunProgram calls, so
-// every existing caller — core.Collect's samplers, dist.Worker's chunk
-// goroutines, the Engine's evaluation pool — benefits from machine reuse
-// without holding a Runner explicitly.
+// callers that simulate seed by seed — exp's ablation tables, the
+// examples, run functions handed to core.Collect — benefit from machine
+// reuse without holding a Runner explicitly. Population-scale callers run
+// on a population.Executor instead.
 var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 
 func pooledRun(f func(r *Runner) (*Result, error)) (*Result, error) {
