@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/dist"
-	"repro/internal/faultx"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/popcache"
@@ -40,8 +39,6 @@ func run(args []string, w io.Writer) error {
 	workers := fs.String("workers", "", "comma-separated spaworker addresses (host:port,...) to distribute simulations across; results are byte-identical to a local run")
 	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns; hits are byte-identical to re-simulating")
 	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
-	chaosSeed := fs.Uint64("chaos-seed", 0, "DEV ONLY: inject deterministic transport faults on -workers connections, seeded by this value (0 disables)")
-	chaosProfile := fs.String("chaos-profile", "all", "DEV ONLY: comma-separated fault scenarios for -chaos-seed (delay,stall,close,partial,dup,refuse or all)")
 	initTpl := fs.Bool("init", false, "print a template manifest and exit")
 	quiet := fs.Bool("quiet", false, "suppress all progress output (overrides -progress)")
 	version := fs.Bool("version", false, "print build information and exit")
@@ -103,16 +100,6 @@ func run(args []string, w io.Writer) error {
 	})
 	if *popcacheDir != "" {
 		runner.PopCache = popcache.New(*popcacheDir, 0)
-	}
-	if *chaosSeed != 0 {
-		prof, err := faultx.ParseProfile(*chaosProfile)
-		if err != nil {
-			closeObs()
-			return err
-		}
-		runner.Dial = faultx.New(*chaosSeed, prof, o).Dial
-		fmt.Fprintf(w, "campaign: CHAOS fault injection on worker connections (seed %d, profile %s) — dev use only\n",
-			*chaosSeed, *chaosProfile)
 	}
 	report, err := runner.Run(m)
 	if err != nil {

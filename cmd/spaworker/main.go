@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/dist"
-	"repro/internal/faultx"
 	"repro/internal/obs"
 )
 
@@ -42,8 +41,6 @@ func run(args []string, w io.Writer, ready func(*dist.Worker)) error {
 	listen := fs.String("listen", ":9777", "TCP address to serve on (host:port; port 0 picks a free port)")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight chunks on SIGINT/SIGTERM before closing hard")
-	chaosSeed := fs.Uint64("chaos-seed", 0, "DEV ONLY: inject deterministic transport faults seeded by this value (0 disables)")
-	chaosProfile := fs.String("chaos-profile", "all", "DEV ONLY: comma-separated fault scenarios for -chaos-seed (delay,stall,close,partial,dup,refuse or all)")
 	version := fs.Bool("version", false, "print build information and exit")
 	var of obs.Flags
 	of.Register(fs)
@@ -63,17 +60,6 @@ func run(args []string, w io.Writer, ready func(*dist.Worker)) error {
 	// /statusz reports the worker's own serving state (runs served,
 	// in-flight, active connections).
 	o.SetStatus(func() any { return worker.Status() })
-	if *chaosSeed != 0 {
-		prof, err := faultx.ParseProfile(*chaosProfile)
-		if err != nil {
-			closeObs()
-			return err
-		}
-		inj := faultx.New(*chaosSeed, prof, o)
-		worker.ListenFunc = inj.Listen
-		fmt.Fprintf(w, "spaworker: CHAOS fault injection enabled (seed %d, profile %s) — dev use only\n",
-			*chaosSeed, *chaosProfile)
-	}
 	if err := worker.Listen(*listen); err != nil {
 		closeObs()
 		return err

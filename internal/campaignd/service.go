@@ -47,8 +47,8 @@ type Config struct {
 	// analyses whose manifests don't choose one ("", "plain",
 	// "stratified" or "rss"); see manifest.Runner.Sampling.
 	Sampling string
-	// Dial optionally replaces the coordinator's dialer (fault
-	// injection).
+	// Dial optionally replaces the coordinator's dialer — the seam tests
+	// and benchmarks use to inject faults or count connections.
 	Dial dist.DialFunc
 	// Obs receives service metrics and spans; nil disables.
 	Obs *obs.Observer

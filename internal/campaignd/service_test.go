@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -437,5 +438,74 @@ func TestHTTPOverloadStatus(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After")
+	}
+}
+
+// TestHTTPRejectsPathManifestName: a manifest's name prefixes every file
+// its campaign writes into its own directory, so a tenant naming one
+// "../c00000001/x" could overwrite another campaign's report and then
+// read it back through their own report endpoint. Such a name must be a
+// 400, and the data directory must be left exactly as it was.
+func TestHTTPRejectsPathManifestName(t *testing.T) {
+	root := t.TempDir()
+	dataDir := filepath.Join(root, "data")
+	s := startService(t, Config{DataDir: dataDir})
+	srv := httptest.NewServer(NewHandler(s, nil))
+	defer srv.Close()
+
+	submit := func(name string) (*http.Response, SubmitResponse) {
+		t.Helper()
+		mb, _ := json.Marshal(testManifest(name, 1, 8))
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json",
+			strings.NewReader(`{"tenant":"acme","manifest":`+string(mb)+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&sub)
+		return resp, sub
+	}
+	// snapshot maps every file under root to its contents.
+	snapshot := func() map[string]string {
+		t.Helper()
+		files := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+
+	resp, victim := submit("victim")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("victim submit status = %d", resp.StatusCode)
+	}
+	waitTerminal(t, s, victim.ID, 30*time.Second)
+	before := snapshot()
+
+	for _, name := range []string{"../" + victim.ID + "/x", "../../escaped"} {
+		resp, sub := submit(name)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("manifest named %q: status %d, want 400", name, resp.StatusCode)
+		}
+		if sub.ID != "" {
+			waitTerminal(t, s, sub.ID, 30*time.Second)
+		}
+	}
+	after := snapshot()
+	for path, b := range after {
+		if !strings.HasPrefix(path, dataDir+string(filepath.Separator)) {
+			t.Errorf("%s written outside the data directory", path)
+		} else if prev, ok := before[path]; !ok || prev != b {
+			t.Errorf("%s written by a rejected submission", path)
+		}
 	}
 }

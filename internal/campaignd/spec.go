@@ -14,8 +14,9 @@ const maxPriority = 8
 
 // tenantRE constrains tenant names to something safe for metric labels,
 // JSON, and log lines. Campaign directories are named by server-assigned
-// IDs, so tenants never name filesystem paths, but the label hygiene
-// still matters.
+// IDs. The only part of a file name a tenant chooses is the manifest
+// name, which manifest.Validate keeps to one path element, so every file
+// a campaign writes stays inside its own directory.
 var tenantRE = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]{0,31}$`)
 
 // Spec is one campaign submission: the existing manifest format plus the

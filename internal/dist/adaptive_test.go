@@ -85,8 +85,10 @@ func TestV3FleetStreamsBatches(t *testing.T) {
 	// The flush timer is held off so the frame count depends on the
 	// carve alone: on a slow host (the race detector's ~10x) it fires
 	// between most completions, as it should in production.
-	w := &Worker{Parallelism: 2, HeartbeatEvery: 50 * time.Millisecond}
-	w.batchLimit.flush = time.Hour
+	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
+		p.heartbeat = 50 * time.Millisecond
+		p.batchFlush = time.Hour
+	})}
 	fc := &frameCounter{}
 	c := fastCoord(startWorkerWith(t, w))
 	c.Dial = countingDial(fc)
@@ -151,9 +153,9 @@ func TestHeterogeneousFleetAdaptive(t *testing.T) {
 	want := localPop(t, runs)
 
 	mkWorker := func(par int, lag time.Duration) *Worker {
-		w := &Worker{Parallelism: par, HeartbeatEvery: 20 * time.Millisecond}
+		w := &Worker{Parallelism: par, pol: policyWith(func(p *policy) { p.heartbeat = 20 * time.Millisecond })}
 		if lag > 0 {
-			w.ListenFunc = func(network, address string) (net.Listener, error) {
+			w.listen = func(network, address string) (net.Listener, error) {
 				ln, err := net.Listen(network, address)
 				if err != nil {
 					return nil, err

@@ -17,12 +17,6 @@ type backoff struct {
 }
 
 func newBackoff(base, max time.Duration, seed uint64) *backoff {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 5 * time.Second
-	}
 	return &backoff{base: base, max: max, rng: randx.New(seed)}
 }
 

@@ -14,9 +14,9 @@ import (
 
 // BenchmarkDistWireEncode isolates the wire cost of shipping one chunk's
 // results: JSON encode + decode of 256 runs as result_batch frames,
-// flushed every batchRuns runs the way a worker sends them, with a
-// realistic metric payload (one actual simulation's metric set,
-// replicated). No sockets, no simulation — just the serialization the
+// flushed every defaultPolicy.batchRuns runs the way a worker sends
+// them, with a realistic metric payload (one actual simulation's metric
+// set, replicated). No sockets, no simulation — just the serialization the
 // hot path pays per run.
 func BenchmarkDistWireEncode(b *testing.B) {
 	const runs = 256
@@ -28,7 +28,7 @@ func BenchmarkDistWireEncode(b *testing.B) {
 	rb := &ResultBatch{}
 	for i := 0; i < runs; i++ {
 		rb.add(i, res.Metrics, res.Cycles, 1234)
-		if rb.len() == batchRuns || i == runs-1 {
+		if rb.len() == defaultPolicy.batchRuns || i == runs-1 {
 			batches = append(batches, frame{Type: frameResultBatch, ID: 1, Batch: rb})
 			rb = &ResultBatch{}
 		}
@@ -81,12 +81,11 @@ func BenchmarkDistCampaignThroughput(b *testing.B) {
 	const runs = 96
 	addrs := make([]string, 2)
 	for i := range addrs {
-		w := &Worker{
-			Parallelism:    2,
-			HeartbeatEvery: 200 * time.Millisecond,
-			WriteTimeout:   2 * time.Second,
-			IdleTimeout:    time.Minute,
-		}
+		w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
+			p.heartbeat = 200 * time.Millisecond
+			p.workerWriteTimeout = 2 * time.Second
+			p.idleTimeout = time.Minute
+		})}
 		if err := w.Listen("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
@@ -96,10 +95,12 @@ func BenchmarkDistCampaignThroughput(b *testing.B) {
 	}
 	var lines atomic.Int64
 	c := &Coordinator{
-		Workers:      addrs,
-		ChunkTimeout: 30 * time.Second,
-		ReadTimeout:  5 * time.Second,
-		DialTimeout:  2 * time.Second,
+		Workers: addrs,
+		pol: policyWith(func(p *policy) {
+			p.chunkTimeout = 30 * time.Second
+			p.readTimeout = 5 * time.Second
+			p.dialTimeout = 2 * time.Second
+		}),
 		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
 			cn, err := net.DialTimeout(network, addr, timeout)
 			if err != nil {

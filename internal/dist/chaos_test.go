@@ -44,20 +44,19 @@ func chaosProfile(scenarios ...faultx.Scenario) faultx.Profile {
 // many result_batch flush boundaries per chunk, not one big batch.
 func startChaosWorker(t *testing.T, inj *faultx.Injector) *Worker {
 	t.Helper()
-	w := &Worker{
-		Parallelism:    2,
-		HeartbeatEvery: 50 * time.Millisecond,
-		WriteTimeout:   500 * time.Millisecond,
-		IdleTimeout:    30 * time.Second,
-	}
-	w.batchLimit.runs = 4
-	w.batchLimit.flush = 5 * time.Millisecond
+	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
+		p.heartbeat = 50 * time.Millisecond
+		p.workerWriteTimeout = 500 * time.Millisecond
+		p.idleTimeout = 30 * time.Second
+		p.batchRuns = 4
+		p.batchFlush = 5 * time.Millisecond
+	})}
 	return startChaos(t, w, inj)
 }
 
 func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
 	t.Helper()
-	w.ListenFunc = inj.Listen
+	w.listen = inj.Listen
 	if err := w.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +85,19 @@ func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
 // assembly.
 func chaosCoord(dial *faultx.Injector, obsv *obs.Observer, addrs ...string) *Coordinator {
 	return &Coordinator{
-		Workers:           addrs,
-		ChunkTarget:       100 * time.Millisecond,
-		ChunkTimeout:      20 * time.Second,
-		ReadTimeout:       500 * time.Millisecond,
-		WriteTimeout:      500 * time.Millisecond,
-		DialTimeout:       2 * time.Second,
-		MaxWorkerFailures: 5,
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        20 * time.Millisecond,
-		Dial:              dial.Dial,
-		Obs:               obsv,
+		Workers:     addrs,
+		ChunkTarget: 100 * time.Millisecond,
+		Dial:        dial.Dial,
+		Obs:         obsv,
+		pol: policyWith(func(p *policy) {
+			p.chunkTimeout = 20 * time.Second
+			p.readTimeout = 500 * time.Millisecond
+			p.writeTimeout = 500 * time.Millisecond
+			p.dialTimeout = 2 * time.Second
+			p.maxFailures = 5
+			p.backoffBase = time.Millisecond
+			p.backoffMax = 20 * time.Millisecond
+		}),
 	}
 }
 

@@ -59,34 +59,17 @@ type Coordinator struct {
 	// non-deterministic; assembled results are not — they stay keyed by
 	// seed offset.
 	ChunkTarget time.Duration
-	// ChunkTimeout bounds one chunk's total execution including
-	// streaming (0 = 5m). A chunk that exceeds it is re-dispatched.
-	ChunkTimeout time.Duration
-	// ReadTimeout bounds the silence between frames from a worker
-	// (0 = 10s). Workers heartbeat every second while executing, so a
-	// tripped read deadline means the worker is gone, not slow.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each frame send (0 = 10s). A worker that
-	// stops reading trips it instead of wedging the dispatch forever.
-	WriteTimeout time.Duration
-	// DialTimeout bounds connection establishment (0 = 3s).
-	DialTimeout time.Duration
 	// Dial optionally replaces the TCP dialer — fault injection
 	// (internal/faultx) and tests. Nil uses net.DialTimeout.
 	Dial DialFunc
-	// MaxWorkerFailures is the consecutive-failure budget before a
-	// worker is abandoned for the rest of the job (0 = 3). A worker at
-	// another protocol version is abandoned on its first handshake.
-	MaxWorkerFailures int
-	// BackoffBase/BackoffMax bound the jittered exponential reconnect
-	// backoff (0 = 50ms / 5s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Parallelism is the arena count of the in-process executor that
 	// runs whatever no worker takes (0 = GOMAXPROCS).
 	Parallelism int
 	// Obs receives dispatch/retry/re-dispatch/health telemetry.
 	Obs *obs.Observer
+
+	// pol is the transport policy; nil runs defaultPolicy.
+	pol *policy
 
 	// stMu guards the status/telemetry state below (status.go). Lazily
 	// initialized so the zero-value Coordinator keeps working.
@@ -111,41 +94,6 @@ func (c *Coordinator) chunkTarget() time.Duration {
 		return 250 * time.Millisecond
 	}
 	return c.ChunkTarget
-}
-
-func (c *Coordinator) chunkTimeout() time.Duration {
-	if c.ChunkTimeout <= 0 {
-		return 5 * time.Minute
-	}
-	return c.ChunkTimeout
-}
-
-func (c *Coordinator) readTimeout() time.Duration {
-	if c.ReadTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return c.ReadTimeout
-}
-
-func (c *Coordinator) writeTimeout() time.Duration {
-	if c.WriteTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return c.WriteTimeout
-}
-
-func (c *Coordinator) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return 3 * time.Second
-	}
-	return c.DialTimeout
-}
-
-func (c *Coordinator) maxWorkerFailures() int {
-	if c.MaxWorkerFailures <= 0 {
-		return 3
-	}
-	return c.MaxWorkerFailures
 }
 
 // chunk is one contiguous slice of the seed range, carved from the work
@@ -422,9 +370,10 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 // another protocol version). Connecting happens before carving — the
 // advertised parallelism sizes the first chunk.
 func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runState, queue *workQueue, h population.RunHooks) {
+	pol := c.pol.orDefault()
 	hsh := fnv.New64a()
 	hsh.Write([]byte(addr))
-	bo := newBackoff(c.BackoffBase, c.BackoffMax, hsh.Sum64())
+	bo := newBackoff(pol.backoffBase, pol.backoffMax, hsh.Sum64())
 	var cn *conn
 	defer func() {
 		if cn != nil {
@@ -471,7 +420,7 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 			}
 			c.Obs.M().Counter(obs.MetricDistRetries).Inc()
 			failures++
-			if failures >= c.maxWorkerFailures() {
+			if failures >= pol.maxFailures {
 				abandon(nil, err)
 				return
 			}
@@ -517,7 +466,7 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 		cn = nil
 		failures++
 		requeue(ch)
-		if failures >= c.maxWorkerFailures() {
+		if failures >= pol.maxFailures {
 			abandon(nil, err)
 			return
 		}
@@ -529,10 +478,12 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 	}
 }
 
-// maxAdaptiveChunk caps one adaptive dispatch so a wildly overestimated
-// rate cannot swallow a whole campaign in a single chunk (which would
-// defeat both re-balancing and failure recovery).
-const maxAdaptiveChunk = 4096
+// maxChunk caps one dispatch so a wildly overestimated rate cannot
+// swallow a whole campaign in a single chunk (which would defeat both
+// re-balancing and failure recovery). It is also the wire bound: a
+// worker refuses a run_chunk frame with a larger count before
+// allocating for it.
+const maxChunk = 4096
 
 // nextChunkSize decides how many runs to carve for a worker's next
 // dispatch: observed runs/sec × ChunkTarget (seeded from hello_ok
@@ -541,8 +492,8 @@ const maxAdaptiveChunk = 4096
 // strags the job on one oversized final dispatch.
 func (c *Coordinator) nextChunkSize(addr string, pending int) int {
 	size := int(c.rateEstimate(addr)*c.chunkTarget().Seconds() + 0.5)
-	if size > maxAdaptiveChunk {
-		size = maxAdaptiveChunk
+	if size > maxChunk {
+		size = maxChunk
 	}
 	if pending > 0 {
 		live := 2 * c.liveWorkers()
@@ -574,16 +525,17 @@ func (c *Coordinator) dial(addr string) (*conn, error) {
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	nc, err := dial("tcp", addr, c.dialTimeout())
+	pol := c.pol.orDefault()
+	nc, err := dial("tcp", addr, pol.dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial %s: %w", addr, err)
 	}
-	cn := newConn(nc, c.writeTimeout())
+	cn := newConn(nc, pol.writeTimeout)
 	// Label this connection with the configured worker address, not the
 	// transport's RemoteAddr — it is the stable identity spans, the
 	// per-worker metric labels, and the /statusz table key all share.
 	cn.addr = addr
-	if err := cn.handshake(c.dialTimeout()); err != nil {
+	if err := cn.handshake(pol.dialTimeout); err != nil {
 		cn.close()
 		return nil, err
 	}
@@ -625,7 +577,8 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 		span.End(obs.Str("error", err.Error()))
 		return err
 	}
-	deadline := time.Now().Add(c.chunkTimeout())
+	pol := c.pol.orDefault()
+	deadline := time.Now().Add(pol.chunkTimeout)
 	runs := make([]RunResult, 0, ch.count)
 	seen := make(map[int]bool, ch.count)
 	for {
@@ -637,7 +590,7 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 			return errJobDone
 		default:
 		}
-		readDL := time.Now().Add(c.readTimeout())
+		readDL := time.Now().Add(pol.readTimeout)
 		if readDL.After(deadline) {
 			readDL = deadline
 		}

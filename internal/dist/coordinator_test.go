@@ -21,7 +21,7 @@ import (
 // with the test.
 func startWorker(t *testing.T) *Worker {
 	t.Helper()
-	w := &Worker{Parallelism: 2, HeartbeatEvery: 50 * time.Millisecond}
+	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) { p.heartbeat = 50 * time.Millisecond })}
 	if err := w.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +41,24 @@ func startWorker(t *testing.T) *Worker {
 	return w
 }
 
+// policyWith returns a copy of defaultPolicy edited by set: the one way
+// tests shorten the transport policy.
+func policyWith(set func(p *policy)) *policy {
+	p := defaultPolicy
+	set(&p)
+	return &p
+}
+
 // fastCoord returns a coordinator tuned for test-speed failure handling.
+// Its policy is its own copy, so a test may edit c.pol further.
 func fastCoord(workers ...string) *Coordinator {
-	return &Coordinator{
-		Workers:      workers,
-		ChunkTimeout: 10 * time.Second,
-		ReadTimeout:  2 * time.Second,
-		DialTimeout:  time.Second,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   10 * time.Millisecond,
-	}
+	return &Coordinator{Workers: workers, pol: policyWith(func(p *policy) {
+		p.chunkTimeout = 10 * time.Second
+		p.readTimeout = 2 * time.Second
+		p.dialTimeout = time.Second
+		p.backoffBase = time.Millisecond
+		p.backoffMax = 10 * time.Millisecond
+	})}
 }
 
 const (
@@ -175,7 +183,7 @@ func TestUnreachableWorkerFallsBackLocal(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c := fastCoord(addr)
-	c.MaxWorkerFailures = 2
+	c.pol.maxFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
 	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 8, testSeed, population.RunHooks{})
 	if err != nil {
@@ -321,7 +329,7 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c := fastCoord(dying.addr(), healthy.Addr())
-	c.MaxWorkerFailures = 2
+	c.pol.maxFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
 	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
 	if err != nil {
@@ -359,8 +367,8 @@ func TestSlowWorkerDuplicateCommitDiscarded(t *testing.T) {
 	healthy := startWorker(t)
 
 	c := fastCoord(silent.addr(), healthy.Addr())
-	c.ReadTimeout = 300 * time.Millisecond
-	c.MaxWorkerFailures = 1
+	c.pol.readTimeout = 300 * time.Millisecond
+	c.pol.maxFailures = 1
 	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 9, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +378,7 @@ func TestSlowWorkerDuplicateCommitDiscarded(t *testing.T) {
 
 func TestVersionSkewedWorkerAbandonedAtOnce(t *testing.T) {
 	// A stale binary answers hello_ok at v2. Redialing cannot cure that,
-	// so it gets exactly one dial — not MaxWorkerFailures backoff rounds
+	// so it gets exactly one dial — not a failure budget of backoff rounds
 	// — and the healthy worker finishes the job local-identically.
 	stale := startFakeWorker(t, func(c *conn) {
 		if f, err := c.recv(time.Now().Add(5 * time.Second)); err == nil && f.Type == frameHello {
@@ -382,7 +390,7 @@ func TestVersionSkewedWorkerAbandonedAtOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	trace := &syncBuffer{}
 	c := fastCoord(stale.addr(), healthy.Addr())
-	c.MaxWorkerFailures = 5
+	c.pol.maxFailures = 5
 	c.Obs = &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(trace)}
 	got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
 	if err != nil {

@@ -32,7 +32,10 @@
 // on reconnects, automatic re-dispatch of chunks from dead or slow
 // workers to healthy ones, and graceful degradation to in-process
 // execution when no worker is reachable (a coordinator with no workers
-// at all is simply a local runner).
+// at all is simply a local runner). Its deadlines, retry budget,
+// backoff, heartbeat and batch limits are one fixed transport policy
+// (defaultPolicy), not settings. A worker refuses a chunk of more runs
+// than a coordinator ever carves (maxChunk).
 //
 // In-process execution is population.Executor on both sides: a worker
 // runs each chunk on its executor, and a coordinator hands every
@@ -40,10 +43,11 @@
 // jobs. Its arenas bound how many simulations run at once, and it stops
 // launching as soon as a job is cancelled or a run fails.
 //
-// The transport is injectable — Coordinator.Dial and Worker.ListenFunc
-// replace the real network — which is how internal/faultx subjects the
-// whole layer to deterministic, seeded chaos (delays, stalls, abrupt
-// closes, truncated and duplicated frames, refused connects) and how
-// the chaos soak test proves the byte-identity contract holds under
-// network pathology, not just clean failures.
+// The transport is injectable — Coordinator.Dial and the worker's
+// unexported listen seam replace the real network — which is how the
+// chaos soak (TestChaos*, run by CI at two seeds) uses internal/faultx
+// to subject the whole layer to deterministic, seeded faults (delays,
+// stalls, abrupt closes, truncated and duplicated frames, refused
+// connects) and proves the byte-identity contract holds under network
+// pathology, not just clean failures.
 package dist

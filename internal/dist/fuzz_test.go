@@ -70,7 +70,10 @@ func (p hungUpPipe) SetReadDeadline(t time.Time) error {
 // A dispatch that does not return promptly fails tb.
 func driveChunkStream(tb testing.TB, reply []byte) (*runState, error) {
 	coordSide, workerSide := net.Pipe()
-	c := &Coordinator{ChunkTimeout: 5 * time.Second, ReadTimeout: time.Second}
+	c := &Coordinator{pol: policyWith(func(p *policy) {
+		p.chunkTimeout = 5 * time.Second
+		p.readTimeout = time.Second
+	})}
 	cn := newConn(hungUpPipe{coordSide}, time.Second)
 	cn.addr = "fuzz"
 	q := newWorkQueue(fuzzJobRuns)

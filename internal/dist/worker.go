@@ -17,15 +17,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Result batching limits: a worker flushes its result_batch frame once
-// it holds batchRuns runs, and at least every batchFlush while runs are
-// buffered, so a slow trickle of results still reaches the coordinator —
-// and its progress hooks — promptly.
-const (
-	batchRuns  = 64
-	batchFlush = 25 * time.Millisecond
-)
-
 // Worker serves seed chunks to coordinators: it listens on a TCP
 // address, executes the requested workload+sim runs with bounded local
 // parallelism, and streams results back in columnar batches as they
@@ -36,32 +27,15 @@ type Worker struct {
 	// Parallelism bounds concurrent simulations across all connections
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// HeartbeatEvery is the interval between liveness frames while a
-	// chunk executes (0 = 1s). Heartbeats keep the coordinator's read
-	// deadline from tripping on genuinely slow runs.
-	HeartbeatEvery time.Duration
-	// WriteTimeout bounds each frame send (0 = 15s). A coordinator that
-	// stops reading trips it instead of wedging the sender forever.
-	WriteTimeout time.Duration
-	// IdleTimeout bounds the silence between frames on an idle
-	// connection (0 = 5m, generous: pooled coordinator connections sit
-	// idle between chunks). A half-open coordinator connection trips it
-	// instead of leaking the serve goroutine for the process lifetime.
-	IdleTimeout time.Duration
-	// ListenFunc optionally replaces the TCP listener — fault injection
-	// (internal/faultx) and in-memory test transports. Nil uses a TCP
-	// listener with keepalive enabled.
-	ListenFunc func(network, address string) (net.Listener, error)
 	// Obs receives spans and counters for served chunks; nil disables.
 	Obs *obs.Observer
 
-	// batchLimit, when its fields are positive, overrides batchRuns and
-	// batchFlush — the chaos soak's seam for many flush boundaries per
-	// chunk.
-	batchLimit struct {
-		runs  int
-		flush time.Duration
-	}
+	// pol is the transport policy; nil runs defaultPolicy.
+	pol *policy
+	// listen replaces the TCP listener — the test seam for fault
+	// injection (internal/faultx) and in-memory transports. Nil uses a
+	// TCP listener with keepalive enabled.
+	listen func(network, address string) (net.Listener, error)
 
 	ln       net.Listener
 	exec     *population.Executor
@@ -144,7 +118,7 @@ func (w *Worker) Status() WorkerStatus {
 // host that vanishes without a FIN is detected at the transport layer
 // too, not only by the idle read deadline.
 func (w *Worker) Listen(addr string) error {
-	listen := w.ListenFunc
+	listen := w.listen
 	if listen == nil {
 		lc := net.ListenConfig{KeepAlive: 30 * time.Second}
 		listen = func(network, address string) (net.Listener, error) {
@@ -159,34 +133,6 @@ func (w *Worker) Listen(addr string) error {
 	w.exec = population.NewExecutor(w.Parallelism)
 	w.conns = make(map[net.Conn]struct{})
 	return nil
-}
-
-func (w *Worker) writeTimeout() time.Duration {
-	if w.WriteTimeout <= 0 {
-		return 15 * time.Second
-	}
-	return w.WriteTimeout
-}
-
-func (w *Worker) idleTimeout() time.Duration {
-	if w.IdleTimeout <= 0 {
-		return 5 * time.Minute
-	}
-	return w.IdleTimeout
-}
-
-func (w *Worker) batchRuns() int {
-	if w.batchLimit.runs <= 0 {
-		return batchRuns
-	}
-	return w.batchLimit.runs
-}
-
-func (w *Worker) batchFlush() time.Duration {
-	if w.batchLimit.flush <= 0 {
-		return batchFlush
-	}
-	return w.batchLimit.flush
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -285,10 +231,11 @@ func (w *Worker) serveConn(nc net.Conn) {
 		delete(w.conns, nc)
 		w.mu.Unlock()
 	}()
-	c := newConn(nc, w.writeTimeout())
+	pol := w.pol.orDefault()
+	c := newConn(nc, pol.workerWriteTimeout)
 	hello := false
 	for {
-		f, err := c.recv(time.Now().Add(w.idleTimeout()))
+		f, err := c.recv(time.Now().Add(pol.idleTimeout))
 		if err != nil {
 			switch {
 			case errors.Is(err, os.ErrDeadlineExceeded):
@@ -345,7 +292,8 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	w.chunks.Add(1)
 	w.activeChunks.Add(1)
 	defer w.activeChunks.Add(-1)
-	if req.Count <= 0 || req.Config == nil || req.Benchmark == "" {
+	// The count is peer input: bound it before anything is sized by it.
+	if req.Count < 1 || req.Count > maxChunk || req.Start < 0 || req.Config == nil || req.Benchmark == "" {
 		span.End(obs.Str("error", "malformed chunk"))
 		return c.send(frame{Type: frameError, ID: req.ID, Error: "malformed run_chunk frame"})
 	}
@@ -358,16 +306,13 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	ctx, doom := context.WithCancel(context.Background())
 	defer doom()
 
-	hb := w.HeartbeatEvery
-	if hb <= 0 {
-		hb = time.Second
-	}
+	pol := w.pol.orDefault()
 	stopHB := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(hb)
+		t := time.NewTicker(pol.heartbeat)
 		defer t.Stop()
 		for {
 			select {
@@ -404,7 +349,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	go func() {
 		var sendErr error
 		rb := &ResultBatch{}
-		flushT := time.NewTicker(w.batchFlush())
+		flushT := time.NewTicker(pol.batchFlush)
 		defer flushT.Stop()
 		flush := func() {
 			if rb.len() == 0 || sendErr != nil {
@@ -433,7 +378,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 					flush()
 					rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds())
 				}
-				if rb.len() >= w.batchRuns() {
+				if rb.len() >= pol.batchRuns {
 					flush()
 				}
 			case <-flushT.C:

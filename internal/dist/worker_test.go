@@ -207,6 +207,60 @@ func TestWorkerRejectsMalformedChunk(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsOversizedChunk: a chunk's count and start are peer
+// input. Counts no worker could allocate for (2^60 would panic its
+// connection goroutine, 10^11 would exhaust its memory; either kills
+// the process), any count above maxChunk, and a negative start each get
+// an error frame before anything is allocated, and the connection still
+// serves a valid chunk afterwards.
+func TestWorkerRejectsOversizedChunk(t *testing.T) {
+	w := startWorker(t)
+	c := dialRaw(t, w.Addr())
+	if err := c.handshake(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	chunk := func(id uint64, start, count int) frame {
+		return frame{Type: frameRunChunk, ID: id, Benchmark: testBench, Config: &cfg,
+			Scale: testScale, BaseSeed: testSeed, Start: start, Count: count}
+	}
+	for i, bad := range []frame{
+		chunk(10, 0, 1<<60),
+		chunk(11, 0, 100_000_000_000),
+		chunk(12, 0, maxChunk+1),
+		chunk(13, -1, 2),
+	} {
+		if err := c.send(bad); err != nil {
+			t.Fatalf("bad chunk %d: %v", i, err)
+		}
+		if f := recvT(t, c); f.Type != frameError || f.ID != bad.ID || f.Error != "malformed run_chunk frame" {
+			t.Fatalf("chunk of start %d, count %d answered with %+v, want a malformed run_chunk error", bad.Start, bad.Count, f)
+		}
+	}
+	if err := c.send(chunk(20, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for {
+		f := recvT(t, c)
+		if f.ID != 20 {
+			t.Fatalf("stray frame %+v", f)
+		}
+		switch f.Type {
+		case frameHeartbeat:
+		case frameResultBatch:
+			got += f.Batch.len()
+		case frameChunkDone:
+			if got != 2 {
+				t.Fatalf("valid chunk after rejected ones returned %d/2 runs", got)
+			}
+			return
+		default:
+			t.Fatalf("valid chunk after rejected ones answered with %+v", f)
+		}
+	}
+}
+
 func TestWorkerClosesOnUnknownFrame(t *testing.T) {
 	w := startWorker(t)
 	c := dialRaw(t, w.Addr())
@@ -230,9 +284,9 @@ func TestWorkerServeWithoutListen(t *testing.T) {
 }
 
 // pipeListener is an in-memory net.Listener over net.Pipe, wired into
-// the worker through the injectable ListenFunc hook. net.Pipe writes
-// are unbuffered — they block until the peer reads — which models a
-// zero TCP window (a peer that stopped reading) exactly.
+// the worker through its listen seam. net.Pipe writes are unbuffered —
+// they block until the peer reads — which models a zero TCP window (a
+// peer that stopped reading) exactly.
 type pipeListener struct {
 	conns chan net.Conn
 	done  chan struct{}
@@ -281,7 +335,7 @@ func (l *pipeListener) dial(t *testing.T) net.Conn {
 func startPipeWorker(t *testing.T, w *Worker) *pipeListener {
 	t.Helper()
 	pl := newPipeListener()
-	w.ListenFunc = func(network, address string) (net.Listener, error) { return pl, nil }
+	w.listen = func(network, address string) (net.Listener, error) { return pl, nil }
 	if err := w.Listen("pipe"); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +381,10 @@ func waitConnsDrained(t *testing.T, w *Worker, within time.Duration, what string
 // lock. With write deadlines the chunk must abort and the connection be
 // torn down promptly.
 func TestWorkerStalledReaderDoesNotWedgeChunk(t *testing.T) {
-	w := &Worker{
-		Parallelism:    2,
-		HeartbeatEvery: 20 * time.Millisecond,
-		WriteTimeout:   150 * time.Millisecond,
-	}
+	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
+		p.heartbeat = 20 * time.Millisecond
+		p.workerWriteTimeout = 150 * time.Millisecond
+	})}
 	pl := startPipeWorker(t, w)
 	client := pl.dial(t)
 	c := newConn(client, 0)
@@ -378,7 +431,7 @@ func TestWorkerStalledReaderDoesNotWedgeChunk(t *testing.T) {
 // for the life of the process (recv had no deadline). The idle read
 // deadline must reap it.
 func TestWorkerIdleConnReaped(t *testing.T) {
-	w := &Worker{Parallelism: 1, IdleTimeout: 100 * time.Millisecond}
+	w := &Worker{Parallelism: 1, pol: policyWith(func(p *policy) { p.idleTimeout = 100 * time.Millisecond })}
 	pl := startPipeWorker(t, w)
 	client := pl.dial(t)
 	c := newConn(client, 0)
@@ -400,10 +453,12 @@ func TestDoomedChunkStopsLaunchingRuns(t *testing.T) {
 	const count = 400
 	reg := obs.NewRegistry()
 	w := &Worker{
-		Parallelism:    1,
-		HeartbeatEvery: 10 * time.Millisecond,
-		WriteTimeout:   100 * time.Millisecond,
-		Obs:            &obs.Observer{Metrics: reg},
+		Parallelism: 1,
+		Obs:         &obs.Observer{Metrics: reg},
+		pol: policyWith(func(p *policy) {
+			p.heartbeat = 10 * time.Millisecond
+			p.workerWriteTimeout = 100 * time.Millisecond
+		}),
 	}
 	ln := startWorkerWith(t, w)
 	c := dialRaw(t, ln)

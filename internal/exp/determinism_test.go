@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/population"
@@ -32,6 +33,27 @@ func TestEvaluateCIDeterministicAcrossParallelism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(evals, base) {
 			t.Errorf("parallelism=%d: evals differ from sequential run:\n%+v\nvs\n%+v", par, evals, base)
+		}
+	}
+}
+
+// TestEvaluateCIErrorIndependentOfScheduling: every trial of an unknown
+// method fails, and the error must name trial 0 on every call, not
+// whichever concurrent trial failed first.
+func TestEvaluateCIErrorIndependentOfScheduling(t *testing.T) {
+	vals := make([]float64, 150)
+	for i := range vals {
+		vals[i] = float64(i%37) + float64(i)*0.01
+	}
+	pop := population.FromValues("synth", "m", vals)
+	opts := tinyOpts()
+	opts.Trials = 400
+	opts.Parallelism = 8
+	e := NewEngine(opts)
+	for call := 0; call < 50; call++ {
+		_, err := e.EvaluateCI(pop, "m", 0.5, 0.9, []Method{"nope"})
+		if err == nil || !strings.Contains(err.Error(), " trial 0: ") {
+			t.Fatalf("call %d: error %v, want trial 0's", call, err)
 		}
 	}
 }

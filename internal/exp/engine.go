@@ -325,94 +325,53 @@ func (e *Engine) EvaluateCI(pop *population.Population, metric string, f, c floa
 	if err != nil {
 		return nil, err
 	}
-	evals := make([]MethodEval, len(methods))
+	// Trials are independent (per-trial seed streams), so they run as
+	// cells. Each trial writes only its own interval slots and the
+	// reduction walks trials in index order, so every tally and float sum
+	// is identical for any worker count, and a failure names the lowest
+	// failing trial.
+	k := len(methods)
+	ivs := make([]*stats.Interval, e.opts.Trials*k)
+	root := randx.New(e.opts.Seed ^ 0xC1C1)
+	err = e.runCells(e.opts.Trials, func(trial int) error {
+		xs, err := pop.Sample(metric, n, root.Split(uint64(trial)))
+		if err != nil {
+			return err
+		}
+		// Each trial sorts its draw once and every method reads the
+		// sorted view.
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for i, m := range methods {
+			iv, err := e.buildCI(m, xs, sorted, f, c, uint64(trial)*7919+uint64(i))
+			if err != nil {
+				return fmt.Errorf("exp: %s on %s/%s trial %d: %w", m, pop.Benchmark, metric, trial, err)
+			}
+			ivs[trial*k+i] = iv
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if k > 0 {
+		e.src.Obs.M().Counter(obs.MetricTrials).Add(int64(e.opts.Trials))
+	}
+	evals := make([]MethodEval, k)
 	for i, m := range methods {
 		evals[i].Method = m
-	}
-	// Each trial writes its widths into its own slot; the final reduction
-	// walks trials in index order, so the float sum is identical for any
-	// worker count (the integer tallies commute exactly and may still fold
-	// per worker).
-	trialWidths := make([]float64, e.opts.Trials*len(methods))
-	// Trials are independent (per-trial seed streams), so they run on a
-	// worker pool; the tallies are order-independent sums.
-	root := randx.New(e.opts.Seed ^ 0xC1C1)
-	workers := e.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		next     int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]MethodEval, len(methods))
-			// One sorted scratch buffer per worker: each trial sorts its
-			// draw once and every method reads the sorted view.
-			var sortedBuf []float64
-			for {
-				trial := int(atomic.AddInt64(&next, 1)) - 1
-				if trial >= e.opts.Trials {
-					break
-				}
-				r := root.Split(uint64(trial))
-				xs, err := pop.Sample(metric, n, r)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				sortedBuf = append(sortedBuf[:0], xs...)
-				sort.Float64s(sortedBuf)
-				for i, m := range methods {
-					iv, err := e.buildCI(m, xs, sortedBuf, f, c, uint64(trial)*7919+uint64(i))
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("exp: %s on %s/%s trial %d: %w", m, pop.Benchmark, metric, trial, err)
-						}
-						mu.Unlock()
-						return
-					}
-					local[i].Trials++
-					if iv == nil {
-						local[i].Nulls++
-						continue
-					}
-					if !iv.Contains(truth) {
-						local[i].Misses++
-					}
-					trialWidths[trial*len(methods)+i] = iv.Width()
-				}
-			}
-			mu.Lock()
-			for i := range methods {
-				evals[i].Trials += local[i].Trials
-				evals[i].Nulls += local[i].Nulls
-				evals[i].Misses += local[i].Misses
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if len(evals) > 0 {
-		e.src.Obs.M().Counter(obs.MetricTrials).Add(int64(evals[0].Trials))
-	}
-	for i := range evals {
+		evals[i].Trials = e.opts.Trials
 		widthSum := 0.0
 		for trial := 0; trial < e.opts.Trials; trial++ {
-			widthSum += trialWidths[trial*len(methods)+i]
+			iv := ivs[trial*k+i]
+			if iv == nil {
+				evals[i].Nulls++
+				continue
+			}
+			if !iv.Contains(truth) {
+				evals[i].Misses++
+			}
+			widthSum += iv.Width()
 		}
 		produced := evals[i].Trials - evals[i].Nulls
 		if produced > 0 {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,47 +133,6 @@ func ProfileFor(scenarios ...Scenario) Profile {
 	return Profile{Scenarios: scenarios}
 }
 
-// ParseProfile parses a comma-separated scenario list ("delay,stall"),
-// with "all" (or "") enabling every scenario. It is the -chaos-profile
-// flag syntax.
-func ParseProfile(s string) (Profile, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "all" {
-		return Profile{Scenarios: Scenarios()}, nil
-	}
-	var p Profile
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, sc := range Scenarios() {
-			if sc.String() == name {
-				p.Scenarios = append(p.Scenarios, sc)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return Profile{}, fmt.Errorf("faultx: unknown scenario %q (want one of all,%s)",
-				name, strings.Join(scenarioNameList(), ","))
-		}
-	}
-	if len(p.Scenarios) == 0 {
-		return Profile{}, errors.New("faultx: empty scenario list")
-	}
-	return p, nil
-}
-
-func scenarioNameList() []string {
-	out := make([]string, numScenarios)
-	for i, s := range Scenarios() {
-		out[i] = s.String()
-	}
-	return out
-}
-
 // errRefused marks a connection the injector refused outright.
 var errRefused = errors.New("faultx: connection refused by fault injector")
 
@@ -254,7 +212,7 @@ func (in *Injector) Dial(network, address string, timeout time.Duration) (net.Co
 	return in.wrap(nc, rng), nil
 }
 
-// Listen has the signature of dist.Worker.ListenFunc: accepted
+// Listen has the signature of the dist worker's listen seam: accepted
 // connections are wrapped with per-connection fault schedules, and a
 // deterministic fraction is closed on arrival (refused).
 func (in *Injector) Listen(network, address string) (net.Listener, error) {

@@ -3,6 +3,7 @@ package faultx
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -13,46 +14,27 @@ import (
 	"repro/internal/obs"
 )
 
-func TestParseProfile(t *testing.T) {
-	for _, s := range []string{"", "all"} {
-		p, err := ParseProfile(s)
-		if err != nil {
-			t.Fatalf("ParseProfile(%q): %v", s, err)
-		}
-		if len(p.Scenarios) != int(numScenarios) {
-			t.Errorf("ParseProfile(%q) enabled %d scenarios, want all %d", s, len(p.Scenarios), numScenarios)
-		}
-	}
-	p, err := ParseProfile("delay, stall,dup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Scenario{Delay, Stall, Duplicate}
-	if len(p.Scenarios) != len(want) {
-		t.Fatalf("got %v, want %v", p.Scenarios, want)
-	}
-	for i := range want {
-		if p.Scenarios[i] != want[i] {
-			t.Errorf("scenario %d: %v != %v", i, p.Scenarios[i], want[i])
-		}
-	}
-	if _, err := ParseProfile("delay,warp"); err == nil || !strings.Contains(err.Error(), "warp") {
-		t.Errorf("unknown scenario should error by name, got %v", err)
-	}
-	if _, err := ParseProfile(" , ,"); err == nil {
-		t.Error("blank scenario list should error")
-	}
-}
-
+// TestScenarioNamesRoundTrip: every scenario's name maps back to it
+// alone. The names label the by-kind fault counter and the chaos soak's
+// subtests, so two kinds must never share one; a value outside the
+// enumeration prints as scenario(n).
 func TestScenarioNamesRoundTrip(t *testing.T) {
+	byName := map[string]Scenario{}
 	for _, sc := range Scenarios() {
-		p, err := ParseProfile(sc.String())
-		if err != nil {
-			t.Fatalf("%v does not parse back: %v", sc, err)
+		name := sc.String()
+		if name == "" || strings.HasPrefix(name, "scenario(") {
+			t.Errorf("scenario %d has no name (%q)", uint8(sc), name)
 		}
-		if len(p.Scenarios) != 1 || p.Scenarios[0] != sc {
-			t.Errorf("%v round-tripped to %v", sc, p.Scenarios)
+		if prev, dup := byName[name]; dup {
+			t.Errorf("scenarios %d and %d share the name %q", uint8(prev), uint8(sc), name)
 		}
+		byName[name] = sc
+	}
+	if len(byName) != int(numScenarios) {
+		t.Errorf("%d names for %d scenarios", len(byName), numScenarios)
+	}
+	if got := numScenarios.String(); got != fmt.Sprintf("scenario(%d)", uint8(numScenarios)) {
+		t.Errorf("out-of-range scenario prints %q", got)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -205,8 +206,13 @@ func (m *Manifest) Save(w io.Writer) error {
 // Validate checks the manifest for structural problems before any
 // simulation starts, so a typo fails fast rather than hours in.
 func (m *Manifest) Validate() error {
+	// The name prefixes every file a campaign writes into its output
+	// directory, so it must be one path element.
 	if m.Name == "" {
 		return errors.New("manifest: empty name")
+	}
+	if m.Name == "." || m.Name == ".." || strings.ContainsAny(m.Name, "/\\\x00") {
+		return fmt.Errorf("manifest: name %q is not a single path element", m.Name)
 	}
 	if len(m.Entries) == 0 {
 		return errors.New("manifest: no entries")

@@ -66,6 +66,27 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}
 }
 
+// TestValidateManifestName: the name prefixes every file a campaign
+// writes into its output directory, so it must be one path element.
+// Every name the repository's manifests use passes; a name that could
+// leave the directory, or that names no file of its own, fails.
+func TestValidateManifestName(t *testing.T) {
+	for _, name := range []string{"e2e", "tele", "suite-cold", "fleet-canneal", "sweep-000", "sweep-baseline", "example"} {
+		m := Template()
+		m.Name = name
+		if err := m.Validate(); err != nil {
+			t.Errorf("name %q rejected: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", ".", "..", "../escaped", "../c00000001/x", "a/b", "/abs", `a\b`, `..\escaped`, "a\x00b"} {
+		m := Template()
+		m.Name = name
+		if err := m.Validate(); err == nil {
+			t.Errorf("name %q accepted", name)
+		}
+	}
+}
+
 func TestEntryConfigVariants(t *testing.T) {
 	for variant, l2 := range map[string]int{
 		"":         3 * 1024 * 1024,

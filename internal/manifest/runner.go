@@ -108,8 +108,8 @@ type Runner struct {
 	// manifest seed (unreachable workers degrade to local execution).
 	Workers []string
 	// Dial optionally replaces the coordinator's TCP dialer when Workers
-	// is non-empty — the fault-injection seam (internal/faultx) behind
-	// the CLIs' -chaos-seed flag. Nil uses the real network.
+	// is non-empty — the seam tests and benchmarks use to inject faults
+	// or count connections. Nil uses the real network.
 	Dial dist.DialFunc
 	// ChunkTarget is the wall time each remote chunk of the lazily
 	// created coordinator is sized to take at the worker's observed run
@@ -149,6 +149,11 @@ type Runner struct {
 	// accumulate across the whole campaign.
 	coordMu sync.Mutex
 	coord   *dist.Coordinator
+	// src is the Source over PopCache built on first use when none is
+	// injected, so every entry and pilot block of the campaign shares
+	// its flights and its executor.
+	srcOnce sync.Once
+	src     *popcache.Source
 }
 
 // Coordinator returns the runner's shared coordinator, creating it on
@@ -167,16 +172,19 @@ func (r *Runner) Coordinator() *dist.Coordinator {
 	return r.coord
 }
 
-// source returns the injected Source, or one over PopCache that is local without Workers.
+// source returns the injected Source, or the runner's one Source over
+// PopCache, local without Workers.
 func (r *Runner) source() *popcache.Source {
 	if r.Source != nil {
 		return r.Source
 	}
-	src := &popcache.Source{Cache: r.PopCache, Parallelism: r.Parallelism, Obs: r.Obs}
-	if len(r.Workers) > 0 {
-		src.Coord = r.Coordinator()
-	}
-	return src
+	r.srcOnce.Do(func() {
+		r.src = &popcache.Source{Cache: r.PopCache, Parallelism: r.Parallelism, Obs: r.Obs}
+		if len(r.Workers) > 0 {
+			r.src.Coord = r.Coordinator()
+		}
+	})
+	return r.src
 }
 
 func (r *Runner) logf(format string, args ...any) {

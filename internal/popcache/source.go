@@ -17,13 +17,16 @@ import (
 type Source struct {
 	Cache *Cache // nil disables caching
 	// Coord, when set, generates across its workers (and its own
-	// executor); otherwise each leader runs a fresh executor of
-	// Parallelism arenas. Either way a cancelled leader stops launching.
+	// executor); otherwise every leader runs on the Source's one
+	// executor of Parallelism arenas, so concurrent leaders share that
+	// CPU budget. Either way a cancelled leader stops launching.
 	Coord       *dist.Coordinator
 	Parallelism int           // bounds in-process generation (0 = GOMAXPROCS)
 	Obs         *obs.Observer // run hooks and progress totals of Population requests
 
-	flights sync.Map // recipe hash → *flight
+	flights  sync.Map // recipe hash → *flight
+	execOnce sync.Once
+	exec     *population.Executor
 }
 
 // flight is one generation in progress, set before done is closed. A
@@ -89,7 +92,8 @@ func (s *Source) lead(ctx context.Context, k Key, hash string, f *flight, pilot 
 	if s.Coord != nil {
 		f.pop, f.err = s.Coord.GeneratePopulationCtx(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, hooks)
 	} else {
-		f.pop, f.err = population.NewExecutor(s.Parallelism).Generate(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, hooks)
+		s.execOnce.Do(func() { s.exec = population.NewExecutor(s.Parallelism) })
+		f.pop, f.err = s.exec.Generate(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed, hooks)
 	}
 	if f.err == nil {
 		_ = s.Cache.Put(k, f.pop) // a disk error still leaves it cached in memory

@@ -268,3 +268,46 @@ func TestSourcePilotUnobserved(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceLeadersShareOneExecutor: concurrent in-process leaders of
+// distinct recipes run on the Source's one executor, so the runs in
+// flight that the Source's observer counts never exceed Parallelism.
+func TestSourceLeadersShareOneExecutor(t *testing.T) {
+	o, reg := testObserver()
+	src := &Source{Parallelism: 1, Obs: o}
+	inflight := reg.Gauge(obs.MetricRunsInflight)
+	stop, peak := make(chan struct{}), make(chan float64)
+	go func() {
+		max := 0.0
+		for {
+			if v := inflight.Value(); v > max {
+				max = v
+			}
+			select {
+			case <-stop:
+				peak <- max
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	const leaders = 4
+	results := make([]<-chan result, leaders)
+	for i := range results {
+		k := testKey()
+		k.BaseSeed += uint64(i) * 1000
+		results[i] = request(context.Background(), src, k)
+	}
+	for _, ch := range results {
+		if r := <-ch; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	close(stop)
+	if p := <-peak; p > 1 {
+		t.Errorf("%d leaders on a Parallelism-1 Source ran %g simulations at once", leaders, p)
+	}
+	if n := reg.Counter(obs.MetricRunsCompleted).Value(); n != leaders*int64(testKey().Runs) {
+		t.Errorf("%d runs completed, want %d", n, leaders*testKey().Runs)
+	}
+}
