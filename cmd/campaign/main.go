@@ -21,7 +21,6 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/popcache"
-	"repro/internal/sampling"
 )
 
 func main() {
@@ -38,7 +37,6 @@ func run(args []string, w io.Writer) error {
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	workers := fs.String("workers", "", "comma-separated spaworker addresses (host:port,...) to distribute simulations across; results are byte-identical to a local run")
 	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns; hits are byte-identical to re-simulating")
-	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
 	initTpl := fs.Bool("init", false, "print a template manifest and exit")
 	quiet := fs.Bool("quiet", false, "suppress all progress output (overrides -progress)")
 	version := fs.Bool("version", false, "print build information and exit")
@@ -83,12 +81,7 @@ func run(args []string, w io.Writer) error {
 	case o.Progress == nil:
 		o.Progress = obs.NewProgress(w, "runs", 0)
 	}
-	if _, err := sampling.ParseDesign(*samplingDesign); err != nil {
-		closeObs()
-		return err
-	}
-	runner := &manifest.Runner{OutDir: *out, Parallelism: *parallel, Obs: o, Workers: dist.SplitAddrs(*workers),
-		Sampling: *samplingDesign}
+	runner := &manifest.Runner{OutDir: *out, Parallelism: *parallel, Obs: o, Workers: dist.SplitAddrs(*workers)}
 	// /statusz reports the campaign and the coordinator's live chunk and
 	// per-worker state for the duration of the run.
 	o.SetStatus(func() any {

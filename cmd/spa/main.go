@@ -19,7 +19,9 @@
 // gem5 runs (-gem5 'm5out-*/stats.txt' -metric system.cpu0.ipc), or
 // fresh simulations (-sim ferret -runs 100), optionally distributed
 // across spaworker processes (-workers host:port,...) with byte-identical
-// results.
+// results. "spa ci -sim ... -target-width W [-sampling stratified]" asks
+// the adaptive question a one-entry campaign manifest would, and gets the
+// same answer.
 package main
 
 import (
@@ -38,10 +40,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gem5"
+	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/popcache"
 	"repro/internal/population"
-	"repro/internal/sampling"
 	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/stats"
@@ -154,7 +156,7 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.metric, "metric", "runtime_s", "metric name when reading population JSON or gem5 stats or simulating")
 	fs.StringVar(&d.sim, "sim", "", "simulate this benchmark to collect the measurements (see internal/workload)")
 	fs.StringVar(&d.variant, "variant", "default", "system variant with -sim: default, hardware, l2half or l2double")
-	fs.IntVar(&d.runs, "runs", 100, "executions to simulate with -sim")
+	fs.IntVar(&d.runs, "runs", 100, "executions to simulate with -sim (the sample budget with -target-width)")
 	fs.Float64Var(&d.scale, "scale", 0.5, "workload scale with -sim")
 	fs.Uint64Var(&d.simSeed, "simseed", 1, "base seed with -sim (run i uses simseed+i)")
 	fs.StringVar(&d.workers, "workers", "", "comma-separated spaworker addresses to distribute -sim runs across (byte-identical to local)")
@@ -265,24 +267,25 @@ func runCI(args []string) error {
 	dir := fs.String("direction", "atmost", "property direction: atmost (metric ≤ v) or atleast (metric ≥ v)")
 	sweep := fs.Bool("sweep", false, "use the paper's granularity search instead of the exact construction")
 	gran := fs.Float64("granularity", 0, "sweep step (0 = auto)")
-	samplingDesign := fs.String("sampling", "", "variance-reduction design with -sim: plain, stratified or rss (collects through a pilot-guided design collector)")
+	samplingDesign := fs.String("sampling", "", "variance-reduction design with -target-width: plain, stratified or rss (a pilot pass picks the seeds to run)")
 	targetWidth := fs.Float64("target-width", 0, "adaptive mode with -sim: add executions round by round until the CI is at most this wide (-runs bounds the budget)")
-	pilotScale := fs.Float64("pilot-scale", 0, "pilot workload scale for -sampling (0 = half of -scale)")
+	pilotScale := fs.Float64("pilot-scale", 0, "pilot workload scale for a -sampling design (0 = half of -scale)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	design, err := sampling.ParseDesign(*samplingDesign)
-	if err != nil {
 		return err
 	}
 	direction, err := parseDirection(*dir)
 	if err != nil {
 		return err
 	}
-	p := core.Params{F: *f, C: *c, Direction: direction, Granularity: *gran}
-	if design != sampling.Plain || *targetWidth > 0 {
-		return runCollectedCI(&d, p, design, *targetWidth, *pilotScale)
+	if *targetWidth != 0 || *samplingDesign != "" || *pilotScale != 0 {
+		a := manifest.Analysis{Metric: d.metric, F: *f, C: *c,
+			TargetWidth: *targetWidth, MaxSamples: d.runs, Sampling: *samplingDesign, PilotScale: *pilotScale}
+		if direction == core.AtLeast {
+			a.Direction = "atleast"
+		}
+		return runAdaptiveCI(&d, a, direction)
 	}
+	p := core.Params{F: *f, C: *c, Direction: direction, Granularity: *gran}
 	xs, err := d.load()
 	if err != nil {
 		return err
@@ -315,70 +318,39 @@ func runCI(args []string) error {
 	return nil
 }
 
-// runCollectedCI is the collector-backed arm of "spa ci": instead of
-// loading a fixed measurement set it simulates through the coordinator
-// (workers when configured, in-process otherwise), optionally under a
-// variance-reduction design and optionally adaptively to a target width.
-func runCollectedCI(d *dataFlags, p core.Params, design sampling.Design, targetWidth, pilotScale float64) error {
+// runAdaptiveCI is the adaptive arm of "spa ci": the -sim flags and a
+// become a one-entry, one-analysis manifest, which manifest.Runner
+// answers exactly as it would inside a campaign (through -workers when
+// set, in-process otherwise).
+func runAdaptiveCI(d *dataFlags, a manifest.Analysis, direction core.Direction) error {
 	if d.sim == "" {
-		return errors.New("-sampling and -target-width need -sim (they collect, not load)")
+		return errors.New("-target-width and -sampling need -sim (they collect, not load)")
 	}
-	cfg, err := sim.VariantConfig(d.variant)
-	if err != nil {
+	m := &manifest.Manifest{Name: "spa-ci", Seed: d.simSeed, Scale: d.scale,
+		Entries:  []manifest.Entry{{Benchmark: d.sim, Variant: d.variant}},
+		Analyses: []manifest.Analysis{a}}
+	if err := m.Validate(); err != nil {
 		return err
 	}
-	ctx := context.Background()
-	src := d.source()
-	var col core.Collector = src.Coord.CollectorCtx(ctx, dist.Job{Benchmark: d.sim, Config: cfg, Scale: d.scale}, d.metric)
-	var dcol *sampling.Collector
-	if design != sampling.Plain {
-		ps := pilotScale
-		if ps == 0 {
-			ps = d.scale / 2
-		}
-		dcol, err = sampling.New(sampling.Options{
-			Design: design, Metric: d.metric, Cache: src.Cache,
-			Recipe: popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale,
-				PilotScale: ps, ProxyMetric: d.metric},
-		}, col, src.Pilot(ctx, popcache.Key{Benchmark: d.sim, Config: cfg, Scale: ps}, d.metric))
-		if err != nil {
-			return err
-		}
-		col = dcol
+	r := &manifest.Runner{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
+	if d.popcache != "" {
+		r.PopCache = popcache.New(d.popcache, 0)
 	}
-	span := telemetry.T().StartSpan("spa.ci_collect", obs.Str("benchmark", d.sim),
-		obs.Str("sampling", design.String()), obs.F64("target_width", targetWidth))
-	var an *core.Analysis
-	budgetHit := false
-	if targetWidth > 0 {
-		an, err = core.AnalyzeToWidthWith(col, p, core.WidthOptions{
-			TargetWidth: targetWidth, MaxSamples: d.runs, BaseSeed: d.simSeed})
-		if errors.Is(err, core.ErrWidthBudget) {
-			budgetHit, err = true, nil
-		}
-	} else {
-		an, err = core.AnalyzeWith(col, p, core.Options{Samples: d.runs, BaseSeed: d.simSeed})
+	res := r.AnalyzeAdaptive(context.Background(), m, 0, a)
+	if res.Err != "" {
+		return errors.New(res.Err)
 	}
-	telemetry.CIBuilt("SPA", 0, err)
-	if err != nil {
-		span.End(obs.Str("error", err.Error()))
-		return err
-	}
-	telemetry.CIBuilt("SPA", an.Interval.Width(), nil)
-	span.End(obs.F64("width", an.Interval.Width()), obs.Int("samples", len(an.Samples)))
 	label := "SPA CI"
-	if design != sampling.Plain {
-		label = fmt.Sprintf("SPA CI (%s)", design)
+	if res.Sampling != "" {
+		label = fmt.Sprintf("SPA CI (%s)", res.Sampling)
 	}
-	fmt.Printf("%s: [%.6g, %.6g]\n", label, an.Interval.Lo, an.Interval.Hi)
-	fmt.Printf("width: %.6g\n", an.Interval.Width())
-	fmt.Printf("samples: %d, F=%g, C=%g, property: metric %s v\n", len(an.Samples), p.F, p.C, p.Direction)
-	if dcol != nil {
-		st := dcol.Stats()
-		fmt.Printf("design: %s, pilot runs: %d (scale-reduced), fidelity: %.3g\n",
-			design, st.PilotRuns, st.Fidelity)
+	fmt.Printf("%s: [%.6g, %.6g]\n", label, res.Interval.Lo, res.Interval.Hi)
+	fmt.Printf("width: %.6g\n", res.Interval.Width())
+	fmt.Printf("samples: %d, F=%g, C=%g, property: metric %s v\n", res.Samples, res.F, res.C, direction)
+	if res.Sampling != "" {
+		fmt.Printf("design: %s, pilot runs: %d (scale-reduced)\n", res.Sampling, res.PilotRuns)
 	}
-	if budgetHit {
+	if !res.Converged {
 		fmt.Printf("note: -runs budget reached before the target width; interval is the widest effort\n")
 	}
 	return nil

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/manifest"
 	"repro/internal/population"
+	"repro/internal/sim"
 )
 
 func writeValues(t *testing.T, lines string) string {
@@ -272,5 +278,167 @@ func TestGlobalTelemetryFlags(t *testing.T) {
 	}
 	if !strings.Contains(string(metrics2), "spa_smc_tests_total 1") {
 		t.Errorf("metrics dump missing SMC test counter:\n%s", metrics2)
+	}
+}
+
+// runOut runs spa with args and returns what it printed on stdout.
+func runOut(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	return string(<-printed), runErr
+}
+
+// TestCISim: a fixed -sim CI is the SPA interval of the population the
+// flags name.
+func TestCISim(t *testing.T) {
+	out, err := runOut(t, "ci", "-sim", "swaptions", "-scale", "0.05", "-runs", "30", "-simseed", "5", "-f", "0.5", "-c", "0.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := population.Generate("swaptions", sim.DefaultConfig(), 0.05, 30, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, err := pop.Metric(sim.MetricRuntime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, err := core.ConfidenceInterval(xs, core.Params{F: 0.5, C: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("SPA CI: [%.6g, %.6g]\nwidth: %.6g\nsamples: 30, F=0.5, C=0.9, property: metric at-most v\n", iv.Lo, iv.Hi, iv.Width())
+	if out != want {
+		t.Errorf("spa printed\n%s\nwant\n%s", out, want)
+	}
+}
+
+// adaptiveArgs is an adaptive -sim CI under design ("" for plain).
+func adaptiveArgs(design string, extra ...string) []string {
+	args := []string{"ci", "-sim", "swaptions", "-scale", "0.05", "-simseed", "3", "-runs", "256",
+		"-f", "0.5", "-c", "0.9", "-target-width", "3e-7"}
+	if design != "" {
+		args = append(args, "-sampling", design)
+	}
+	return append(args, extra...)
+}
+
+// TestCIAdaptiveIsTheManifestAnswer: spa ci -sim ... -target-width
+// answers the one-entry manifest its flags describe, with that
+// manifest's interval, sample count and pilot runs.
+func TestCIAdaptiveIsTheManifestAnswer(t *testing.T) {
+	for _, design := range []string{"", "stratified"} {
+		out, err := runOut(t, adaptiveArgs(design)...)
+		if err != nil {
+			t.Fatalf("sampling %q: %v", design, err)
+		}
+		m := &manifest.Manifest{Name: "one", Seed: 3, Scale: 0.05,
+			Entries: []manifest.Entry{{Benchmark: "swaptions"}},
+			Analyses: []manifest.Analysis{{Metric: sim.MetricRuntime, F: 0.5, C: 0.9,
+				TargetWidth: 3e-7, MaxSamples: 256, Sampling: design}}}
+		rep, err := (&manifest.Runner{OutDir: t.TempDir()}).Run(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rep.Results[0]
+		if res.Err != "" || !res.Converged {
+			t.Fatalf("sampling %q: manifest result %+v", design, res)
+		}
+		want := []string{
+			fmt.Sprintf(": [%.6g, %.6g]\n", res.Interval.Lo, res.Interval.Hi),
+			fmt.Sprintf("samples: %d, ", res.Samples),
+		}
+		if design != "" {
+			want = append(want, fmt.Sprintf("design: %s, pilot runs: %d (scale-reduced)\n", design, res.PilotRuns))
+		}
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("sampling %q: spa printed\n%s\nwithout %q", design, out, w)
+			}
+		}
+	}
+}
+
+// TestCIAdaptiveOverWorkerMatchesLocal: collecting through one loopback
+// worker prints exactly what collecting in-process does.
+func TestCIAdaptiveOverWorkerMatchesLocal(t *testing.T) {
+	w := &dist.Worker{Parallelism: 2}
+	if err := w.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- w.Serve() }()
+	t.Cleanup(func() {
+		w.Close()
+		if err := <-served; err != nil {
+			t.Errorf("worker serve: %v", err)
+		}
+	})
+	for _, design := range []string{"", "stratified"} {
+		local, err := runOut(t, adaptiveArgs(design)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := runOut(t, adaptiveArgs(design, "-workers", w.Addr())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote != local {
+			t.Errorf("sampling %q over a worker printed\n%s\nlocally\n%s", design, remote, local)
+		}
+	}
+	if st := w.Status(); st.RunsServed == 0 {
+		t.Error("the worker served no runs")
+	}
+}
+
+// TestCISamplingNeedsTargetWidth: a design is an adaptive question, so
+// -sampling without -target-width is refused, by the manifest's rule for
+// a real design, and -target-width needs -sim to collect from.
+func TestCISamplingNeedsTargetWidth(t *testing.T) {
+	for _, args := range [][]string{
+		{"ci", "-sim", "swaptions", "-sampling", "stratified"},
+		{"ci", "-sim", "swaptions", "-sampling", "plain"},
+		{"ci", "-sim", "swaptions", "-pilot-scale", "0.1", "-target-width", "1e-7"},
+		{"ci", "-input", manyValues(t), "-target-width", "1e-7"},
+	} {
+		if _, err := runOut(t, args...); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+	_, err := runOut(t, "ci", "-sim", "swaptions", "-sampling", "rss")
+	if err == nil || !strings.Contains(err.Error(), "adaptive analysis") {
+		t.Errorf("-sampling rss without -target-width: %v, want the manifest's adaptive-analysis rule", err)
+	}
+}
+
+// TestCIAdaptiveBuildsOneInterval: an adaptive -sim CI records one built
+// interval, and no zero width.
+func TestCIAdaptiveBuildsOneInterval(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "m.prom")
+	if _, err := runOut(t, append([]string{"-metrics", metricsPath}, adaptiveArgs("stratified")...)...); err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"spa_ci_built_total 1\n", "spa_ci_width_count 1\n"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics dump lacks %q:\n%s", want, metrics)
+		}
 	}
 }

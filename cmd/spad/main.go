@@ -41,7 +41,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/popcache"
-	"repro/internal/sampling"
 )
 
 func main() {
@@ -60,7 +59,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 	workers := fs.String("workers", "", "comma-separated spaworker addresses shared by all campaigns (empty = run in-process)")
 	parallel := fs.Int("parallel", 0, "max concurrent in-process simulations across all campaigns (0 = GOMAXPROCS)")
 	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns")
-	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
 	maxRunning := fs.Int("max-running", 0, "max concurrently executing campaigns across all tenants (0 = 4)")
 	tenantRunning := fs.Int("tenant-running", 0, "max concurrently executing campaigns per tenant (0 = 2)")
 	tenantQueue := fs.Int("tenant-queue", 0, "max queued campaigns per tenant before 429 (0 = 16)")
@@ -79,9 +77,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 	}
 	if *dataDir == "" {
 		return fmt.Errorf("-data is required")
-	}
-	if _, err := sampling.ParseDesign(*samplingDesign); err != nil {
-		return err
 	}
 	o, closeObs, err := of.Start("campaigns", w)
 	if err != nil {
@@ -104,7 +99,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 		TenantQueueCap:   *tenantQueue,
 		MaxQueued:        *maxQueued,
 		Quantum:          *quantum,
-		Sampling:         *samplingDesign,
 		Obs:              o,
 	}
 	if *popcacheDir != "" {

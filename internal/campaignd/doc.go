@@ -16,6 +16,8 @@
 //     manifest.WriteFileAtomic, one directory per campaign holding
 //     campaign.json next to the runner's population/report artifacts, so
 //     the campaign's resume state and its data live and die together.
+//     A record read back must still hold what admission guaranteed, or
+//     Start fails with a CorruptRecordError naming its file.
 //   - scheduler (sched.go): deficit round robin across tenants — each
 //     tenant queue is FIFO, credit accrues in simulated-run units
 //     weighted by priority, and a campaign starts when its tenant's
@@ -25,5 +27,7 @@
 //   - Service/HTTP (service.go, http.go): the orchestration loop tying
 //     admission, scheduling, execution through manifest.Runner over one
 //     shared dist.Coordinator, journaling, cancellation, and drain
-//     together, exposed as an HTTP/JSON API.
+//     together, exposed as an HTTP/JSON API. Nothing in Config changes
+//     a result: a campaign's report is the one its manifest gives under
+//     cmd/campaign, however often the service drained and resumed it.
 package campaignd

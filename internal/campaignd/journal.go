@@ -48,16 +48,35 @@ func (j journal) save(rec *Record) error {
 	})
 }
 
-// load reads one campaign's record.
+// CorruptRecordError is a journaled record that cannot be resumed: its
+// file does not decode, or the record breaks an invariant admission
+// established (see Record.check). Start fails with it rather than
+// schedule a campaign the runner or the scheduler cannot handle.
+type CorruptRecordError struct {
+	Path string
+	Err  error
+}
+
+func (e *CorruptRecordError) Error() string {
+	return fmt.Sprintf("campaignd: corrupt record %s: %v", e.Path, e.Err)
+}
+
+func (e *CorruptRecordError) Unwrap() error { return e.Err }
+
+// load reads and checks the record of the campaign in directory id.
 func (j journal) load(id string) (*Record, error) {
-	f, err := os.Open(filepath.Join(j.campaignDir(id), recordFile))
+	path := filepath.Join(j.campaignDir(id), recordFile)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	var rec Record
 	if err := json.NewDecoder(f).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("campaignd: corrupt record %s: %w", id, err)
+		return nil, &CorruptRecordError{Path: path, Err: err}
+	}
+	if err := rec.check(id); err != nil {
+		return nil, &CorruptRecordError{Path: path, Err: err}
 	}
 	return &rec, nil
 }

@@ -1,6 +1,8 @@
 package campaignd
 
 import (
+	"fmt"
+
 	"repro/internal/manifest"
 )
 
@@ -90,6 +92,31 @@ func newRecord(id string, seq uint64, spec Spec, nowMS int64) *Record {
 		rec.Entries[i] = EntryProgress{Key: e.Key(), State: EntryPending}
 	}
 	return rec
+}
+
+// check verifies what admission guaranteed of a record read back from
+// directory dir: it names that directory, carries a valid spec, is in a
+// known state, has one progress row per manifest entry, and has the
+// weight and cost Submit could have frozen.
+func (r *Record) check(dir string) error {
+	if r.ID != dir {
+		return fmt.Errorf("id %q in directory %q", r.ID, dir)
+	}
+	if err := r.Spec.Validate(); err != nil {
+		return err
+	}
+	switch r.State {
+	case StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
+	default:
+		return fmt.Errorf("unknown state %q", r.State)
+	}
+	if len(r.Entries) != len(r.Spec.Manifest.Entries) {
+		return fmt.Errorf("%d progress rows for %d manifest entries", len(r.Entries), len(r.Spec.Manifest.Entries))
+	}
+	if r.Weight < 1 || r.Weight > maxPriority || r.Cost < 0 {
+		return fmt.Errorf("weight %d outside [1,%d] or negative cost %d", r.Weight, maxPriority, r.Cost)
+	}
+	return nil
 }
 
 // resetProgress rewinds per-entry progress and the convergence trace for

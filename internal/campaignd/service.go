@@ -15,7 +15,9 @@ import (
 	"repro/internal/popcache"
 )
 
-// Config tunes the Service. Zero values select sane defaults.
+// Config tunes the Service: where it journals, what it runs on and how
+// it schedules. No field changes a campaign's report, which depends on
+// its manifest alone. Zero values select sane defaults.
 type Config struct {
 	// DataDir is the journal root: one subdirectory per campaign holding
 	// its record, populations, report, and telemetry journal.
@@ -43,10 +45,6 @@ type Config struct {
 	Quantum int
 	// PopCache, when non-nil, is shared across every campaign.
 	PopCache *popcache.Cache
-	// Sampling is the default variance-reduction design for adaptive
-	// analyses whose manifests don't choose one ("", "plain",
-	// "stratified" or "rss"); see manifest.Runner.Sampling.
-	Sampling string
 	// Dial optionally replaces the coordinator's dialer — the seam tests
 	// and benchmarks use to inject faults or count connections.
 	Dial dist.DialFunc
@@ -153,7 +151,9 @@ func (s *Service) Coordinator() *dist.Coordinator { return s.src.Coord }
 // are loaded for status/report serving, queued ones re-enter their
 // tenant queues in admission order, and campaigns that were running when
 // the previous process died are requeued — their populations are already
-// on disk, so the runner resumes them entry by entry.
+// on disk, so the runner resumes them entry by entry. A record that does
+// not decode or check fails Start with a *CorruptRecordError naming its
+// file, before anything is scheduled.
 func (s *Service) Start() error {
 	if s.cfg.DataDir == "" {
 		return errors.New("campaignd: config needs a data directory")
@@ -293,12 +293,10 @@ func (s *Service) execute(ctx context.Context, c *campaign) {
 	defer s.wg.Done()
 	rec := c.rec
 	runner := &manifest.Runner{
-		OutDir:       s.journal.campaignDir(rec.ID),
-		Parallelism:  s.cfg.Parallelism,
-		Obs:          s.obs,
-		Sampling:     s.cfg.Sampling,
-		Source:       s.src,
-		StableReport: true,
+		OutDir:      s.journal.campaignDir(rec.ID),
+		Parallelism: s.cfg.Parallelism,
+		Obs:         s.obs,
+		Source:      s.src,
 		Hooks: manifest.Hooks{
 			OnEntryStart: func(idx int, key string) {
 				s.entryTransition(rec, idx, EntryRunning, false, nil)

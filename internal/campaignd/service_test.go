@@ -193,71 +193,13 @@ func TestAdmissionControl(t *testing.T) {
 // run of the same manifest.
 func TestResumeReportByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	m := testManifest("resume", 3, 150)
-
-	svc1 := New(Config{DataDir: dir})
-	if err := svc1.Start(); err != nil {
-		t.Fatal(err)
-	}
-	id, err := svc1.Submit(Spec{Tenant: "acme", Manifest: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the campaign is actually executing an entry, then pull
-	// the plug.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		rec, err := svc1.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.State == StateRunning {
-			running := false
-			for _, e := range rec.Entries {
-				if e.State != EntryPending {
-					running = true
-				}
-			}
-			if running {
-				break
-			}
-		}
-		if rec.State.Terminal() {
-			t.Fatalf("campaign finished before the drain could interrupt it — enlarge the manifest")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never started")
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	svc1.Drain(30 * time.Second)
-
-	// The journal must show an interrupted campaign ready to resume.
-	j := journal{dir: dir}
-	rec, err := j.load(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != StateQueued || rec.Resumes != 1 {
-		t.Fatalf("journal after drain: state=%v resumes=%d, want queued/1", rec.State, rec.Resumes)
-	}
+	id := interruptCampaign(t, dir, testManifest("resume", 3, 150))
 
 	// Restart: a fresh service on the same data dir resumes and finishes.
 	svc2 := startService(t, Config{DataDir: dir})
-	final := waitTerminal(t, svc2, id, 60*time.Second)
-	if final.State != StateDone {
-		t.Fatalf("resumed campaign state = %v (error %q)", final.State, final.Error)
-	}
-	if final.Resumes != 1 {
-		t.Fatalf("resumes = %d, want 1", final.Resumes)
-	}
-	path, err := svc2.ReportPath(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	resumed := serviceReport(t, svc2, id)
+	if rec, _ := svc2.Get(id); rec.Resumes != 1 {
+		t.Fatalf("resumes = %d, want 1", rec.Resumes)
 	}
 
 	// Uninterrupted control run of the same manifest.
@@ -266,18 +208,7 @@ func TestResumeReportByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := waitTerminal(t, svc3, id3, 60*time.Second); rec.State != StateDone {
-		t.Fatalf("control campaign state = %v (error %q)", rec.State, rec.Error)
-	}
-	path3, err := svc3.ReportPath(id3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	control, err := os.ReadFile(path3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed, control) {
+	if control := serviceReport(t, svc3, id3); !bytes.Equal(resumed, control) {
 		t.Fatalf("resumed report differs from uninterrupted run:\nresumed:  %s\ncontrol:  %s", resumed, control)
 	}
 }

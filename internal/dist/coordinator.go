@@ -71,10 +71,11 @@ type Coordinator struct {
 	// pol is the transport policy; nil runs defaultPolicy.
 	pol *policy
 
-	// stMu guards the status/telemetry state below (status.go). Lazily
-	// initialized so the zero-value Coordinator keeps working.
+	// stMu guards the status/telemetry state below (status.go): jobSt is
+	// the cumulative job and chunk accounting Status reports (its Done and
+	// Workers stay unset), workerSt the fleet table, made on first use.
 	stMu     sync.Mutex
-	jobSt    *jobState
+	jobSt    CoordinatorStatus
 	workerSt map[string]*workerState
 
 	// exec runs every job's in-process segments (lazily built from
@@ -384,7 +385,7 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 	requeue := func(ch *chunk) {
 		ch.attempts++
 		c.Obs.M().Counter(obs.MetricDistRedispatches).Inc()
-		c.jobStat(func(j *jobState) { j.redispatches++ })
+		c.jobStat(func(j *CoordinatorStatus) { j.Redispatches++ })
 		queue.put(ch)
 	}
 	abandon := func(ch *chunk, why error) {
@@ -556,13 +557,13 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 	span := c.Obs.T().StartSpan("dist.chunk", obs.Str("worker", cn.addr),
 		obs.Int("start", ch.start), obs.Int("count", ch.count), obs.Int("attempt", ch.attempts))
 	c.Obs.M().Counter(obs.MetricDistChunksDispatched).Inc()
-	c.jobStat(func(j *jobState) {
-		j.chunksInFlight++
+	c.jobStat(func(j *CoordinatorStatus) {
+		j.ChunksInFlight++
 		if ch.attempts == 0 {
-			j.chunks++
+			j.Chunks++
 		}
 	})
-	defer c.jobStat(func(j *jobState) { j.chunksInFlight-- })
+	defer c.jobStat(func(j *CoordinatorStatus) { j.ChunksInFlight-- })
 	// Chunk IDs are process-unique, not per-job indexes: work is carved
 	// on demand, so two dispatches of overlapping ranges must never share
 	// an ID a stale frame could alias.
@@ -643,7 +644,7 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 			}
 			c.Obs.M().Counter(obs.MetricDistChunksCompleted).Inc()
 			c.noteWorkerChunk(cn.addr)
-			c.jobStat(func(j *jobState) { j.chunksCompleted++ })
+			c.jobStat(func(j *CoordinatorStatus) { j.ChunksCompleted++ })
 			if fresh := st.commit(runs); len(fresh) > 0 {
 				fireHooks(job, baseSeed, fresh, h)
 			}
@@ -678,10 +679,10 @@ func (c *Coordinator) runLocal(ctx context.Context, job Job, baseSeed uint64, st
 			return
 		}
 		c.Obs.M().Counter(obs.MetricDistLocalChunks).Inc()
-		c.jobStat(func(j *jobState) {
-			j.localChunks++
+		c.jobStat(func(j *CoordinatorStatus) {
+			j.LocalChunks++
 			if ch.attempts == 0 {
-				j.chunks++
+				j.Chunks++
 			}
 		})
 		metrics, err := c.executor().Run(ctx, job.Benchmark, job.Config, job.Scale, baseSeed, ch.start, ch.count, h)
@@ -694,7 +695,7 @@ func (c *Coordinator) runLocal(ctx context.Context, job Job, baseSeed uint64, st
 			runs[i] = RunResult{Offset: ch.start + i, Metrics: m}
 		}
 		if st.commit(runs) != nil {
-			c.jobStat(func(j *jobState) { j.chunksCompleted++ })
+			c.jobStat(func(j *CoordinatorStatus) { j.ChunksCompleted++ })
 		}
 	}
 }

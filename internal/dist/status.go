@@ -67,68 +67,40 @@ type workerState struct {
 	helloParallelism int
 }
 
-// jobState is the coordinator's cumulative chunk accounting. Jobs from
-// concurrent campaigns fold into the same tallies; jobsActive tracks how
-// many Run calls are in flight so "done" means the whole coordinator is
-// quiescent, not that one job finished.
-type jobState struct {
-	benchmark       string
-	runs            int
-	chunks          int
-	jobsStarted     int
-	jobsActive      int
-	chunksCompleted int
-	chunksInFlight  int
-	redispatches    int
-	localChunks     int
-	lastError       string
-}
-
 // throughputWindow is the minimum spacing between telemetry frames used
 // to differentiate an instantaneous rate; closer frames only refresh the
 // cumulative numbers.
 const throughputWindow = 100 * time.Millisecond
 
-// beginJob folds a new Run into the cumulative accounting. Worker rows
-// persist across jobs of one coordinator (the fleet is the same), their
-// chunk counts keep accumulating. Chunk counts are no longer known up
-// front — adaptive sizing carves them on demand — so they accumulate as
-// first-attempt dispatches happen, via jobStat.
+// beginJob folds a new Run into the cumulative accounting. Jobs from
+// concurrent campaigns fold into the same tallies, and worker rows
+// persist across jobs of one coordinator (the fleet is the same). Chunk
+// counts are not known up front — adaptive sizing carves them on demand
+// — so they accumulate as first-attempt dispatches happen, via jobStat.
 func (c *Coordinator) beginJob(job Job, runs int) {
 	c.stMu.Lock()
 	defer c.stMu.Unlock()
-	if c.jobSt == nil {
-		c.jobSt = &jobState{}
-	}
-	c.jobSt.benchmark = job.Benchmark
-	c.jobSt.runs += runs
-	c.jobSt.jobsStarted++
-	c.jobSt.jobsActive++
-	if c.workerSt == nil {
-		c.workerSt = make(map[string]*workerState)
-	}
+	c.jobSt.Benchmark = job.Benchmark
+	c.jobSt.Runs += runs
+	c.jobSt.JobsStarted++
+	c.jobSt.JobsActive++
 }
 
 // endJob retires one Run, recording its terminal error if any.
 func (c *Coordinator) endJob(err error) {
 	c.stMu.Lock()
 	defer c.stMu.Unlock()
-	if c.jobSt == nil {
-		return
-	}
-	c.jobSt.jobsActive--
+	c.jobSt.JobsActive--
 	if err != nil {
-		c.jobSt.lastError = err.Error()
+		c.jobSt.LastError = err.Error()
 	}
 }
 
-// jobStat mutates the current job accounting under the lock.
-func (c *Coordinator) jobStat(f func(*jobState)) {
+// jobStat mutates the job accounting under the lock.
+func (c *Coordinator) jobStat(f func(*CoordinatorStatus)) {
 	c.stMu.Lock()
 	defer c.stMu.Unlock()
-	if c.jobSt != nil {
-		f(c.jobSt)
-	}
+	f(&c.jobSt)
 }
 
 // worker returns (creating) the named worker's row; callers hold stMu.
@@ -271,22 +243,8 @@ func (c *Coordinator) noteWorkerChunk(addr string) {
 func (c *Coordinator) Status() CoordinatorStatus {
 	c.stMu.Lock()
 	defer c.stMu.Unlock()
-	var s CoordinatorStatus
-	if c.jobSt != nil {
-		s = CoordinatorStatus{
-			Benchmark:       c.jobSt.benchmark,
-			Runs:            c.jobSt.runs,
-			Chunks:          c.jobSt.chunks,
-			JobsStarted:     c.jobSt.jobsStarted,
-			JobsActive:      c.jobSt.jobsActive,
-			ChunksCompleted: c.jobSt.chunksCompleted,
-			ChunksInFlight:  c.jobSt.chunksInFlight,
-			Redispatches:    c.jobSt.redispatches,
-			LocalChunks:     c.jobSt.localChunks,
-			Done:            c.jobSt.jobsStarted > 0 && c.jobSt.jobsActive == 0,
-			LastError:       c.jobSt.lastError,
-		}
-	}
+	s := c.jobSt
+	s.Done = s.JobsStarted > 0 && s.JobsActive == 0
 	for _, ws := range c.workerSt {
 		s.Workers = append(s.Workers, ws.CoordWorkerStatus)
 	}

@@ -1,9 +1,11 @@
 // Package manifest provides declarative experiment campaigns: a JSON
 // manifest names the benchmark/variant populations to simulate and the SPA
 // analyses to run on them, and the runner executes it with resume support
-// (populations already on disk are loaded, not re-simulated). This is the
-// reproducible-workflow layer the paper points to in Sec. 7 (gem5art) as
-// the natural companion of SPA.
+// (populations already on disk are loaded, not re-simulated). The manifest
+// is a report's only input: the runner has no setting that changes a
+// result, so the report bytes are the same fresh, resumed, distributed or
+// served by the campaign service. This is the reproducible-workflow layer
+// the paper points to in Sec. 7 (gem5art) as the natural companion of SPA.
 package manifest
 
 import (
@@ -43,10 +45,10 @@ type Analysis struct {
 	// (0 = the (F, C) minimum again).
 	GrowBatch int `json:"grow_batch,omitempty"`
 	// Sampling selects a variance-reduction collection design for an
-	// adaptive analysis: "plain" (the default), "stratified" or "rss".
-	// Empty defers to the runner-level default. Designs spend a cheap
-	// pilot pass to pick which seeds get full-scale runs, reaching the
-	// target width in fewer executions (see internal/sampling).
+	// adaptive analysis: "plain" (the default, also spelled ""),
+	// "stratified" or "rss". Designs spend a cheap pilot pass to pick
+	// which seeds get full-scale runs, reaching the target width in fewer
+	// executions (see internal/sampling).
 	Sampling string `json:"sampling,omitempty"`
 	// SamplingStrata is the stratum count (stratified) or set size
 	// (rss); 0 = sampling.DefaultStrata.
@@ -71,7 +73,8 @@ func (a Analysis) Adaptive() bool { return a.TargetWidth > 0 }
 
 // validateSampling checks the variance-reduction knobs. A design only
 // makes sense on an adaptive analysis — fixed analyses read an existing
-// plain population, which no design produced.
+// plain population, which no design produced — and its knobs only under
+// a design other than plain, however plain is spelled.
 func (a Analysis) validateSampling() error {
 	d, err := sampling.ParseDesign(a.Sampling)
 	if err != nil {
@@ -91,7 +94,7 @@ func (a Analysis) validateSampling() error {
 	if (d != sampling.Plain || hasKnobs) && !a.Adaptive() {
 		return errors.New("manifest: sampling design requires an adaptive analysis (set target_width)")
 	}
-	if d == sampling.Plain && a.Sampling != "" && hasKnobs {
+	if d == sampling.Plain && hasKnobs {
 		return errors.New("manifest: sampling knobs set with the plain design")
 	}
 	if d != sampling.Plain {
@@ -157,6 +160,14 @@ type Manifest struct {
 	Runs     int        `json:"runs,omitempty"`
 	Entries  []Entry    `json:"entries"`
 	Analyses []Analysis `json:"analyses"`
+}
+
+// scale is the workload scale every entry runs at.
+func (m *Manifest) scale() float64 {
+	if m.Scale == 0 {
+		return 1.0
+	}
+	return m.Scale
 }
 
 // EntryRuns is the population size of entry e: its own Runs, else the

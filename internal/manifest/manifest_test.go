@@ -56,6 +56,13 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"bad direction", func(m *Manifest) { m.Analyses[0].Direction = "sideways" }},
 		{"bad F", func(m *Manifest) { m.Analyses[0].F = 2 }},
 		{"empty metric", func(m *Manifest) { m.Analyses[0].Metric = "" }},
+		// "" and "plain" are one design, so both refuse design knobs.
+		{"design knobs with sampling unset", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].PilotScale = 0.01, 0.1
+		}},
+		{"design knobs with plain sampling", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].SamplingStrata = 0.01, "plain", 4
+		}},
 	}
 	for _, c := range cases {
 		m := base()

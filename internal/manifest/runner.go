@@ -65,9 +65,10 @@ type ConvergenceRound struct {
 type Report struct {
 	Name    string           `json:"name"`
 	Results []AnalysisResult `json:"results"`
-	// Reused lists entries whose populations were loaded from disk rather
-	// than re-simulated (the resume path).
-	Reused []string `json:"reused,omitempty"`
+	// Reused lists entries whose populations were loaded from disk or the
+	// cache rather than re-simulated (the resume path). It is not part of
+	// the report file, whose bytes depend on the manifest alone.
+	Reused []string `json:"-"`
 }
 
 // Hooks are optional campaign-progress callbacks, fired synchronously
@@ -81,15 +82,14 @@ type Hooks struct {
 	// OnEntryDone fires after an entry's population is ready (or failed);
 	// reused marks the resume/cache path.
 	OnEntryDone func(idx int, key string, reused bool, err error)
-	// OnAnalysisDone fires after each per-entry analysis completes.
-	OnAnalysisDone func(res AnalysisResult)
 	// OnConvergenceRound fires once per adaptive refinement round, as it
 	// happens — the live view of what the telemetry journal records at
 	// the end.
 	OnConvergenceRound func(rec ConvergenceRound)
 }
 
-// Runner executes manifests.
+// Runner executes manifests. Its fields choose where and how a campaign
+// runs, never what it reports: a report is a function of its manifest.
 type Runner struct {
 	// OutDir receives per-entry population JSONs and the report; it is
 	// created if missing.
@@ -124,24 +124,13 @@ type Runner struct {
 	// cumulative measured populations through it, which is what makes a
 	// repeated design campaign nearly free. Ignored when Source is set.
 	PopCache *popcache.Cache
-	// Sampling is the default variance-reduction design for adaptive
-	// analyses that don't set their own ("", "plain", "stratified" or
-	// "rss") — the CLIs' -sampling flag and the campaign service's
-	// config land here. Analysis-level settings win.
-	Sampling string
 	// Source, when non-nil, supplies every population (entries and pilot
 	// blocks) and backs the design collectors with its cache; its
 	// coordinator, if any, also runs adaptive collection. The campaign
 	// service injects one shared by every tenant. Nil uses PopCache.
 	Source *popcache.Source
-	// Hooks receive per-entry and per-analysis progress callbacks.
+	// Hooks receive per-entry and convergence-round progress callbacks.
 	Hooks Hooks
-	// StableReport omits resume bookkeeping (the Reused list) from the
-	// report, making the report bytes a pure function of the manifest —
-	// identical whether the campaign ran straight through or was killed
-	// and resumed. The campaign service sets it; the CLI keeps the
-	// human-facing reuse note.
-	StableReport bool
 
 	// coord is the shared dist coordinator behind both worker-backed
 	// population generation and adaptive collection; sharing one instance
@@ -232,10 +221,6 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 	if err := os.MkdirAll(r.OutDir, 0o755); err != nil {
 		return nil, err
 	}
-	scale := m.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
 	report := &Report{Name: m.Name}
 	campaign := r.Obs.T().StartSpan("campaign", obs.Str("name", m.Name),
 		obs.Int("entries", len(m.Entries)), obs.Int("analyses", len(m.Analyses)))
@@ -249,14 +234,14 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 		if r.Hooks.OnEntryStart != nil {
 			r.Hooks.OnEntryStart(i, e.key())
 		}
-		pop, reused, err := r.loadOrGenerate(ctx, m, e, i, scale)
+		pop, reused, err := r.loadOrGenerate(ctx, m, e, i)
 		if r.Hooks.OnEntryDone != nil {
 			r.Hooks.OnEntryDone(i, e.key(), reused, err)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.key(), err)
 		}
-		if reused && !r.StableReport {
+		if reused {
 			report.Reused = append(report.Reused, e.key())
 		}
 		for _, a := range m.Analyses {
@@ -265,7 +250,7 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 			}
 			var res AnalysisResult
 			if a.Adaptive() {
-				res = r.analyzeAdaptive(ctx, m, e, i, scale, a)
+				res = r.AnalyzeAdaptive(ctx, m, i, a)
 				if res.Err != "" && ctx.Err() != nil {
 					// A cancelled adaptive collection is an interruption,
 					// not a campaign result.
@@ -274,9 +259,6 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 				journal = append(journal, res.Rounds...)
 			} else {
 				res = r.analyze(e, a, pop)
-			}
-			if r.Hooks.OnAnalysisDone != nil {
-				r.Hooks.OnAnalysisDone(res)
 			}
 			report.Results = append(report.Results, res)
 		}
@@ -377,13 +359,17 @@ func (r *Runner) analyze(e Entry, a Analysis, pop *population.Population) Analys
 	return res
 }
 
-// analyzeAdaptive runs one width-refinement analysis: it re-collects the
-// entry's seed range through the shared coordinator (workers when
-// configured, in-process otherwise) until the SPA interval narrows to
-// the target width, recording a convergence round — trace event, labeled
-// gauges, journal record — per refinement step. Seeds are the entry's
-// own base-seed range, so the trajectory is replicable run to run.
-func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx int, scale float64, a Analysis) AnalysisResult {
+// AnalyzeAdaptive runs adaptive analysis a on entry idx of m, which must
+// have passed Validate: it re-collects the entry's seed range through the
+// shared coordinator (workers when configured, in-process otherwise),
+// under a's sampling design, until the SPA interval narrows to the
+// target width, recording a convergence round — trace event, labeled
+// gauges, OnConvergenceRound hook, entry in the result's Rounds — per
+// refinement step. Seeds are the entry's own base-seed range, so the
+// result is a function of m and a alone. A failure is reported in the
+// result's Err.
+func (r *Runner) AnalyzeAdaptive(ctx context.Context, m *Manifest, idx int, a Analysis) AnalysisResult {
+	e, scale := m.Entries[idx], m.scale()
 	res := AnalysisResult{
 		Entry: e.key(), Metric: a.Metric, F: a.F, C: a.C,
 		Direction: a.Direction, TargetWidth: a.TargetWidth,
@@ -461,18 +447,14 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 }
 
 // designCollector builds the variance-reduction collector for an
-// adaptive analysis, or returns nil when the effective design is plain.
+// adaptive analysis, or returns nil when its design is plain.
 // Each pilot block is the full population of the same benchmark at a
 // reduced scale, fetched through the runner's Source under its plain
 // recipe — so it is shared with anything else running that recipe — and
 // the cumulative measured population is cached under the design recipe,
 // so a repeated campaign re-ranks and re-selects without simulating.
 func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg sim.Config, scale float64, full core.Collector) (sampling.Design, *sampling.Collector, error) {
-	s := a.Sampling
-	if s == "" {
-		s = r.Sampling
-	}
-	design, err := sampling.ParseDesign(s)
+	design, err := sampling.ParseDesign(a.Sampling)
 	if err != nil {
 		return sampling.Plain, nil, err
 	}
@@ -520,7 +502,7 @@ func (e *StaleOutputError) Unwrap() error { return e.Err }
 
 // loadOrGenerate resumes an entry's population from disk or gets it from
 // the runner's Source.
-func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int, scale float64) (*population.Population, bool, error) {
+func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int) (*population.Population, bool, error) {
 	runs, baseSeed := m.EntryRuns(e), m.EntrySeed(idx)
 	path := r.popPath(m, e)
 	if f, err := os.Open(path); err == nil {
@@ -541,7 +523,7 @@ func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx i
 	if err != nil {
 		return nil, false, err
 	}
-	pop, hit, err := r.source().Population(ctx, popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale, BaseSeed: baseSeed, Runs: runs})
+	pop, hit, err := r.source().Population(ctx, popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: m.scale(), BaseSeed: baseSeed, Runs: runs})
 	if err != nil {
 		return nil, false, err
 	}

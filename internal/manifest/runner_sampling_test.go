@@ -52,42 +52,6 @@ func TestRunnerSamplingDesigns(t *testing.T) {
 	}
 }
 
-// TestRunnerSamplingDefault: the runner-level design applies when the
-// analysis doesn't choose, and the analysis-level choice wins when both
-// are set.
-func TestRunnerSamplingDefault(t *testing.T) {
-	m := samplingManifest("")
-	r := &Runner{OutDir: t.TempDir(), Sampling: "rss"}
-	rep, err := r.Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Results[0].Sampling; got != "rss" {
-		t.Errorf("runner default not applied: sampling %q", got)
-	}
-
-	m = samplingManifest("stratified")
-	r = &Runner{OutDir: t.TempDir(), Sampling: "rss"}
-	rep, err = r.Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Results[0].Sampling; got != "stratified" {
-		t.Errorf("analysis-level design must win: sampling %q", got)
-	}
-}
-
-func TestRunnerSamplingInvalidDefault(t *testing.T) {
-	r := &Runner{OutDir: t.TempDir(), Sampling: "bogus"}
-	rep, err := r.Run(samplingManifest(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Results[0].Err == "" {
-		t.Fatal("invalid runner-level design must surface as an analysis error")
-	}
-}
-
 // TestRunnerSamplingDistMatchesLocal pins backend-independence of the
 // design path: the same manifest collected through real workers yields
 // the identical interval, sample count and per-round trajectory as the
