@@ -12,12 +12,12 @@
 //
 // -in - reads the benchmark text from stdin instead.
 //
-// A second mode renders campaign convergence journals: point -telemetry
-// at the <name>-telemetry.jsonl a campaign with adaptive (target_width)
-// analyses wrote next to its report, and each analysis's runs-vs-width
-// trajectory is printed as a table:
+// A second mode renders convergence traces: point -telemetry at the
+// <name>-report.json of a campaign with adaptive (target_width)
+// analyses, and each adaptive result's runs-vs-width trajectory is
+// printed as a table with its sampling design and converged flag:
 //
-//	benchreport -telemetry results/nightly-telemetry.jsonl
+//	benchreport -telemetry results/nightly-report.json
 package main
 
 import (
@@ -67,7 +67,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	in := fs.String("in", "-", "benchmark text ('go test -bench' output); - for stdin")
 	baseline := fs.String("baseline", "", "optional baseline benchmark text to compute ns/op improvements against")
 	out := fs.String("out", "", "output JSON file (default stdout)")
-	telemetry := fs.String("telemetry", "", "render a campaign convergence journal (<name>-telemetry.jsonl) as runs-vs-width tables instead of parsing benchmarks")
+	telemetry := fs.String("telemetry", "", "render a campaign report's adaptive analyses (<name>-report.json) as runs-vs-width tables instead of parsing benchmarks")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

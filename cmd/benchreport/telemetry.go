@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,78 +9,46 @@ import (
 	"repro/internal/manifest"
 )
 
-// convergenceGroup is one adaptive analysis's trajectory pulled out of a
-// campaign telemetry journal.
-type convergenceGroup struct {
-	entry, metric string
-	target        float64
-	rounds        []manifest.ConvergenceRound
-}
-
-// readTelemetry parses a <name>-telemetry.jsonl convergence journal
-// (written by the campaign runner) and groups its rounds per analysis,
-// preserving journal order.
-func readTelemetry(r io.Reader) ([]convergenceGroup, error) {
-	var groups []convergenceGroup
-	index := map[string]int{}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec manifest.ConvergenceRound
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("journal line %d: %v", line, err)
-		}
-		key := rec.Entry + "\x00" + rec.Metric + "\x00" + fmt.Sprint(rec.Target)
-		i, ok := index[key]
-		if !ok {
-			i = len(groups)
-			index[key] = i
-			groups = append(groups, convergenceGroup{entry: rec.Entry, metric: rec.Metric, target: rec.Target})
-		}
-		groups[i].rounds = append(groups[i].rounds, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("no convergence rounds in journal")
-	}
-	return groups, nil
-}
-
-// renderTelemetry writes each analysis's runs-vs-width convergence table:
-// how many executions each refinement round had, how wide the SPA
-// interval was, and how far from the target that left it.
+// renderTelemetry reads a campaign report (<name>-report.json) and writes
+// one runs-vs-width convergence table per adaptive result: how many
+// executions each refinement round had, how wide the SPA interval was,
+// and how far from the target that left it.
 func renderTelemetry(path string, w io.Writer) error {
-	f, err := os.Open(path)
+	body, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	groups, err := readTelemetry(f)
-	if err != nil {
+	var rep manifest.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(w, "convergence traces: %d adaptive analyses\n", len(groups))
-	for _, g := range groups {
-		last := g.rounds[len(g.rounds)-1]
-		verdict := "converged"
-		if last.Width > g.target {
-			verdict = "hit sample budget"
+	var adaptive []manifest.AnalysisResult
+	for _, res := range rep.Results {
+		if res.TargetWidth > 0 {
+			adaptive = append(adaptive, res)
 		}
-		fmt.Fprintf(w, "\n%s %s (target width %g, %d rounds, %s)\n",
-			g.entry, g.metric, g.target, len(g.rounds), verdict)
+	}
+	if len(adaptive) == 0 {
+		return fmt.Errorf("%s: no adaptive analyses in report", path)
+	}
+	fmt.Fprintf(w, "convergence traces: %d adaptive analyses\n", len(adaptive))
+	for _, res := range adaptive {
+		design := res.Sampling
+		if design == "" {
+			design = "plain"
+		}
+		verdict := "hit sample budget"
+		switch {
+		case res.Err != "":
+			verdict = "error: " + res.Err
+		case res.Converged:
+			verdict = "converged"
+		}
+		fmt.Fprintf(w, "\n%s %s F=%g C=%g %s (target width %g, %d rounds, %s)\n",
+			res.Entry, res.Metric, res.F, res.C, design, res.TargetWidth, len(res.Rounds), verdict)
 		fmt.Fprintf(w, "  %-6s %-8s %-14s %s\n", "round", "runs", "width", "of-target")
-		for _, rd := range g.rounds {
-			ratio := "-"
-			if g.target > 0 {
-				ratio = fmt.Sprintf("%.3gx", rd.Width/g.target)
-			}
-			fmt.Fprintf(w, "  %-6d %-8d %-14.6g %s\n", rd.Round, rd.Samples, rd.Width, ratio)
+		for _, rd := range res.Rounds {
+			fmt.Fprintf(w, "  %-6d %-8d %-14.6g %.3gx\n", rd.Round, rd.Samples, rd.Width, rd.Width/res.TargetWidth)
 		}
 	}
 	return nil

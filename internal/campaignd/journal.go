@@ -17,10 +17,10 @@ const recordFile = "campaign.json"
 // journal persists campaign Records, one directory per campaign under
 // the service data dir:
 //
-//	<dir>/<id>/campaign.json           the Record (this file)
-//	<dir>/<id>/<name>-<entry>.json     populations (runner resume files)
-//	<dir>/<id>/<name>-report.json      the final report
-//	<dir>/<id>/<name>-telemetry.jsonl  convergence journal (adaptive)
+//	<dir>/<id>/campaign.json        the Record (this file)
+//	<dir>/<id>/<name>-<entry>.json  populations (runner resume files)
+//	<dir>/<id>/<name>-report.json   the final report, adaptive analyses'
+//	                                convergence rounds included
 //
 // Every write goes through manifest.WriteFileAtomic, so a crash mid-save
 // leaves the previous consistent state, never a truncated record — the

@@ -20,7 +20,7 @@ import (
 // its manifest alone. Zero values select sane defaults.
 type Config struct {
 	// DataDir is the journal root: one subdirectory per campaign holding
-	// its record, populations, report, and telemetry journal.
+	// its record, populations and report.
 	DataDir string
 	// Workers are spaworker addresses shared by every campaign; empty
 	// runs everything in-process (still through the shared coordinator,

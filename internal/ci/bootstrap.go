@@ -104,7 +104,7 @@ func bootstrapDistribution(sorted []float64, f float64, b int, seed uint64, work
 // jackknifeAcceleration computes BCa's acceleration statistic for the
 // F-quantile over the ascending-sorted sample, incrementally: the
 // leave-one-out quantile takes only two distinct values — with
-// k = ceil(F·(n−1)) clamped to [1, n−1], dropping a sorted position j < k
+// k = stats.QuantileIndex(F, n−1), dropping a sorted position j < k
 // shifts the order statistic up to sorted[k], while dropping j ≥ k leaves it
 // at sorted[k−1] — so the jackknife moments are closed forms over those two
 // values instead of n re-sorted leave-one-out passes. The jackknife sums are
@@ -115,7 +115,7 @@ func bootstrapDistribution(sorted []float64, f float64, b int, seed uint64, work
 // BCa's duplicate-data failure (all leave-one-out statistics identical).
 func jackknifeAcceleration(sorted []float64, f float64) (a float64, ok bool) {
 	n := len(sorted)
-	k := quantileIndexLoo(f, n-1)
+	k := stats.QuantileIndex(f, n-1)
 	dropBelow := sorted[k]   // statistic when a position j < k is left out (shifts up)
 	dropAbove := sorted[k-1] // statistic when a position j ≥ k is left out (stays)
 	cBelow := float64(k)
@@ -129,17 +129,4 @@ func jackknifeAcceleration(sorted []float64, f float64) (a float64, ok bool) {
 		return 0, false
 	}
 	return num / (6 * math.Pow(den, 1.5)), true
-}
-
-// quantileIndexLoo is the 1-based inverted-CDF quantile index for a
-// leave-one-out sample of size m = n−1, clamped to [1, m].
-func quantileIndexLoo(f float64, m int) int {
-	i := int(math.Ceil(f * float64(m)))
-	if i < 1 {
-		i = 1
-	}
-	if i > m {
-		i = m
-	}
-	return i
 }

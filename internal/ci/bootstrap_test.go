@@ -131,6 +131,12 @@ func TestBootstrapSortedMatchesUnsorted(t *testing.T) {
 // index build the leave-one-out sample, sort it, take the inverted-CDF
 // quantile, and form the third-moment ratio.
 func naiveJackknifeAcceleration(xs []float64, f float64) (float64, bool) {
+	return naiveJackknifeAt(xs, stats.QuantileIndex(f, len(xs)-1))
+}
+
+// naiveJackknifeAt is naiveJackknifeAcceleration with the leave-one-out
+// quantile given as its 1-based order statistic k.
+func naiveJackknifeAt(xs []float64, k int) (float64, bool) {
 	n := len(xs)
 	jack := make([]float64, n)
 	loo := make([]float64, 0, n-1)
@@ -139,7 +145,7 @@ func naiveJackknifeAcceleration(xs []float64, f float64) (float64, bool) {
 		loo = append(loo, xs[:i]...)
 		loo = append(loo, xs[i+1:]...)
 		sort.Float64s(loo)
-		jack[i] = stats.QuantileSorted(loo, f)
+		jack[i] = loo[k-1]
 	}
 	mean := 0.0
 	for _, v := range jack {
@@ -185,6 +191,24 @@ func TestJackknifeAccelerationMatchesNaive(t *testing.T) {
 			if math.Abs(gotA-wantA) > 1e-12*math.Max(1, math.Abs(wantA)) {
 				t.Fatalf("case %d f=%g: a=%v, naive %v", ci, f, gotA, wantA)
 			}
+		}
+	}
+}
+
+// TestJackknifeLeaveOneOutIndex pins the leave-one-out order statistic
+// where F·m rounds up past an integer in float64 (0.55·100 is
+// 55.00000000000001): the jackknife must match the per-left-out
+// definition at the exact index, the smallest k with k/m ≥ F.
+func TestJackknifeLeaveOneOutIndex(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		m, k int
+	}{{0.55, 100, 55}, {0.9, 100, 90}, {0.7, 10, 7}, {0.3, 10, 3}, {0.07, 100, 7}, {0.28, 25, 7}} {
+		xs := lognormalSample(31, tc.m+1)
+		wantA, wantOK := naiveJackknifeAt(xs, tc.k)
+		gotA, gotOK := jackknifeAcceleration(sortedCopy(xs), tc.f)
+		if !wantOK || !gotOK || math.Abs(gotA-wantA) > 1e-12*math.Max(1, math.Abs(wantA)) {
+			t.Errorf("F=%g m=%d: a=%v (ok %v), want %v at order statistic %d", tc.f, tc.m, gotA, gotOK, wantA, tc.k)
 		}
 	}
 }

@@ -260,8 +260,9 @@ func (b *syncBuffer) Bytes() []byte {
 }
 
 // TestNextChunkSize pins the sizing policy: rate x ChunkTarget (250ms
-// when unset), seeded by hello parallelism before any telemetry, and
-// tail-capped to half a fair share of what remains.
+// when unset), where the rate is the last committed chunk's throughput,
+// seeded by hello parallelism before any commit, and tail-capped to half
+// a fair share of what remains.
 func TestNextChunkSize(t *testing.T) {
 	c := &Coordinator{Workers: []string{"a", "b"}, ChunkTarget: time.Second}
 	// No state at all → minimum chunk of 1.
@@ -273,14 +274,10 @@ func TestNextChunkSize(t *testing.T) {
 	if got := c.nextChunkSize("a", 1000); got != 6 {
 		t.Errorf("hello-seeded: size %d, want 6", got)
 	}
-	// A windowed throughput sample overrides the seed.
-	c.stMu.Lock()
-	ws := c.workerLocked("a")
-	ws.windowed = true
-	ws.ThroughputRPS = 40
-	c.stMu.Unlock()
+	// A committed chunk's throughput overrides the seed.
+	c.noteWorkerChunk("a", make([]RunResult, 40), time.Second)
 	if got := c.nextChunkSize("a", 1000); got != 40 {
-		t.Errorf("windowed 40 rps x 1s: size %d, want 40", got)
+		t.Errorf("40 runs committed in 1s x 1s: size %d, want 40", got)
 	}
 	// Tail cap: never more than half a fair share of pending runs
 	// (2 live workers → pending/4, rounded up).

@@ -43,7 +43,7 @@ type RunResult struct {
 // degrading to in-process execution when no worker is reachable. The
 // zero value with no Workers is a purely local runner. A Coordinator is
 // safe for concurrent Run calls — the campaign service runs many
-// tenants' jobs through one shared instance so fleet telemetry, chunk
+// tenants' jobs through one shared instance so the fleet view, chunk
 // accounting, and the local-fallback parallelism bound accumulate in
 // one place; configuration fields must not be mutated once the first
 // Run is in flight.
@@ -52,10 +52,10 @@ type Coordinator struct {
 	// everything in-process.
 	Workers []string
 	// ChunkTarget is the wall time each remote chunk is sized to take
-	// (0 = 250ms): each worker's next chunk is sized from its observed
-	// runs/sec (wire telemetry, seeded by hello_ok parallelism before
-	// the first sample), and shrinks near the tail so no single worker
-	// strags the job on one oversized final chunk. Scheduling is
+	// (0 = 250ms): each worker's next chunk is sized from the runs/sec of
+	// the last chunk committed from it (seeded by hello_ok parallelism
+	// before the first commit), and shrinks near the tail so no single
+	// worker strags the job on one oversized final chunk. Scheduling is
 	// non-deterministic; assembled results are not — they stay keyed by
 	// seed offset.
 	ChunkTarget time.Duration
@@ -71,7 +71,7 @@ type Coordinator struct {
 	// pol is the transport policy; nil runs defaultPolicy.
 	pol *policy
 
-	// stMu guards the status/telemetry state below (status.go): jobSt is
+	// stMu guards the status state below (status.go): jobSt is
 	// the cumulative job and chunk accounting Status reports (its Done and
 	// Workers stay unset), workerSt the fleet table, made on first use.
 	stMu     sync.Mutex
@@ -488,7 +488,7 @@ const maxChunk = 4096
 
 // nextChunkSize decides how many runs to carve for a worker's next
 // dispatch: observed runs/sec × ChunkTarget (seeded from hello_ok
-// parallelism before telemetry exists), capped at half a fair share of
+// parallelism before a chunk commits), capped at half a fair share of
 // the remaining work so chunks shrink toward the tail and no worker
 // strags the job on one oversized final dispatch.
 func (c *Coordinator) nextChunkSize(addr string, pending int) int {
@@ -569,6 +569,9 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 	// an ID a stale frame could alias.
 	id := c.chunkSeq.Add(1)
 	cfg := job.Config
+	sent := time.Now()
+	c.noteInFlight(cn.addr, ch.count)
+	defer c.noteInFlight(cn.addr, -ch.count)
 	err := cn.send(frame{
 		Type: frameRunChunk, ID: id,
 		Benchmark: job.Benchmark, Config: &cfg, Scale: job.Scale,
@@ -599,11 +602,6 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 		if err != nil {
 			span.End(obs.Str("error", err.Error()))
 			return fmt.Errorf("dist: chunk stream from %s: %w", cn.addr, err)
-		}
-		// Telemetry snapshots describe the worker process, not a chunk, so
-		// fold them in even when they arrive on stale frames.
-		if f.Telemetry != nil {
-			c.noteWorkerTelemetry(cn.addr, f.Telemetry)
 		}
 		if f.ID != id {
 			continue // stale frame from an abandoned exchange
@@ -643,7 +641,7 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 				return fmt.Errorf("dist: worker %s finished chunk with %d/%d results", cn.addr, len(runs), ch.count)
 			}
 			c.Obs.M().Counter(obs.MetricDistChunksCompleted).Inc()
-			c.noteWorkerChunk(cn.addr)
+			c.noteWorkerChunk(cn.addr, runs, time.Since(sent))
 			c.jobStat(func(j *CoordinatorStatus) { j.ChunksCompleted++ })
 			if fresh := st.commit(runs); len(fresh) > 0 {
 				fireHooks(job, baseSeed, fresh, h)

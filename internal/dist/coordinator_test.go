@@ -241,9 +241,9 @@ func startFakeWorker(t *testing.T, handle func(c *conn)) *fakeWorker {
 
 func (f *fakeWorker) addr() string { return f.ln.Addr().String() }
 
-// fakeParallelism is the slot count fake workers advertise at hello:
-// with no telemetry on their frames it alone sizes their chunks, at
-// about one run per slot-second of ChunkTarget — so several runs each.
+// fakeParallelism is the slot count fake workers advertise at hello: it
+// sizes their first chunk, at about one run per slot-second of
+// ChunkTarget — so several runs each.
 const fakeParallelism = 16
 
 // answerHello consumes the hello frame and accepts it.

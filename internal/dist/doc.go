@@ -21,10 +21,14 @@
 // There is one protocol version, ProtocolVersion, so workers and
 // coordinators must come from the same build: a peer at any other
 // version is refused at hello (a typed HandshakeError) and abandoned at
-// once, never retried. Every remote chunk is sized from the worker's
-// observed throughput to take about Coordinator.ChunkTarget of wall
-// time, and workers stream its results back as columnar result_batch
-// frames.
+// once, never retried. Every remote chunk is sized to take about
+// Coordinator.ChunkTarget of wall time at the throughput of the last
+// chunk the coordinator committed from that worker (before the first,
+// at the parallelism the worker advertised at hello), and workers
+// stream its results back as columnar result_batch frames. Frames
+// carry work and results only: the coordinator's fleet view comes from
+// its own dispatches and commits, and a worker's lifetime numbers live
+// on the worker's own Status.
 //
 // Failure layer: per-chunk deadlines, read and write deadlines on every
 // frame, heartbeats during long chunks, idle-connection reaping and TCP

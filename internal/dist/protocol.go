@@ -15,7 +15,7 @@ import (
 // Both sides of hello accept exactly this version: workers and
 // coordinators ship from the same build, so a peer at any other version
 // is a stale binary, refused before a campaign starts.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // Frame types. The protocol is newline-delimited JSON: every message is
 // one frame object on one line, in both directions.
@@ -51,34 +51,6 @@ type frame struct {
 	// Worker capability (hello_ok) and failure detail (error frames).
 	Parallelism int    `json:"parallelism,omitempty"`
 	Error       string `json:"error,omitempty"`
-	// Telemetry is the worker's compact metrics snapshot, piggybacked on
-	// heartbeat and chunk_done frames; omitted while the worker has
-	// nothing to report yet.
-	Telemetry *WorkerTelemetry `json:"telemetry,omitempty"`
-}
-
-// WorkerTelemetry is the per-worker metrics snapshot carried on the wire:
-// cumulative process-lifetime totals (the coordinator differentiates
-// successive snapshots into rates) plus the instantaneous in-flight
-// count. It is intentionally a summary — count and sum of the run
-// duration distribution rather than full buckets — to keep heartbeats
-// one short line.
-type WorkerTelemetry struct {
-	// RunsServed is the total simulation runs completed by this worker
-	// process (all connections, all coordinators).
-	RunsServed int64 `json:"runs_served"`
-	// InFlight is the number of runs executing right now.
-	InFlight int64 `json:"in_flight,omitempty"`
-	// RunSeconds is the cumulative wall time of completed runs — with
-	// RunsServed this is the run-duration histogram's (count, sum)
-	// summary, giving the coordinator mean run cost per worker.
-	RunSeconds float64 `json:"run_seconds,omitempty"`
-}
-
-// empty reports whether the snapshot carries no information (a worker
-// that has not run anything yet omits it from the frame entirely).
-func (t *WorkerTelemetry) empty() bool {
-	return t == nil || (t.RunsServed == 0 && t.InFlight == 0 && t.RunSeconds == 0)
 }
 
 // ResultBatch is the columnar result payload: many completed runs in
@@ -183,7 +155,7 @@ type conn struct {
 	addr         string
 	// parallelism is the worker's advertised simulation slot count from
 	// hello_ok (coordinator side only) — the adaptive chunk sizer's seed
-	// before any throughput sample exists for the worker.
+	// before the coordinator has committed a chunk from the worker.
 	parallelism int
 }
 

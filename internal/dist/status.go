@@ -9,8 +9,8 @@ import (
 
 // CoordinatorStatus is the coordinator's /statusz snapshot: cumulative
 // chunk accounting across every job it has run (jobs may overlap when
-// campaigns share the coordinator) plus a per-worker table folded from
-// wire telemetry. Zero-valued before any Run.
+// campaigns share the coordinator) plus a per-worker table built from
+// its own dispatches and commits. Zero-valued before any Run.
 type CoordinatorStatus struct {
 	// Benchmark is the most recently submitted job's benchmark.
 	Benchmark string `json:"benchmark,omitempty"`
@@ -32,10 +32,13 @@ type CoordinatorStatus struct {
 }
 
 // CoordWorkerStatus is one worker's row in the coordinator's fleet
-// table. RunsServed/InFlight/RunSeconds are the worker's own lifetime
-// numbers from wire telemetry; ThroughputRPS is the coordinator-side
-// differentiated rate — exactly the signal adaptive batch sizing
-// consumes.
+// table, built from the coordinator's own dispatches and commits — what
+// this coordinator saw of the worker, not the worker's lifetime numbers
+// (those are on the worker's own Status). InFlight counts runs in chunks
+// dispatched to the worker and not yet returned; RunsServed,
+// MeanRunSeconds and ChunksDone accumulate at each chunk_done, and
+// ThroughputRPS is the last committed chunk's runs over its wall time
+// from dispatch to chunk_done — the rate adaptive chunk sizing consumes.
 type CoordWorkerStatus struct {
 	Addr           string  `json:"addr"`
 	RunsServed     int64   `json:"runs_served"`
@@ -51,26 +54,13 @@ type CoordWorkerStatus struct {
 // status table and the labeled fleet gauges.
 type workerState struct {
 	CoordWorkerStatus
-	// lastRuns/lastTime anchor the previous accepted throughput sample,
-	// so the instantaneous rate differentiates over a window long enough
-	// to be meaningful.
-	lastRuns int64
-	lastTime time.Time
-	// windowed is true once ThroughputRPS comes from a real
-	// differentiated window (>= throughputWindow apart) rather than the
-	// first-snapshot busy-rate seed; the adaptive chunk sizer trusts
-	// windowed rates outright and blends earlier estimates with the
-	// worker's advertised parallelism.
-	windowed bool
+	// runSeconds sums the committed runs' elapsed_us, so MeanRunSeconds
+	// is runSeconds / RunsServed.
+	runSeconds float64
 	// helloParallelism is the slot count the worker advertised at
-	// hello_ok — the sizer's only signal before any telemetry arrives.
+	// hello_ok — the sizer's only signal before a chunk commits.
 	helloParallelism int
 }
-
-// throughputWindow is the minimum spacing between telemetry frames used
-// to differentiate an instantaneous rate; closer frames only refresh the
-// cumulative numbers.
-const throughputWindow = 100 * time.Millisecond
 
 // beginJob folds a new Run into the cumulative accounting. Jobs from
 // concurrent campaigns fold into the same tallies, and worker rows
@@ -116,47 +106,15 @@ func (c *Coordinator) workerLocked(addr string) *workerState {
 	return ws
 }
 
-// noteWorkerTelemetry folds one wire snapshot into the worker's row and
-// the labeled fleet gauges the scheduler (and /metrics scrapers) read:
-// spa_dist_worker_throughput_runs_per_s{worker=...},
-// spa_dist_worker_inflight{worker=...} and friends.
-func (c *Coordinator) noteWorkerTelemetry(addr string, t *WorkerTelemetry) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
+// noteInFlight adds n runs (negative: retires them) to the worker's
+// in-flight count and its labeled gauge.
+func (c *Coordinator) noteInFlight(addr string, n int) {
 	c.stMu.Lock()
 	ws := c.workerLocked(addr)
-	ws.RunsServed = t.RunsServed
-	ws.InFlight = t.InFlight
-	ws.LastSeenUnixMS = now.UnixMilli()
-	if t.RunsServed > 0 && t.RunSeconds > 0 {
-		ws.MeanRunSeconds = t.RunSeconds / float64(t.RunsServed)
-	}
-	switch {
-	case ws.lastTime.IsZero():
-		// First snapshot: no window to differentiate over yet. Seed the
-		// gauge with the worker's busy-time service rate (runs per busy
-		// second) so the series exists from the first heartbeat.
-		if t.RunSeconds > 0 {
-			ws.ThroughputRPS = float64(t.RunsServed) / t.RunSeconds
-		}
-		ws.lastRuns, ws.lastTime = t.RunsServed, now
-	case now.Sub(ws.lastTime) >= throughputWindow:
-		dt := now.Sub(ws.lastTime).Seconds()
-		ws.ThroughputRPS = float64(t.RunsServed-ws.lastRuns) / dt
-		ws.lastRuns, ws.lastTime = t.RunsServed, now
-		ws.windowed = true
-	}
-	row := *ws
+	ws.InFlight += int64(n)
+	inflight := ws.InFlight
 	c.stMu.Unlock()
-
-	l := obs.Labels{"worker": addr}
-	m := c.Obs.M()
-	m.GaugeL(obs.MetricDistWorkerRunsServed, l).Set(float64(row.RunsServed))
-	m.GaugeL(obs.MetricDistWorkerInflight, l).Set(float64(row.InFlight))
-	m.GaugeL(obs.MetricDistWorkerThroughput, l).Set(row.ThroughputRPS)
-	m.GaugeL(obs.MetricDistWorkerMeanRunSeconds, l).Set(row.MeanRunSeconds)
+	c.Obs.M().GaugeL(obs.MetricDistWorkerInflight, obs.Labels{"worker": addr}).Set(float64(inflight))
 }
 
 // noteWorkerHello records the parallelism a worker advertised at
@@ -172,38 +130,20 @@ func (c *Coordinator) noteWorkerHello(addr string, parallelism int) {
 	c.stMu.Unlock()
 }
 
-// rateEstimate returns the best available runs/sec estimate for a
-// worker, for adaptive chunk sizing. Preference order: a real
-// differentiated throughput window; the busy-rate seed scaled by the
-// advertised parallelism (mean run cost amortized over slots); bare
-// hello_ok parallelism as "about 1 run/sec/slot" when nothing has ever
-// run. Zero means no basis at all.
+// rateEstimate returns a worker's runs/sec for adaptive chunk sizing:
+// the throughput of the last chunk committed from it, else its hello_ok
+// parallelism as "about 1 run/sec/slot". Zero means no basis at all.
 func (c *Coordinator) rateEstimate(addr string) float64 {
 	c.stMu.Lock()
 	defer c.stMu.Unlock()
 	ws := c.workerSt[addr]
-	if ws == nil {
+	switch {
+	case ws == nil:
 		return 0
-	}
-	if ws.windowed && ws.ThroughputRPS > 0 {
+	case ws.ThroughputRPS > 0:
 		return ws.ThroughputRPS
 	}
-	par := ws.helloParallelism
-	if par < 1 {
-		par = 1
-	}
-	if ws.MeanRunSeconds > 0 {
-		return float64(par) / ws.MeanRunSeconds
-	}
-	if ws.ThroughputRPS > 0 {
-		// Busy-rate seed from the first snapshot: one slot's service
-		// rate; the worker runs par slots.
-		return ws.ThroughputRPS * float64(par)
-	}
-	if ws.helloParallelism > 0 {
-		return float64(ws.helloParallelism)
-	}
-	return 0
+	return float64(ws.helloParallelism)
 }
 
 // liveWorkers counts workers not currently marked dead (minimum 1), the
@@ -230,12 +170,34 @@ func (c *Coordinator) noteWorkerDead(addr string) {
 	c.stMu.Unlock()
 }
 
-// noteWorkerChunk credits one committed chunk to the worker.
-func (c *Coordinator) noteWorkerChunk(addr string) {
+// noteWorkerChunk folds one committed chunk into the worker's row and
+// the labeled fleet series /metrics scrapers read
+// (spa_dist_worker_runs_served{worker=...} and friends): its runs, their
+// elapsed_us, and its wall time from dispatch to chunk_done.
+func (c *Coordinator) noteWorkerChunk(addr string, runs []RunResult, wall time.Duration) {
+	var sec float64
+	for _, r := range runs {
+		sec += r.Elapsed.Seconds()
+	}
 	c.stMu.Lock()
-	c.workerLocked(addr).ChunksDone++
+	ws := c.workerLocked(addr)
+	ws.ChunksDone++
+	ws.RunsServed += int64(len(runs))
+	ws.runSeconds += sec
+	ws.MeanRunSeconds = ws.runSeconds / float64(ws.RunsServed)
+	if wall > 0 {
+		ws.ThroughputRPS = float64(len(runs)) / wall.Seconds()
+	}
+	ws.LastSeenUnixMS = time.Now().UnixMilli()
+	row := ws.CoordWorkerStatus
 	c.stMu.Unlock()
-	c.Obs.M().CounterL(obs.MetricDistWorkerChunks, obs.Labels{"worker": addr}).Inc()
+
+	l := obs.Labels{"worker": addr}
+	m := c.Obs.M()
+	m.GaugeL(obs.MetricDistWorkerRunsServed, l).Set(float64(row.RunsServed))
+	m.GaugeL(obs.MetricDistWorkerThroughput, l).Set(row.ThroughputRPS)
+	m.GaugeL(obs.MetricDistWorkerMeanRunSeconds, l).Set(row.MeanRunSeconds)
+	m.CounterL(obs.MetricDistWorkerChunks, l).Inc()
 }
 
 // Status snapshots the coordinator for /statusz. Safe from any

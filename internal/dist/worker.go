@@ -48,9 +48,9 @@ type Worker struct {
 	// it to reach zero before tearing connections down.
 	activeChunks atomic.Int64
 
-	// Lifetime run accounting, the source of the wire telemetry
-	// snapshots and Status: total runs completed, cumulative run wall
-	// seconds (float64 bits, CAS-accumulated), and runs in flight now.
+	// Lifetime run accounting across every coordinator, the source of
+	// Status: total runs completed, cumulative run wall seconds (float64
+	// bits, CAS-accumulated), and runs in flight now.
 	runsDone   atomic.Int64
 	runSecBits atomic.Uint64
 	inflight   atomic.Int64
@@ -66,20 +66,6 @@ func (w *Worker) addRunSeconds(s float64) {
 			return
 		}
 	}
-}
-
-// telemetry builds the compact wire snapshot, nil when there is nothing
-// to report yet (so idle heartbeats stay minimal).
-func (w *Worker) telemetry() *WorkerTelemetry {
-	t := &WorkerTelemetry{
-		RunsServed: w.runsDone.Load(),
-		InFlight:   w.inflight.Load(),
-		RunSeconds: math.Float64frombits(w.runSecBits.Load()),
-	}
-	if t.empty() {
-		return nil
-	}
-	return t
 }
 
 // WorkerStatus is the /statusz snapshot of a worker process.
@@ -322,7 +308,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 				// A failed heartbeat means the coordinator is gone: the
 				// error itself also surfaces on the result path, but
 				// dooming here stops run launches a heartbeat sooner.
-				if c.send(frame{Type: frameHeartbeat, ID: req.ID, Telemetry: w.telemetry()}) != nil {
+				if c.send(frame{Type: frameHeartbeat, ID: req.ID}) != nil {
 					doom()
 				}
 			}
@@ -419,5 +405,5 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		return c.send(frame{Type: frameError, ID: req.ID, Error: runErr.Error()})
 	}
 	span.End(obs.Int("results", req.Count))
-	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count, Telemetry: w.telemetry()})
+	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count})
 }

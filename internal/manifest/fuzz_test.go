@@ -10,8 +10,8 @@ import (
 // FuzzManifest feeds arbitrary bytes to Load, the path every manifest a
 // CLI reads or a tenant submits takes. Load must not panic. A manifest
 // it accepts must survive Save → Load unchanged, and every file a
-// campaign of it writes — report, telemetry journal and populations —
-// must land directly in the output directory.
+// campaign of it writes — report and populations — must land directly
+// in the output directory.
 func FuzzManifest(f *testing.F) {
 	var tpl bytes.Buffer
 	if err := Template().Save(&tpl); err != nil {
@@ -49,7 +49,7 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("Save → Load changed the manifest:\n%+v\nvs\n%+v", back, m)
 		}
 		r := &Runner{OutDir: out}
-		paths := []string{r.ReportPath(m), r.TelemetryPath(m)}
+		paths := []string{r.ReportPath(m)}
 		for _, e := range m.Entries {
 			paths = append(paths, r.popPath(m, e))
 		}

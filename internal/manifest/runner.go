@@ -50,8 +50,6 @@ type AnalysisResult struct {
 
 // ConvergenceRound is one refinement step of an adaptive analysis: after
 // Samples executions the SPA interval was Width wide against Target.
-// The same records, tagged with their entry and metric, make up the
-// campaign's telemetry journal.
 type ConvergenceRound struct {
 	Entry   string  `json:"entry,omitempty"`
 	Metric  string  `json:"metric,omitempty"`
@@ -83,8 +81,8 @@ type Hooks struct {
 	// reused marks the resume/cache path.
 	OnEntryDone func(idx int, key string, reused bool, err error)
 	// OnConvergenceRound fires once per adaptive refinement round, as it
-	// happens — the live view of what the telemetry journal records at
-	// the end.
+	// happens — the live view of the Rounds the report records at the
+	// end.
 	OnConvergenceRound func(rec ConvergenceRound)
 }
 
@@ -190,14 +188,6 @@ func (r *Runner) ReportPath(m *Manifest) string {
 	return m.ReportPath(r.OutDir)
 }
 
-// TelemetryPath is the convergence journal the campaign writes next to
-// the report when it ran adaptive analyses: one JSON object per line,
-// one line per refinement round (see ConvergenceRound). benchreport
-// -telemetry renders it.
-func (r *Runner) TelemetryPath(m *Manifest) string {
-	return filepath.Join(r.OutDir, fmt.Sprintf("%s-telemetry.jsonl", m.Name))
-}
-
 // Run executes the campaign: simulate (or load) every entry's population,
 // run every analysis on it, and persist the report. Individual analysis
 // failures are recorded in the report rather than aborting.
@@ -226,7 +216,6 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 		obs.Int("entries", len(m.Entries)), obs.Int("analyses", len(m.Analyses)))
 	defer campaign.End()
 
-	var journal []ConvergenceRound
 	for i, e := range m.Entries {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("manifest: campaign interrupted before entry %s: %w", e.key(), err)
@@ -256,28 +245,11 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 					// not a campaign result.
 					return nil, fmt.Errorf("manifest: campaign interrupted during entry %s: %w", e.key(), ctx.Err())
 				}
-				journal = append(journal, res.Rounds...)
 			} else {
 				res = r.analyze(e, a, pop)
 			}
 			report.Results = append(report.Results, res)
 		}
-	}
-
-	if len(journal) > 0 {
-		err := WriteFileAtomic(r.TelemetryPath(m), func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			for _, rec := range journal {
-				if err := enc.Encode(rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.logf("convergence journal written to %s", r.TelemetryPath(m))
 	}
 
 	err := WriteFileAtomic(r.ReportPath(m), func(w io.Writer) error {

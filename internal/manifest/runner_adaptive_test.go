@@ -1,7 +1,6 @@
 package manifest
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -87,28 +86,22 @@ func TestRunnerAdaptiveAnalyses(t *testing.T) {
 		t.Errorf("convergence target gauge = %v", got)
 	}
 
-	// The journal has one line per round, round-trippable back into the
-	// same records the report holds.
-	f, err := os.Open(filepath.Join(dir, "adapt-telemetry.jsonl"))
+	// The report file is the trajectory's one record: its rounds decode
+	// back into the same records the returned report holds.
+	body, err := os.ReadFile(filepath.Join(dir, "adapt-report.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var journal []ConvergenceRound
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var rec ConvergenceRound
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("journal line not JSON: %v: %s", err, sc.Text())
-		}
-		journal = append(journal, rec)
-	}
-	if err := sc.Err(); err != nil {
+	var onDisk Report
+	if err := json.Unmarshal(body, &onDisk); err != nil {
 		t.Fatal(err)
 	}
-	want := append(append([]ConvergenceRound(nil), loose.Rounds...), tight.Rounds...)
-	if !reflect.DeepEqual(journal, want) {
-		t.Errorf("journal does not match report rounds:\n%+v\nvs\n%+v", journal, want)
+	if len(onDisk.Results) != 2 || !reflect.DeepEqual(onDisk.Results[0].Rounds, loose.Rounds) ||
+		!reflect.DeepEqual(onDisk.Results[1].Rounds, tight.Rounds) {
+		t.Errorf("report file rounds do not match the returned report:\n%+v\nvs\n%+v", onDisk.Results, rep.Results)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "adapt-telemetry.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("campaign wrote a separate convergence journal (stat: %v)", err)
 	}
 }
 

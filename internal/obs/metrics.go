@@ -49,10 +49,12 @@ const (
 	MetricRunsInflight = "spa_runs_inflight"
 
 	// Labeled families. Per-benchmark run attribution (campaigns mix
-	// benchmarks in one process), per-worker fleet gauges folded by the
-	// coordinator from wire telemetry (the signals adaptive scheduling
-	// consumes), per-chaos-scenario fault attribution, and the adaptive
-	// CI convergence trace (one gauge update per refinement round).
+	// benchmarks in one process), per-worker fleet series the coordinator
+	// keeps from its own dispatches and commits (what this coordinator
+	// saw of each worker, the throughput gauge being the rate adaptive
+	// scheduling consumes), per-chaos-scenario fault attribution, and the
+	// adaptive CI convergence trace (one gauge update per refinement
+	// round).
 	MetricBenchmarkRuns            = "spa_benchmark_runs_total"              // {benchmark}
 	MetricDistWorkerThroughput     = "spa_dist_worker_throughput_runs_per_s" // {worker}
 	MetricDistWorkerInflight       = "spa_dist_worker_inflight"              // {worker}
@@ -69,13 +71,13 @@ const (
 	// inflight_full|server_full), live queue depth and running gauges,
 	// terminal transitions (state=done|failed|cancelled), campaigns
 	// resumed from the journal after a restart, and per-entry progress.
-	MetricCampaignSubmitted   = "spa_campaignd_submitted_total"     // {tenant}
-	MetricCampaignRejected    = "spa_campaignd_rejected_total"      // {tenant,reason}
-	MetricCampaignQueueDepth  = "spa_campaignd_queue_depth"         // {tenant}
-	MetricCampaignRunning     = "spa_campaignd_running"             // {tenant}
-	MetricCampaignDone        = "spa_campaignd_campaigns_total"     // {tenant,state}
-	MetricCampaignResumed     = "spa_campaignd_resumed_total"       // {tenant}
-	MetricCampaignEntriesDone = "spa_campaignd_entries_done_total"  // {tenant}
+	MetricCampaignSubmitted   = "spa_campaignd_submitted_total"    // {tenant}
+	MetricCampaignRejected    = "spa_campaignd_rejected_total"     // {tenant,reason}
+	MetricCampaignQueueDepth  = "spa_campaignd_queue_depth"        // {tenant}
+	MetricCampaignRunning     = "spa_campaignd_running"            // {tenant}
+	MetricCampaignDone        = "spa_campaignd_campaigns_total"    // {tenant,state}
+	MetricCampaignResumed     = "spa_campaignd_resumed_total"      // {tenant}
+	MetricCampaignEntriesDone = "spa_campaignd_entries_done_total" // {tenant}
 	MetricCampaignSchedPasses = "spa_campaignd_scheduler_passes_total"
 )
 

@@ -79,7 +79,7 @@ func (p *Progress) report(now time.Time) {
 	if rate > 0 {
 		line += fmt.Sprintf(" %.1f/s", rate)
 		if remaining := p.total - p.done; remaining > 0 {
-			eta := time.Duration(float64(remaining)/rate*float64(time.Second)).
+			eta := time.Duration(float64(remaining) / rate * float64(time.Second)).
 				Round(100 * time.Millisecond)
 			line += fmt.Sprintf(" ETA %s", eta)
 		}

@@ -12,7 +12,7 @@ import (
 
 // synthValue is a deterministic uniform-ish metric on [0, 1).
 func synthValue(seed uint64) float64 {
-	return float64(seed * 2654435761 % 1000003) / 1000003
+	return float64(seed*2654435761%1000003) / 1000003
 }
 
 // synthProxy is a noisy but rank-correlated pilot proxy for synthValue.

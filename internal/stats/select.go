@@ -2,12 +2,19 @@ package stats
 
 import "math"
 
-// quantileIndex returns the 1-based order-statistic index of the inverted-CDF
-// F-quantile for sample size n: the smallest i with i/n ≥ F, clamped to
-// [1, n]. It is the single source of truth shared by QuantileSorted and
-// QuantileSelect.
-func quantileIndex(f float64, n int) int {
+// QuantileIndex returns the 1-based order-statistic index of the
+// inverted-CDF F-quantile for sample size n: the smallest i with i/n ≥ F,
+// clamped to [1, n]. It is the single source of truth shared by
+// QuantileSorted, QuantileSelect and the bootstrap's leave-one-out
+// jackknife.
+func QuantileIndex(f float64, n int) int {
 	i := int(math.Ceil(f * float64(n)))
+	// F·n can round up past an integer (0.55·100 is 55.00000000000001),
+	// so ceil overshoots by one; step back while i−1 still satisfies
+	// (i−1)/n ≥ F.
+	for i > 1 && float64(i-1)/float64(n) >= f {
+		i--
+	}
 	if i < 1 {
 		i = 1
 	}
@@ -24,7 +31,7 @@ func quantileIndex(f float64, n int) int {
 // scratch buffer (the bootstrap resampling kernel) use this on the hot path.
 // It panics on an empty slice, mirroring QuantileSorted.
 func QuantileSelect(xs []float64, f float64) float64 {
-	return selectKth(xs, quantileIndex(f, len(xs))-1)
+	return selectKth(xs, QuantileIndex(f, len(xs))-1)
 }
 
 // selectKth places the k-th smallest element (0-based) of xs at index k and

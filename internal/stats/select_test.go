@@ -84,3 +84,33 @@ func TestQuantileAgreesWithSortedPath(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileIndexAtRoundingBoundaries pins the order statistic where F·n
+// rounds up past an integer in float64 (0.55·100 is 55.00000000000001 and
+// 0.28·25 is 7.000000000000001, so a bare ceil picks one too many), next to
+// decimal levels whose product is exact: the index is the smallest i with
+// i/n ≥ F, on the sorted and the quickselect path alike.
+func TestQuantileIndexAtRoundingBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		n, i int
+	}{{0.55, 100, 55}, {0.9, 100, 90}, {0.7, 10, 7}, {0.3, 10, 3}, {0.07, 100, 7}, {0.28, 25, 7}} {
+		if got := QuantileIndex(tc.f, tc.n); got != tc.i {
+			t.Errorf("QuantileIndex(%g, %d) = %d, want %d", tc.f, tc.n, got, tc.i)
+		}
+		// xs[k] = k+1, so the quantile value is its 1-based index.
+		xs := make([]float64, tc.n)
+		for k := range xs {
+			xs[k] = float64(k + 1)
+		}
+		if got := QuantileSorted(xs, tc.f); got != float64(tc.i) {
+			t.Errorf("QuantileSorted(F=%g, n=%d) = %g, want order statistic %d", tc.f, tc.n, got, tc.i)
+		}
+		for k := range xs {
+			xs[k] = float64(tc.n - k) // descending: quickselect must reorder
+		}
+		if got := QuantileSelect(xs, tc.f); got != float64(tc.i) {
+			t.Errorf("QuantileSelect(F=%g, n=%d) = %g, want order statistic %d", tc.f, tc.n, got, tc.i)
+		}
+	}
+}

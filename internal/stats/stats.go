@@ -105,8 +105,7 @@ func Quantile(xs []float64, f float64) (float64, error) {
 // QuantileSorted is Quantile for an already ascending-sorted slice, with no
 // validation; it panics on an empty slice.
 func QuantileSorted(sorted []float64, f float64) float64 {
-	// Smallest index i (1-based) with i/n ≥ F  ⟹  i = ceil(F·n).
-	return sorted[quantileIndex(f, len(sorted))-1]
+	return sorted[QuantileIndex(f, len(sorted))-1]
 }
 
 // SortFloats sorts the slice ascending in place (a naming convenience over
