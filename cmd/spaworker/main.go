@@ -1,7 +1,7 @@
 // Command spaworker serves SPA campaign chunks to remote coordinators:
 // it listens on a TCP address, executes the workload+sim runs that
-// campaign/spa processes dispatch to it (see internal/dist), and streams
-// the results back. Because every run is deterministic for its seed,
+// campaign/spa processes dispatch to it (see internal/dist), and sends
+// each chunk's results back in one frame. Because every run is deterministic for its seed,
 // a fleet of spaworkers produces populations byte-identical to a local
 // campaign.
 //

@@ -31,9 +31,15 @@ type errorBody struct {
 	Reason string `json:"reason,omitempty"`
 }
 
+// maxSubmitBytes bounds a submit body. A manifest names at most 36
+// entries, so a real one is a few KB; without a bound one request could
+// exhaust the service's memory.
+const maxSubmitBytes = 1 << 20
+
 // NewHandler builds the spad HTTP API on a fresh mux:
 //
-//	POST   /v1/campaigns             submit (429/503 on admission reject)
+//	POST   /v1/campaigns             submit (429/503 on admission reject,
+//	                                 413 over maxSubmitBytes)
 //	GET    /v1/campaigns             list all campaigns, newest first
 //	GET    /v1/campaigns/{id}        status: state machine + per-entry
 //	                                 progress + convergence rounds
@@ -48,10 +54,15 @@ func NewHandler(s *Service, o *obs.Observer) http.Handler {
 
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error(), "")
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, err.Error(), "")
 			return
 		}
 		id, err := s.Submit(Spec{Tenant: req.Tenant, Priority: req.Priority, Manifest: req.Manifest})

@@ -440,3 +440,55 @@ func TestHTTPRejectsPathManifestName(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPRejectsHugeSubmissions: run counts are sizes the runner and the
+// coordinator allocate by, and a campaign's cost is their sum. A manifest
+// whose entries ask for 2^62 runs each used to be admitted and journaled
+// with a wrapped negative cost, crash the service when it ran, and make
+// every restart refuse the data directory. It must be a 400 with nothing
+// journaled, and a body over maxSubmitBytes a 413; the service keeps
+// serving.
+func TestHTTPRejectsHugeSubmissions(t *testing.T) {
+	dataDir := t.TempDir()
+	s := startService(t, Config{DataDir: dataDir})
+	srv := httptest.NewServer(NewHandler(s, nil))
+	defer srv.Close()
+
+	post := func(body string) (*http.Response, SubmitResponse) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&sub)
+		return resp, sub
+	}
+	huge := testManifest("huge", 2, 8)
+	for i := range huge.Entries {
+		huge.Entries[i].Runs = 1 << 62
+	}
+	mb, _ := json.Marshal(huge)
+	if resp, _ := post(`{"tenant":"acme","manifest":` + string(mb) + `}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("manifest of 2^62-run entries: status %d, want 400", resp.StatusCode)
+	}
+	if resp, _ := post(`{"tenant":"` + strings.Repeat("a", 2<<20) + `"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB submit body: status %d, want 413", resp.StatusCode)
+	}
+	if recs := s.List(); len(recs) != 0 {
+		t.Fatalf("rejected submissions left %d campaign(s)", len(recs))
+	}
+	if ents, err := os.ReadDir(dataDir); err != nil || len(ents) != 0 {
+		t.Fatalf("rejected submissions journaled %v (err %v)", ents, err)
+	}
+
+	mb, _ = json.Marshal(testManifest("after", 1, 8))
+	resp, sub := post(`{"tenant":"acme","manifest":` + string(mb) + `}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid submit after the rejected ones: status %d", resp.StatusCode)
+	}
+	if rec := waitTerminal(t, s, sub.ID, 30*time.Second); rec.State != StateDone {
+		t.Fatalf("campaign after the rejected ones ended %s: %s", rec.State, rec.Error)
+	}
+}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/sim"
@@ -76,19 +79,15 @@ func countingDial(fc *frameCounter) DialFunc {
 	}
 }
 
-// TestV3FleetStreamsBatches: the protocol's happy path end to end — a
-// batching worker and an adaptive coordinator complete a campaign
-// byte-identical to local, with results arriving as result_batch frames.
-func TestV3FleetStreamsBatches(t *testing.T) {
+// TestFleetSendsOneResultFramePerChunk: the protocol's happy path end
+// to end — a worker and an adaptive coordinator complete a campaign
+// byte-identical to local, and every committed chunk's results arrive
+// in its one chunk_done frame, with no result_batch frame (protocol v4's
+// streaming) on the wire.
+func TestFleetSendsOneResultFramePerChunk(t *testing.T) {
 	const runs = 24
 	want := localPop(t, runs)
-	// The flush timer is held off so the frame count depends on the
-	// carve alone: on a slow host (the race detector's ~10x) it fires
-	// between most completions, as it should in production.
-	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
-		p.heartbeat = 50 * time.Millisecond
-		p.batchFlush = time.Hour
-	})}
+	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) { p.heartbeat = 50 * time.Millisecond })}
 	fc := &frameCounter{}
 	c := fastCoord(startWorkerWith(t, w))
 	c.Dial = countingDial(fc)
@@ -97,14 +96,15 @@ func TestV3FleetStreamsBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPopEqual(t, got, want)
-	// Batching amortizes: every chunk here is under batchRuns, so it
-	// ships as exactly one result_batch — far fewer frames than runs.
-	n := fc.get(frameResultBatch)
+	n := fc.get(frameChunkDone)
 	if chunks := c.Status().ChunksCompleted; n != chunks {
-		t.Errorf("%d result_batch frames for %d chunks, want one per chunk", n, chunks)
+		t.Errorf("%d chunk_done frames for %d committed chunks, want one per chunk", n, chunks)
 	}
 	if n == 0 || n > runs/2 {
-		t.Errorf("%d result_batch frames for %d runs — batching is not amortizing", n, runs)
+		t.Errorf("%d chunk_done frames for %d runs — chunks are not amortizing frames", n, runs)
+	}
+	if b := fc.get("result_batch"); b != 0 {
+		t.Errorf("%d result_batch frames, want none: results travel in chunk_done", b)
 	}
 }
 
@@ -139,6 +139,24 @@ func (l *slowListener) Accept() (net.Conn, error) {
 	return &slowConn{Conn: nc, lag: l.lag}, nil
 }
 
+// startLaggedWorker boots a worker of par slots whose every connection
+// read and write is delayed by lag (none when lag is zero).
+func startLaggedWorker(t *testing.T, par int, lag time.Duration) *Worker {
+	t.Helper()
+	w := &Worker{Parallelism: par, pol: policyWith(func(p *policy) { p.heartbeat = 20 * time.Millisecond })}
+	if lag > 0 {
+		w.listen = func(network, address string) (net.Listener, error) {
+			ln, err := net.Listen(network, address)
+			if err != nil {
+				return nil, err
+			}
+			return &slowListener{Listener: ln, lag: lag}, nil
+		}
+	}
+	startWorkerWith(t, w)
+	return w
+}
+
 // TestHeterogeneousFleetAdaptive is the scheduling satellite: an 8-slot
 // worker and a single-slot worker behind a slow link share a campaign
 // under adaptive sizing. The fast worker must serve proportionally more
@@ -152,26 +170,8 @@ func TestHeterogeneousFleetAdaptive(t *testing.T) {
 	)
 	want := localPop(t, runs)
 
-	mkWorker := func(par int, lag time.Duration) *Worker {
-		w := &Worker{Parallelism: par, pol: policyWith(func(p *policy) { p.heartbeat = 20 * time.Millisecond })}
-		if lag > 0 {
-			w.listen = func(network, address string) (net.Listener, error) {
-				ln, err := net.Listen(network, address)
-				if err != nil {
-					return nil, err
-				}
-				return &slowListener{Listener: ln, lag: lag}, nil
-			}
-		}
-		if err := w.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = w.Serve() }()
-		t.Cleanup(func() { w.Close() })
-		return w
-	}
-	fast := mkWorker(8, 0)
-	slow := mkWorker(1, 8*time.Millisecond)
+	fast := startLaggedWorker(t, 8, 0)
+	slow := startLaggedWorker(t, 1, 8*time.Millisecond)
 
 	trace := &syncBuffer{}
 	c := fastCoord(fast.Addr(), slow.Addr())
@@ -238,6 +238,69 @@ func TestHeterogeneousFleetAdaptive(t *testing.T) {
 	}
 	if chunks < 2 {
 		t.Fatalf("trace recorded %d dispatched chunks, want the fleet sharing work", chunks)
+	}
+}
+
+// TestAdaptiveStopIndependentOfArrivalOrder: core.AnalyzeToWidthWith
+// decides after every round whether to stop, which is optional stopping.
+// In distributed SMC the runs that finish first can steer that decision
+// (Bulychev et al.). Here one worker lags every frame, so the fast
+// worker's runs always report first; because the coordinator commits
+// whole chunks by seed offset and core decides on whole rounds, the
+// analysis must stop on the same round with the same samples and
+// interval as a local run.
+func TestAdaptiveStopIndependentOfArrivalOrder(t *testing.T) {
+	p := core.Params{F: 0.9, C: 0.9}
+	local := core.FuncCollector(localRuntime)
+	type round struct {
+		n     int
+		width float64
+	}
+	analyze := func(col core.Collector, target float64, maxN int) (*core.Analysis, []round, error) {
+		var rounds []round
+		a, err := core.AnalyzeToWidthWith(col, p, core.WidthOptions{
+			TargetWidth: target, MaxSamples: maxN, BaseSeed: testSeed,
+			Hooks: core.Hooks{OnRound: func(n int, w float64) { rounds = append(rounds, round{n, w}) }},
+		})
+		return a, rounds, err
+	}
+	// Probe three rounds' widths locally, then target the third round's,
+	// so the loop stops on width, not on its budget.
+	minN, err := core.CIMinSamples(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, probe, err := analyze(local, 1e-12, 3*minN)
+	if !errors.Is(err, core.ErrWidthBudget) || len(probe) != 3 {
+		t.Fatalf("probe: %d rounds, err %v; want 3 rounds and the budget error", len(probe), err)
+	}
+	target := probe[2].width
+	want, wantRounds, err := analyze(local, target, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRounds) < 2 {
+		t.Fatalf("local run stopped after %d round(s); the test needs a refinement round", len(wantRounds))
+	}
+
+	fast := startLaggedWorker(t, 1, 0)
+	slow := startLaggedWorker(t, 1, 2*time.Millisecond)
+	c := fastCoord(fast.Addr(), slow.Addr())
+	got, gotRounds, err := analyze(c.CollectorCtx(context.Background(), testJob(), sim.MetricRuntime), target, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotRounds, wantRounds) {
+		t.Errorf("fleet rounds %v, local %v", gotRounds, wantRounds)
+	}
+	if string(mustJSON(t, got.Samples)) != string(mustJSON(t, want.Samples)) {
+		t.Error("fleet samples differ from local")
+	}
+	if got.Interval != want.Interval {
+		t.Errorf("fleet interval %+v, local %+v", got.Interval, want.Interval)
+	}
+	if slow.Status().RunsServed == 0 {
+		t.Error("the lagged worker served no runs: arrival order was never mixed")
 	}
 }
 

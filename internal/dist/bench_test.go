@@ -13,51 +13,44 @@ import (
 )
 
 // BenchmarkDistWireEncode isolates the wire cost of shipping one chunk's
-// results: JSON encode + decode of 256 runs as result_batch frames,
-// flushed every defaultPolicy.batchRuns runs the way a worker sends
-// them, with a realistic metric payload (one actual simulation's metric
-// set, replicated). No sockets, no simulation — just the serialization the
-// hot path pays per run.
+// results: JSON encode + decode of a 256-run chunk_done frame, the way a
+// worker answers a chunk, with a realistic metric payload (one actual
+// simulation's metric set, replicated). No sockets, no simulation — just
+// the serialization the hot path pays per run.
 func BenchmarkDistWireEncode(b *testing.B) {
 	const runs = 256
 	res, err := sim.Run(testBench, sim.DefaultConfig(), testScale, testSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var batches []frame
 	rb := &ResultBatch{}
 	for i := 0; i < runs; i++ {
 		rb.add(i, res.Metrics, res.Cycles, 1234)
-		if rb.len() == defaultPolicy.batchRuns || i == runs-1 {
-			batches = append(batches, frame{Type: frameResultBatch, ID: 1, Batch: rb})
-			rb = &ResultBatch{}
-		}
 	}
+	done := frame{Type: frameChunkDone, ID: 1, Batch: rb}
 	b.ReportAllocs()
 	var bytesTotal int64
 	for b.Loop() {
-		for i := range batches {
-			data, err := json.Marshal(batches[i])
-			if err != nil {
-				b.Fatal(err)
-			}
-			bytesTotal += int64(len(data)) + 1 // newline
-			var g frame
-			if err := json.Unmarshal(data, &g); err != nil {
-				b.Fatal(err)
-			}
-			if err := g.Batch.validate(); err != nil {
-				b.Fatal(err)
-			}
+		data, err := json.Marshal(done)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytesTotal += int64(len(data)) + 1 // newline
+		var g frame
+		if err := json.Unmarshal(data, &g); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.Batch.validate(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(batches))/runs, "frames/run")
+	b.ReportMetric(1.0/runs, "frames/run")
 	b.ReportMetric(float64(bytesTotal)/float64(b.N*runs), "wireB/run")
 }
 
 // lineCountConn counts newline-delimited frames read from the peer — a
-// zero-parse tap on everything the coordinator receives (batches,
-// heartbeats, handshakes, chunk_done).
+// zero-parse tap on everything the coordinator receives (heartbeats,
+// handshakes, chunk_done).
 type lineCountConn struct {
 	net.Conn
 	lines *atomic.Int64
@@ -74,9 +67,9 @@ func (c lineCountConn) Read(p []byte) (int, error) {
 }
 
 // BenchmarkDistCampaignThroughput runs a real 2-worker loopback campaign
-// per iteration, with batched results and adaptive chunk sizing at the
-// CLIs' 250ms target, and reports coordinator-side inbound frames per
-// run and end-to-end ns per run.
+// per iteration, with one result frame per chunk and adaptive chunk
+// sizing at the CLIs' 250ms target, and reports coordinator-side inbound
+// frames per run and end-to-end ns per run.
 func BenchmarkDistCampaignThroughput(b *testing.B) {
 	const runs = 96
 	addrs := make([]string, 2)

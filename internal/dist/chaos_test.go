@@ -40,16 +40,13 @@ func chaosProfile(scenarios ...faultx.Scenario) faultx.Profile {
 }
 
 // startChaosWorker boots a real worker behind a fault-injecting
-// listener. Batching is tuned aggressively small so the soak exercises
-// many result_batch flush boundaries per chunk, not one big batch.
+// listener.
 func startChaosWorker(t *testing.T, inj *faultx.Injector) *Worker {
 	t.Helper()
 	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
 		p.heartbeat = 50 * time.Millisecond
 		p.workerWriteTimeout = 500 * time.Millisecond
 		p.idleTimeout = 30 * time.Second
-		p.batchRuns = 4
-		p.batchFlush = 5 * time.Millisecond
 	})}
 	return startChaos(t, w, inj)
 }
@@ -80,9 +77,9 @@ func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
 // soak-test speed and a fault budget large enough that chaos rarely
 // abandons both workers (and byte-identity holds even when it does —
 // the coordinator degrades to local execution). The short ChunkTarget
-// carves many variably sized chunks — re-dispatch of partially-streamed
-// batched chunks is exactly where scheduling bugs would corrupt
-// assembly.
+// carves many variably sized chunks — re-dispatch of chunks whose
+// chunk_done was torn, duplicated or never sent is exactly where
+// scheduling bugs would corrupt assembly.
 func chaosCoord(dial *faultx.Injector, obsv *obs.Observer, addrs ...string) *Coordinator {
 	return &Coordinator{
 		Workers:     addrs,
@@ -153,8 +150,9 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 }
 
 // TestChaosHooksNeverDuplicate runs the combined profile and checks the
-// exactly-once hook contract survives chaos: re-dispatched and
-// half-streamed chunks must not fire hooks twice or for phantom runs.
+// exactly-once hook contract survives chaos: re-dispatched chunks and
+// torn or replayed chunk_done frames must not fire hooks twice or for
+// phantom runs.
 func TestChaosHooksNeverDuplicate(t *testing.T) {
 	const runs = 9
 	seed := chaosSeed(t)

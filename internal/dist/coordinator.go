@@ -543,8 +543,9 @@ func (c *Coordinator) dial(addr string) (*conn, error) {
 	return cn, nil
 }
 
-// dispatch sends one chunk and consumes its result stream. Errors are
-// transport-level unless wrapped in chunkExecError.
+// dispatch sends one chunk and waits for its chunk_done, which carries
+// every result of the chunk. Errors are transport-level unless wrapped
+// in chunkExecError.
 func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st *runState, h population.RunHooks) error {
 	// The job may have completed between carving and here (a slow
 	// duplicate dispatch committing the final offsets): launch nothing —
@@ -583,11 +584,9 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 	}
 	pol := c.pol.orDefault()
 	deadline := time.Now().Add(pol.chunkTimeout)
-	runs := make([]RunResult, 0, ch.count)
-	seen := make(map[int]bool, ch.count)
 	for {
 		// A slow dispatch racing its own re-dispatch stops as soon as the
-		// job finishes elsewhere, instead of streaming to completion.
+		// job finishes elsewhere, instead of waiting out its chunk.
 		select {
 		case <-st.done:
 			span.End(obs.Str("error", errJobDone.Error()))
@@ -609,36 +608,14 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 		switch f.Type {
 		case frameHeartbeat:
 			continue
-		case frameResultBatch:
-			b := f.Batch
-			if b == nil {
-				span.End(obs.Str("error", "empty batch"))
-				return fmt.Errorf("dist: worker %s sent result_batch with no payload", cn.addr)
-			}
-			if err := b.validate(); err != nil {
-				span.End(obs.Str("error", err.Error()))
-				return err
-			}
-			for i, off := range b.Offsets {
-				if off < ch.start || off >= ch.start+ch.count || seen[off] {
-					span.End(obs.Str("error", "bad offset"))
-					return fmt.Errorf("dist: worker %s sent duplicate or out-of-chunk offset %d for chunk [%d,%d)",
-						cn.addr, off, ch.start, ch.start+ch.count)
-				}
-				seen[off] = true
-				// Rebuild the per-run metric map from the columns: names
-				// decode once per batch instead of once per run.
-				m := make(map[string]float64, len(b.Metrics))
-				for k, vs := range b.Metrics {
-					m[k] = vs[i]
-				}
-				runs = append(runs, RunResult{Offset: off, Metrics: m, Cycles: b.Cycles[i],
-					Elapsed: time.Duration(b.ElapsedUS[i]) * time.Microsecond})
-			}
 		case frameChunkDone:
-			if len(runs) != ch.count {
-				span.End(obs.Str("error", "short chunk"))
-				return fmt.Errorf("dist: worker %s finished chunk with %d/%d results", cn.addr, len(runs), ch.count)
+			// The chunk commits whole or not at all: a batch that is not
+			// exactly its offsets fails the dispatch like a broken
+			// connection, and the chunk is re-dispatched.
+			runs, err := f.Batch.runs(ch.start, ch.count)
+			if err != nil {
+				span.End(obs.Str("error", err.Error()))
+				return fmt.Errorf("dist: worker %s: %w", cn.addr, err)
 			}
 			c.Obs.M().Counter(obs.MetricDistChunksCompleted).Inc()
 			c.noteWorkerChunk(cn.addr, runs, time.Since(sent))

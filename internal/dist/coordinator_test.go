@@ -81,6 +81,16 @@ func localPop(t *testing.T, runs int) *population.Population {
 	return p
 }
 
+// localRuntime simulates one run in-process and returns its runtime:
+// the reference for every distributed collection of testJob's runtime.
+func localRuntime(seed uint64) (float64, error) {
+	res, err := sim.Run(testBench, sim.DefaultConfig(), testScale, seed)
+	if err != nil {
+		return 0, err
+	}
+	return res.Metrics[sim.MetricRuntime], nil
+}
+
 // mustJSON pins byte-identity, the subsystem's core guarantee.
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
@@ -256,9 +266,9 @@ func answerHello(t *testing.T, c *conn) bool {
 }
 
 func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
-	// A worker that streams results in reverse offset order, two runs
-	// per result_batch: legal under the protocol, and must not perturb
-	// the returned sample order.
+	// A worker that answers each chunk with one chunk_done whose offsets
+	// run in reverse order: legal under the protocol, and must not
+	// perturb the returned sample order.
 	var multiRun atomic.Bool
 	fake := startFakeWorker(t, func(c *conn) {
 		if !answerHello(t, c) {
@@ -281,14 +291,8 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 					return
 				}
 				rb.add(off, res.Metrics, res.Cycles, 0)
-				if rb.len() == 2 || i == 0 {
-					if c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}) != nil {
-						return
-					}
-					rb.reset()
-				}
 			}
-			if c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count}) != nil {
+			if c.send(frame{Type: frameChunkDone, ID: req.ID, Batch: rb}) != nil {
 				return
 			}
 		}
@@ -306,9 +310,9 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 }
 
 func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
-	// The dying worker streams two bogus results per chunk and drops the
-	// connection without chunk_done, every time. Its partial results must
-	// be discarded (never committed), the chunks re-dispatched, and the
+	// The dying worker answers every chunk with a chunk_done one run
+	// short, holding poison values, and drops the connection. The short
+	// chunk must never commit, the chunks must be re-dispatched, and the
 	// healthy worker must finish the job with local-identical samples.
 	dying := startFakeWorker(t, func(c *conn) {
 		if !answerHello(t, c) {
@@ -319,11 +323,11 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 			return
 		}
 		rb := &ResultBatch{}
-		for i := 0; i < 2 && i < req.Count; i++ {
+		for i := 0; i < req.Count-1; i++ {
 			rb.add(req.Start+i, map[string]float64{sim.MetricRuntime: -12345}, 0, 0) // poison: must never commit
 		}
-		c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb})
-		// close without chunk_done: mid-chunk death
+		c.send(frame{Type: frameChunkDone, ID: req.ID, Batch: rb})
+		// close after the short chunk_done: mid-chunk death
 	})
 	healthy := startWorker(t)
 
@@ -496,14 +500,7 @@ func TestAnalyzeWithCoordinatorCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(seed uint64) (float64, error) {
-		res, err := sim.Run(testBench, sim.DefaultConfig(), testScale, seed)
-		if err != nil {
-			return 0, err
-		}
-		return res.Metrics[sim.MetricRuntime], nil
-	}
-	localA, err := core.Analyze(run, p, opts)
+	localA, err := core.Analyze(localRuntime, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

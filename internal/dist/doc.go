@@ -24,8 +24,10 @@
 // once, never retried. Every remote chunk is sized to take about
 // Coordinator.ChunkTarget of wall time at the throughput of the last
 // chunk the coordinator committed from that worker (before the first,
-// at the parallelism the worker advertised at hello), and workers
-// stream its results back as columnar result_batch frames. Frames
+// at the parallelism the worker advertised at hello), and the worker
+// answers it with one chunk_done frame that carries all of its results
+// in columns. The coordinator commits a chunk whole, by seed offset, so
+// the order in which runs finish never reaches the samples. Frames
 // carry work and results only: the coordinator's fleet view comes from
 // its own dispatches and commits, and a worker's lifetime numbers live
 // on the worker's own Status.
@@ -37,8 +39,8 @@
 // workers to healthy ones, and graceful degradation to in-process
 // execution when no worker is reachable (a coordinator with no workers
 // at all is simply a local runner). Its deadlines, retry budget,
-// backoff, heartbeat and batch limits are one fixed transport policy
-// (defaultPolicy), not settings. A worker refuses a chunk of more runs
+// backoff and heartbeat are one fixed transport policy (defaultPolicy),
+// not settings. A worker refuses a chunk of more runs
 // than a coordinator ever carves (maxChunk).
 //
 // In-process execution is population.Executor on both sides: a worker

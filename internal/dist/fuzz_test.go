@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -21,22 +20,18 @@ const (
 	fuzzChunkCount = 4
 )
 
-// batchLine renders a result_batch frame for chunk id whose metric "m"
-// equals each run's offset plus bias.
-func batchLine(id uint64, bias float64, offs ...int) string {
+// doneLine renders a chunk_done frame for chunk id carrying the runs at
+// offs, whose metric "m" equals each run's offset plus bias.
+func doneLine(id uint64, bias float64, offs ...int) string {
 	b := &ResultBatch{}
 	for _, off := range offs {
 		b.add(off, map[string]float64{"m": float64(off) + bias}, uint64(off), 1)
 	}
-	line, err := json.Marshal(frame{Type: frameResultBatch, ID: id, Batch: b})
+	line, err := json.Marshal(frame{Type: frameChunkDone, ID: id, Batch: b})
 	if err != nil {
 		panic(err)
 	}
 	return string(line) + "\n"
-}
-
-func doneLine(id uint64) string {
-	return fmt.Sprintf(`{"type":"chunk_done","id":%d}`+"\n", id)
 }
 
 // chunkStreamSeeds are worker replies to chunk ID 1 — the first ID a
@@ -44,13 +39,14 @@ func doneLine(id uint64) string {
 // "" for a committed chunk (whose metric "m" equals each offset), else a
 // substring of the error.
 var chunkStreamSeeds = []struct{ name, reply, wantErr string }{
-	{"valid", `{"type":"heartbeat","id":1}` + "\n" + batchLine(1, 0, 3, 2) + batchLine(1, 0, 5, 4) + doneLine(1), ""},
-	{"ragged", `{"type":"result_batch","id":1,"batch":{"offsets":[2,3],"cycles":[2],"elapsed_us":[1,1]}}` + "\n", "ragged"},
-	{"duplicate", batchLine(1, 0, 2, 3) + batchLine(1, 0, 3, 4) + doneLine(1), "duplicate or out-of-chunk offset 3"},
-	{"out-of-range", batchLine(1, 0, 2, 3, 4, 6) + doneLine(1), "duplicate or out-of-chunk offset 6"},
-	{"stale-id", batchLine(7, -100, 2, 3, 4, 5) + doneLine(7) + batchLine(1, 0, 2, 3, 4, 5) + doneLine(1), ""},
-	{"short", batchLine(1, 0, 2, 3) + doneLine(1), "2/4 results"},
-	{"legacy-v1-result", `{"type":"result","id":1,"offset":2,"metrics":{"m":2}}` + "\n", "unexpected result frame"},
+	{"valid", `{"type":"heartbeat","id":1}` + "\n" + doneLine(1, 0, 3, 5, 2, 4), ""},
+	{"ragged", `{"type":"chunk_done","id":1,"batch":{"offsets":[2,3,4,5],"cycles":[2],"elapsed_us":[1,1,1,1]}}` + "\n", "ragged"},
+	{"no-results", `{"type":"chunk_done","id":1}` + "\n", "0/4 results"},
+	{"duplicate", doneLine(1, 0, 2, 3, 3, 4), "duplicate or out-of-chunk offset 3"},
+	{"out-of-range", doneLine(1, 0, 2, 3, 4, 6), "duplicate or out-of-chunk offset 6"},
+	{"stale-id", doneLine(7, -100, 2, 3, 4, 5) + doneLine(1, 0, 2, 3, 4, 5), ""},
+	{"short", doneLine(1, 0, 2, 3), "2/4 results"},
+	{"legacy-v4-result-batch", `{"type":"result_batch","id":1,"batch":{"offsets":[2,3,4,5],"cycles":[2,3,4,5],"elapsed_us":[1,1,1,1],"metrics":{"m":[2,3,4,5]}}}` + "\n" + `{"type":"chunk_done","id":1}` + "\n", "unexpected result_batch frame"},
 }
 
 // hungUpPipe is the coordinator's end of a net.Pipe whose worker hangs
@@ -104,8 +100,8 @@ func driveChunkStream(tb testing.TB, reply []byte) (*runState, error) {
 
 // FuzzChunkStream feeds arbitrary bytes as a worker's reply to one
 // dispatched chunk. Dispatch must return promptly without panicking; when
-// it accepts the stream it commits exactly the chunk's offsets, each
-// once, and when it rejects the stream it commits nothing.
+// it accepts the reply it commits exactly the chunk's offsets, each
+// once, and when it rejects the reply it commits nothing.
 func FuzzChunkStream(f *testing.F) {
 	for _, s := range chunkStreamSeeds {
 		st, err := driveChunkStream(f, []byte(s.reply))

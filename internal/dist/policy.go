@@ -3,12 +3,12 @@ package dist
 import "time"
 
 // policy is the dist layer's transport policy: every deadline, retry
-// budget and batching bound either side of the wire applies. Production
-// Coordinators and Workers run defaultPolicy; in-package tests shorten a
-// copy to reach failure paths quickly.
+// budget and heartbeat interval either side of the wire applies.
+// Production Coordinators and Workers run defaultPolicy; in-package
+// tests shorten a copy to reach failure paths quickly.
 type policy struct {
-	// chunkTimeout bounds one chunk's execution, streaming included; a
-	// chunk that exceeds it is re-dispatched.
+	// chunkTimeout bounds one chunk from its run_chunk to its
+	// chunk_done; a chunk that exceeds it is re-dispatched.
 	chunkTimeout time.Duration
 	// readTimeout bounds the silence between a worker's frames. Workers
 	// heartbeat while executing, so a tripped read means the worker is
@@ -36,11 +36,6 @@ type policy struct {
 	// is reaped, so a half-open one cannot leak its goroutine. It is
 	// generous: pooled connections idle between chunks.
 	idleTimeout time.Duration
-	// A worker flushes its result_batch once it holds batchRuns runs,
-	// and at least every batchFlush while runs are buffered, so a slow
-	// trickle still reaches the coordinator's progress hooks promptly.
-	batchRuns  int
-	batchFlush time.Duration
 }
 
 var defaultPolicy = policy{
@@ -55,8 +50,6 @@ var defaultPolicy = policy{
 	heartbeat:          time.Second,
 	workerWriteTimeout: 15 * time.Second,
 	idleTimeout:        5 * time.Minute,
-	batchRuns:          64,
-	batchFlush:         25 * time.Millisecond,
 }
 
 // orDefault returns p, or defaultPolicy for the nil policy every

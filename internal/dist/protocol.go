@@ -15,7 +15,7 @@ import (
 // Both sides of hello accept exactly this version: workers and
 // coordinators ship from the same build, so a peer at any other version
 // is a stale binary, refused before a campaign starts.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
 // Frame types. The protocol is newline-delimited JSON: every message is
 // one frame object on one line, in both directions.
@@ -25,11 +25,10 @@ const (
 	frameRunChunk = "run_chunk" // execute a contiguous seed chunk
 
 	// worker → coordinator
-	frameHelloOK     = "hello_ok"     // handshake accepted
-	frameResultBatch = "result_batch" // completed runs, columnar
-	frameHeartbeat   = "heartbeat"    // liveness while a chunk is executing
-	frameChunkDone   = "chunk_done"
-	frameError       = "error" // chunk failed worker-side, or a refused frame
+	frameHelloOK   = "hello_ok"   // handshake accepted
+	frameHeartbeat = "heartbeat"  // liveness while a chunk is executing
+	frameChunkDone = "chunk_done" // a chunk's results, all in one frame
+	frameError     = "error"      // chunk failed worker-side, or a refused frame
 )
 
 // frame is the single wire message shape; Type selects which fields are
@@ -38,7 +37,8 @@ const (
 type frame struct {
 	Type    string `json:"type"`
 	Version int    `json:"version,omitempty"`
-	// Chunk identity and job description (run_chunk; echoed on replies).
+	// Chunk identity (echoed on every reply to a chunk) and job
+	// description (run_chunk).
 	ID        uint64      `json:"id,omitempty"`
 	Benchmark string      `json:"benchmark,omitempty"`
 	Config    *sim.Config `json:"config,omitempty"`
@@ -46,54 +46,40 @@ type frame struct {
 	BaseSeed  uint64      `json:"base_seed,omitempty"`
 	Start     int         `json:"start,omitempty"`
 	Count     int         `json:"count,omitempty"`
-	// Batch is the columnar result payload (result_batch frames).
+	// Batch is the chunk's columnar results (chunk_done frames).
 	Batch *ResultBatch `json:"batch,omitempty"`
 	// Worker capability (hello_ok) and failure detail (error frames).
 	Parallelism int    `json:"parallelism,omitempty"`
 	Error       string `json:"error,omitempty"`
 }
 
-// ResultBatch is the columnar result payload: many completed runs in
-// one frame, with the per-metric value arrays keyed once by metric name
-// instead of one map[string]float64 per run. Index i across all arrays
-// describes one run; the arrays are always the same length. Batching
-// amortizes JSON encode/decode, syscalls, and per-run map allocations
-// across the whole batch — the dist hot path's dominant cost at small
-// simulation scales.
+// ResultBatch is the columnar result payload of a chunk_done frame:
+// every run of the chunk in one frame, with the per-metric value arrays
+// keyed once by metric name instead of one map[string]float64 per run.
+// Index i across all arrays describes one run; the arrays are always the
+// same length. One frame per chunk amortizes JSON encode/decode,
+// syscalls, and per-run map allocations across the whole chunk — the
+// dist hot path's dominant cost at small simulation scales.
 type ResultBatch struct {
-	// Offsets are the runs' seed offsets within the campaign, in
-	// completion order.
+	// Offsets are the runs' seed offsets within the campaign. A worker
+	// sends them in seed order; the coordinator places each run by its
+	// offset, whatever the order.
 	Offsets []int `json:"offsets"`
 	// Cycles and ElapsedUS align with Offsets.
 	Cycles    []uint64 `json:"cycles"`
 	ElapsedUS []int64  `json:"elapsed_us"`
 	// Metrics maps each metric name to its value column. Every run in a
-	// batch has the same metric set — the worker flushes early on the
-	// rare key-set change — so name strings ship (and decode) once per
-	// batch rather than once per run.
+	// batch has the same metric set, so name strings ship (and decode)
+	// once per chunk rather than once per run.
 	Metrics map[string][]float64 `json:"metrics,omitempty"`
 }
 
-func (b *ResultBatch) len() int { return len(b.Offsets) }
-
 // add appends one run to the batch. It reports false — without
 // modifying the batch — when the run's metric key set differs from the
-// batch's; the caller flushes and retries on a fresh batch.
+// batch's.
 func (b *ResultBatch) add(offset int, metrics map[string]float64, cycles uint64, elapsedUS int64) bool {
 	if len(b.Offsets) == 0 {
-		if b.Metrics == nil {
-			b.Metrics = make(map[string][]float64, len(metrics))
-		}
-		// A reset batch keeps its columns for capacity; drop any key the
-		// new run doesn't carry so the batch can't come out ragged.
-		for k := range b.Metrics {
-			if _, ok := metrics[k]; !ok {
-				delete(b.Metrics, k)
-			}
-		}
-		for k, v := range metrics {
-			b.Metrics[k] = append(b.Metrics[k], v)
-		}
+		b.Metrics = make(map[string][]float64, len(metrics))
 	} else {
 		if len(metrics) != len(b.Metrics) {
 			return false
@@ -103,9 +89,9 @@ func (b *ResultBatch) add(offset int, metrics map[string]float64, cycles uint64,
 				return false
 			}
 		}
-		for k, v := range metrics {
-			b.Metrics[k] = append(b.Metrics[k], v)
-		}
+	}
+	for k, v := range metrics {
+		b.Metrics[k] = append(b.Metrics[k], v)
 	}
 	b.Offsets = append(b.Offsets, offset)
 	b.Cycles = append(b.Cycles, cycles)
@@ -113,34 +99,56 @@ func (b *ResultBatch) add(offset int, metrics map[string]float64, cycles uint64,
 	return true
 }
 
-// reset empties the batch for reuse, keeping the column capacity.
-func (b *ResultBatch) reset() {
-	b.Offsets = b.Offsets[:0]
-	b.Cycles = b.Cycles[:0]
-	b.ElapsedUS = b.ElapsedUS[:0]
-	for k := range b.Metrics {
-		b.Metrics[k] = b.Metrics[k][:0]
-	}
-}
-
 // validate checks the columnar invariants a peer-supplied batch must
 // hold before it is safe to index.
 func (b *ResultBatch) validate() error {
 	n := len(b.Offsets)
 	if len(b.Cycles) != n || len(b.ElapsedUS) != n {
-		return fmt.Errorf("dist: ragged result_batch: %d offsets, %d cycles, %d elapsed",
+		return fmt.Errorf("ragged results: %d offsets, %d cycles, %d elapsed",
 			n, len(b.Cycles), len(b.ElapsedUS))
 	}
 	for k, vs := range b.Metrics {
 		if len(vs) != n {
-			return fmt.Errorf("dist: ragged result_batch: metric %q has %d values for %d offsets", k, len(vs), n)
+			return fmt.Errorf("ragged results: metric %q has %d values for %d offsets", k, len(vs), n)
 		}
 	}
 	return nil
 }
 
+// runs checks that a peer-supplied batch holds exactly the offsets
+// [start, start+count), each once, and returns its runs in seed order.
+// A nil batch holds no runs.
+func (b *ResultBatch) runs(start, count int) ([]RunResult, error) {
+	if b == nil {
+		b = &ResultBatch{}
+	}
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
+	if len(b.Offsets) != count {
+		return nil, fmt.Errorf("chunk [%d,%d) done with %d/%d results", start, start+count, len(b.Offsets), count)
+	}
+	runs := make([]RunResult, count)
+	for i, off := range b.Offsets {
+		// Every run gets a non-nil metric map, so a nil one marks an
+		// offset not yet seen.
+		if off < start || off >= start+count || runs[off-start].Metrics != nil {
+			return nil, fmt.Errorf("duplicate or out-of-chunk offset %d for chunk [%d,%d)", off, start, start+count)
+		}
+		// Rebuild the per-run metric map from the columns: names decode
+		// once per chunk instead of once per run.
+		m := make(map[string]float64, len(b.Metrics))
+		for k, vs := range b.Metrics {
+			m[k] = vs[i]
+		}
+		runs[off-start] = RunResult{Offset: off, Metrics: m, Cycles: b.Cycles[i],
+			Elapsed: time.Duration(b.ElapsedUS[i]) * time.Microsecond}
+	}
+	return runs, nil
+}
+
 // conn wraps a TCP connection with buffered JSONL framing and a write
-// lock, so result streaming and heartbeats can interleave safely.
+// lock, so a chunk's heartbeats and its chunk_done can interleave safely.
 type conn struct {
 	net net.Conn
 	r   *bufio.Reader
@@ -150,7 +158,7 @@ type conn struct {
 	enc *json.Encoder
 	// writeTimeout bounds each send; zero disables. Without it a peer
 	// that stops reading blocks the sender inside wmu forever — wedging
-	// whatever holds the lock next (heartbeats, result streaming).
+	// whatever holds the lock next (heartbeats, chunk_done).
 	writeTimeout time.Duration
 	addr         string
 	// parallelism is the worker's advertised simulation slot count from
@@ -190,8 +198,7 @@ func (c *conn) send(f frame) error {
 
 // recv decodes the next frame, honouring the deadline (zero means no
 // deadline). Read deadlines are the liveness mechanism: a worker that
-// stops streaming results or heartbeats trips the deadline and is
-// treated as dead.
+// stops sending heartbeats trips the deadline and is treated as dead.
 func (c *conn) recv(deadline time.Time) (frame, error) {
 	if err := c.net.SetReadDeadline(deadline); err != nil {
 		return frame{}, err

@@ -61,7 +61,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	for _, reply := range []frame{
 		{Type: frameHelloOK, Version: ProtocolVersion + 1},
 		{Type: frameHelloOK, Version: ProtocolVersion - 1},
-		{Type: frameError, Error: "protocol version 3, worker speaks 4"},
+		{Type: frameError, Error: "protocol version 4, worker speaks 5"},
 	} {
 		a, b := pipePair()
 		go func() {
@@ -146,9 +146,9 @@ func TestBackoffBoundedAndJittered(t *testing.T) {
 }
 
 // TestResultBatchColumns pins the columnar batch invariants: add keeps
-// the arrays aligned, refuses a metric key-set change without mutating
-// the batch, reset keeps capacity but never leaks stale keys into the
-// next batch, and validate rejects ragged peer input.
+// the arrays aligned and refuses a metric key-set change without
+// mutating the batch, the batch survives the wire in a chunk_done frame,
+// and validate rejects ragged peer input.
 func TestResultBatchColumns(t *testing.T) {
 	b := &ResultBatch{}
 	if !b.add(3, map[string]float64{"ipc": 1.5, "mpki": 0.2}, 100, 7) {
@@ -157,7 +157,7 @@ func TestResultBatchColumns(t *testing.T) {
 	if !b.add(4, map[string]float64{"ipc": 1.6, "mpki": 0.3}, 200, 9) {
 		t.Fatal("same-key add refused")
 	}
-	if b.len() != 2 || b.Offsets[1] != 4 || b.Cycles[0] != 100 || b.Metrics["ipc"][1] != 1.6 {
+	if len(b.Offsets) != 2 || b.Offsets[1] != 4 || b.Cycles[0] != 100 || b.Metrics["ipc"][1] != 1.6 {
 		t.Fatalf("batch columns wrong: %+v", b)
 	}
 	if err := b.validate(); err != nil {
@@ -167,35 +167,20 @@ func TestResultBatchColumns(t *testing.T) {
 	if b.add(5, map[string]float64{"ipc": 1.7}, 300, 11) {
 		t.Fatal("key-set change accepted into a non-empty batch")
 	}
-	if b.len() != 2 {
-		t.Fatalf("refused add mutated the batch: len %d", b.len())
+	if len(b.Offsets) != 2 || len(b.Metrics["ipc"]) != 2 {
+		t.Fatalf("refused add mutated the batch: %+v", b)
 	}
 	// Round-trip through the wire encoding.
 	a, p := pipePair()
 	defer a.close()
 	defer p.close()
-	go a.send(frame{Type: frameResultBatch, ID: 9, Batch: b})
+	go a.send(frame{Type: frameChunkDone, ID: 9, Batch: b})
 	f, err := p.recv(time.Now().Add(2 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Batch == nil || f.Batch.len() != 2 || f.Batch.Metrics["mpki"][1] != 0.3 {
+	if f.Batch == nil || len(f.Batch.Offsets) != 2 || f.Batch.Metrics["mpki"][1] != 0.3 {
 		t.Fatalf("batch did not round-trip: %+v", f.Batch)
-	}
-	// Reset keeps the key columns for reuse but a different key set
-	// afterwards must not leave stale zero-length columns behind.
-	b.reset()
-	if b.len() != 0 {
-		t.Fatalf("reset left %d rows", b.len())
-	}
-	if !b.add(6, map[string]float64{"ipc": 1.8}, 400, 13) {
-		t.Fatal("add to reset batch refused")
-	}
-	if err := b.validate(); err != nil {
-		t.Fatalf("reset+shrunken key set produced a ragged batch: %v", err)
-	}
-	if _, ok := b.Metrics["mpki"]; ok {
-		t.Error("stale metric column survived a key-set change")
 	}
 	// Ragged peer input must be rejected before indexing.
 	bad := &ResultBatch{Offsets: []int{1, 2}, Cycles: []uint64{1, 2},

@@ -19,10 +19,9 @@ import (
 
 // Worker serves seed chunks to coordinators: it listens on a TCP
 // address, executes the requested workload+sim runs with bounded local
-// parallelism, and streams results back in columnar batches as they
-// complete (offsets identify runs, so arrival order is free to be
-// whatever the scheduler produces). One worker serves any number of
-// coordinator connections concurrently.
+// parallelism, and answers each chunk with one chunk_done frame that
+// carries all of its results, columnar and keyed by seed offset. One
+// worker serves any number of coordinator connections concurrently.
 type Worker struct {
 	// Parallelism bounds concurrent simulations across all connections
 	// (0 = GOMAXPROCS).
@@ -44,7 +43,7 @@ type Worker struct {
 	closed   bool
 	draining bool
 
-	// activeChunks counts chunks currently streaming; Shutdown waits for
+	// activeChunks counts chunks currently executing; Shutdown waits for
 	// it to reach zero before tearing connections down.
 	activeChunks atomic.Int64
 
@@ -161,9 +160,10 @@ func (w *Worker) Serve() error {
 // Shutdown drains the worker gracefully: it stops accepting new
 // connections, refuses chunk requests arriving on existing ones (their
 // coordinators re-dispatch to the rest of the fleet), and waits up to
-// timeout for in-flight chunks to finish streaming before tearing the
-// connections down. This is the SIGINT/SIGTERM path — a worker leaving
-// a fleet this way never costs a coordinator more than a re-dispatch.
+// timeout for in-flight chunks to finish and send their chunk_done
+// before tearing the connections down. This is the SIGINT/SIGTERM path
+// — a worker leaving a fleet this way never costs a coordinator more
+// than a re-dispatch.
 func (w *Worker) Shutdown(timeout time.Duration) error {
 	w.mu.Lock()
 	if w.closed || w.draining {
@@ -267,15 +267,16 @@ func (w *Worker) serveConn(nc net.Conn) {
 	}
 }
 
-// runChunk executes one contiguous seed chunk and streams results. The
-// connection error (not the simulation error) is returned: a failed run
-// is reported in-band with an error frame and the connection stays up.
+// runChunk executes one contiguous seed chunk and answers it with one
+// chunk_done frame that carries every run's results in seed order. The
+// coordinator commits a chunk only whole, so sending runs earlier would
+// deliver nothing sooner. The connection error (not the simulation
+// error) is returned: a failed run is reported in-band with an error
+// frame and the connection stays up.
 func (w *Worker) runChunk(c *conn, req frame) error {
 	span := w.Obs.T().StartSpan("dist.worker_chunk", obs.Str("peer", c.addr),
 		obs.U64("id", req.ID), obs.Str("benchmark", req.Benchmark),
 		obs.Int("start", req.Start), obs.Int("count", req.Count))
-	w.Obs.M().Counter(obs.MetricDistChunksServed).Inc()
-	w.chunks.Add(1)
 	w.activeChunks.Add(1)
 	defer w.activeChunks.Add(-1)
 	// The count is peer input: bound it before anything is sized by it.
@@ -283,12 +284,13 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		span.End(obs.Str("error", "malformed chunk"))
 		return c.send(frame{Type: frameError, ID: req.ID, Error: "malformed run_chunk frame"})
 	}
+	w.Obs.M().Counter(obs.MetricDistChunksServed).Inc()
+	w.chunks.Add(1)
 
-	// doom ends the chunk's context once it cannot complete on this
-	// connection — a failed send or heartbeat means the coordinator is
-	// gone. The executor then stops launching, so a doomed chunk doesn't
-	// burn CPU and hold arenas other coordinators' chunks need; runs
-	// already in flight finish and free theirs.
+	// doom ends the chunk's context once a heartbeat send fails: the
+	// coordinator is gone. The executor then stops launching, so a doomed
+	// chunk doesn't burn CPU and hold arenas other coordinators' chunks
+	// need; runs already in flight finish and free theirs.
 	ctx, doom := context.WithCancel(context.Background())
 	defer doom()
 
@@ -305,9 +307,6 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 			case <-stopHB:
 				return
 			case <-t.C:
-				// A failed heartbeat means the coordinator is gone: the
-				// error itself also surfaces on the result path, but
-				// dooming here stops run launches a heartbeat sooner.
 				if c.send(frame{Type: frameHeartbeat, ID: req.ID}) != nil {
 					doom()
 				}
@@ -319,61 +318,11 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		hbWG.Wait()
 	}()
 
-	type runOut struct {
-		offset  int
-		metrics map[string]float64
-		cycles  uint64
-		elapsed time.Duration
-	}
-	outs := make(chan runOut, req.Count)
-
-	// Completed runs accumulate into a columnar result_batch, flushed
-	// every batchRuns runs or batchFlush of wall time — one frame and one
-	// syscall amortized over the whole batch instead of per run. A failed
-	// send dooms the chunk and drops every later result.
-	sendErrCh := make(chan error, 1)
-	go func() {
-		var sendErr error
-		rb := &ResultBatch{}
-		flushT := time.NewTicker(pol.batchFlush)
-		defer flushT.Stop()
-		flush := func() {
-			if rb.len() == 0 || sendErr != nil {
-				return
-			}
-			if sendErr = c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}); sendErr != nil {
-				doom()
-				return
-			}
-			rb.reset() // send encodes synchronously, so the columns are free to reuse
-		}
-		for {
-			select {
-			case r, ok := <-outs:
-				if !ok {
-					flush()
-					sendErrCh <- sendErr
-					return
-				}
-				if sendErr != nil {
-					continue
-				}
-				if !rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds()) {
-					// Metric key set changed mid-chunk (rare): flush the
-					// homogeneous batch and start over on a fresh one.
-					flush()
-					rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds())
-				}
-				if rb.len() >= pol.batchRuns {
-					flush()
-				}
-			case <-flushT.C:
-				flush()
-			}
-		}
-	}()
-
-	_, runErr := w.exec.Run(ctx, req.Benchmark, *req.Config, req.Scale, req.BaseSeed, req.Start, req.Count, population.RunHooks{
+	// Each run's cycles and wall time, indexed like the seed-ordered
+	// metrics the executor returns.
+	cycles := make([]uint64, req.Count)
+	elapsedUS := make([]int64, req.Count)
+	metrics, runErr := w.exec.Run(ctx, req.Benchmark, *req.Config, req.Scale, req.BaseSeed, req.Start, req.Count, population.RunHooks{
 		OnRunStart: func(int, uint64) {
 			w.Obs.M().Counter(obs.MetricDistWorkerRuns).Inc()
 			w.inflight.Add(1)
@@ -383,20 +332,15 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 			w.runsDone.Add(1)
 			w.addRunSeconds(elapsed.Seconds())
 			if err == nil {
-				outs <- runOut{offset: off, metrics: res.Metrics, cycles: res.Cycles, elapsed: elapsed}
+				cycles[off-req.Start] = res.Cycles
+				elapsedUS[off-req.Start] = elapsed.Microseconds()
 			}
 		},
 	})
-	close(outs)
-	sendErr := <-sendErrCh
-
 	switch {
-	case sendErr != nil:
-		span.End(obs.Str("error", sendErr.Error()))
-		return sendErr
 	case errors.Is(runErr, context.Canceled):
-		// Doomed by a heartbeat failure before any result send failed:
-		// the coordinator is gone, so tear the connection down.
+		// Doomed by a heartbeat failure: the coordinator is gone, so
+		// tear the connection down.
 		err := errors.New("dist: chunk aborted, coordinator connection lost")
 		span.End(obs.Str("error", err.Error()))
 		return err
@@ -404,6 +348,14 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		span.End(obs.Str("error", runErr.Error()))
 		return c.send(frame{Type: frameError, ID: req.ID, Error: runErr.Error()})
 	}
+	b := &ResultBatch{}
+	for i, m := range metrics {
+		if !b.add(req.Start+i, m, cycles[i], elapsedUS[i]) {
+			msg := fmt.Sprintf("run %d has a metric set other than run %d's", req.Start+i, req.Start)
+			span.End(obs.Str("error", msg))
+			return c.send(frame{Type: frameError, ID: req.ID, Error: msg})
+		}
+	}
 	span.End(obs.Int("results", req.Count))
-	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count})
+	return c.send(frame{Type: frameChunkDone, ID: req.ID, Batch: b})
 }

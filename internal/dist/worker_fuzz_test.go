@@ -33,9 +33,9 @@ type workerReplies struct {
 // serveConn does: a hello at ProtocolVersion gets hello_ok; a refused
 // frame gets an error frame, after which the worker closes unless the
 // frame was a malformed chunk; an accepted chunk gets an error frame
-// when its runs cannot start, or else its results and a chunk_done
-// (expected with the chunk's Start and Count). costly reports an input
-// whose accepted chunks exceed the fuzzMax* limits.
+// when its runs cannot start, or else one chunk_done that carries its
+// results (expected with the chunk's Start and Count). costly reports an
+// input whose accepted chunks exceed the fuzzMax* limits.
 func expectedReplies(in []byte) (r workerReplies, costly bool) {
 	r.accepted = map[uint64]bool{}
 	dec := json.NewDecoder(bytes.NewReader(in))
@@ -84,14 +84,13 @@ func isVariantConfig(cfg sim.Config) bool {
 
 // checkReplies reads the worker's replies on nc until it closes the
 // connection, and fails t unless they are exactly r.want, apart from
-// heartbeats of accepted chunks and the result batches before each
-// chunk_done, which must carry each of the chunk's offsets once.
+// heartbeats of accepted chunks. Each chunk_done must carry each of its
+// chunk's offsets once.
 func checkReplies(t *testing.T, nc net.Conn, r workerReplies) {
 	want := r.want
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	dec := json.NewDecoder(nc)
 	next := 0
-	seen := map[int]bool{}
 	for {
 		var got frame
 		err := dec.Decode(&got)
@@ -108,28 +107,24 @@ func checkReplies(t *testing.T, nc net.Conn, r workerReplies) {
 			t.Fatalf("unexpected reply %+v after the %d expected", got, len(want))
 		}
 		w := want[next]
-		if w.Type == frameChunkDone && got.Type == frameResultBatch && got.ID == w.ID && got.Batch != nil {
-			if err := got.Batch.validate(); err != nil {
-				t.Fatal(err)
-			}
-			for _, off := range got.Batch.Offsets {
-				if off < w.Start || off >= w.Start+w.Count || seen[off] {
-					t.Fatalf("chunk %d [%d,+%d) streamed offset %d twice or outside it", w.ID, w.Start, w.Count, off)
-				}
-				seen[off] = true
-			}
-			continue
-		}
 		switch {
 		case got.Type != w.Type || got.ID != w.ID:
 			t.Fatalf("reply %d is %s for id %d, want %s for id %d", next, got.Type, got.ID, w.Type, w.ID)
 		case got.Type == frameHelloOK && got.Version != ProtocolVersion:
 			t.Fatalf("hello_ok at version %d", got.Version)
-		case got.Type == frameChunkDone && (got.Count != w.Count || len(seen) != w.Count):
-			t.Fatalf("chunk %d done with count %d after %d results, want %d", w.ID, got.Count, len(seen), w.Count)
+		case got.Type == frameChunkDone:
+			if got.Batch == nil || got.Batch.validate() != nil || len(got.Batch.Offsets) != w.Count {
+				t.Fatalf("chunk %d [%d,+%d) done with results %+v", w.ID, w.Start, w.Count, got.Batch)
+			}
+			seen := map[int]bool{}
+			for _, off := range got.Batch.Offsets {
+				if off < w.Start || off >= w.Start+w.Count || seen[off] {
+					t.Fatalf("chunk %d [%d,+%d) carries offset %d twice or outside it", w.ID, w.Start, w.Count, off)
+				}
+				seen[off] = true
+			}
 		}
 		next++
-		seen = map[int]bool{}
 	}
 	if next != len(want) {
 		t.Fatalf("worker closed the connection after %d of %d replies (next: %+v)", next, len(want), want[next])

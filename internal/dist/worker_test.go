@@ -96,7 +96,10 @@ func TestWorkerRefusesChunkBeforeHello(t *testing.T) {
 	}
 }
 
-func TestWorkerStreamsChunk(t *testing.T) {
+// TestWorkerAnswersChunkInOneFrame: a chunk gets nothing but heartbeats
+// until one chunk_done that carries every offset of the chunk, in seed
+// order, with the values a local run gives.
+func TestWorkerAnswersChunkInOneFrame(t *testing.T) {
 	w := startWorker(t)
 	c := dialRaw(t, w.Addr())
 	if err := c.handshake(2 * time.Second); err != nil {
@@ -109,47 +112,30 @@ func TestWorkerStreamsChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[int]map[string]float64{}
-	for {
-		f := recvT(t, c)
-		switch f.Type {
-		case frameHeartbeat:
-			continue
-		case frameResultBatch:
-			if f.ID != id {
-				t.Fatalf("result_batch for chunk %d, want %d", f.ID, id)
-			}
-			if f.Batch == nil {
-				t.Fatal("result_batch frame without payload")
-			}
-			if err := f.Batch.validate(); err != nil {
-				t.Fatal(err)
-			}
-			for i, off := range f.Batch.Offsets {
-				m := make(map[string]float64, len(f.Batch.Metrics))
-				for k, vs := range f.Batch.Metrics {
-					m[k] = vs[i]
-				}
-				got[off] = m
-			}
-		case frameChunkDone:
-			if len(got) != count || f.Count != count {
-				t.Fatalf("chunk_done after %d results (reported %d), want %d", len(got), f.Count, count)
-			}
-			for off := start; off < start+count; off++ {
-				res, err := sim.Run(testBench, cfg, testScale, testSeed+uint64(off))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[off] == nil || got[off][sim.MetricRuntime] != res.Metrics[sim.MetricRuntime] {
-					t.Errorf("offset %d: streamed %v, local %g", off, got[off], res.Metrics[sim.MetricRuntime])
-				}
-			}
-			return
-		case frameError:
-			t.Fatalf("worker reported: %s", f.Error)
-		default:
-			t.Fatalf("unexpected %q frame", f.Type)
+	f := recvT(t, c)
+	for f.Type == frameHeartbeat && f.ID == id {
+		f = recvT(t, c)
+	}
+	if f.Type != frameChunkDone || f.ID != id || f.Batch == nil {
+		t.Fatalf("chunk answered with %+v, want heartbeats and then one chunk_done with results", f)
+	}
+	if err := f.Batch.validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Batch.Offsets) != count {
+		t.Fatalf("chunk_done carries offsets %v, want [%d,%d)", f.Batch.Offsets, start, start+count)
+	}
+	for i, off := range f.Batch.Offsets {
+		if off != start+i {
+			t.Fatalf("chunk_done carries offsets %v, want [%d,%d) in seed order", f.Batch.Offsets, start, start+count)
+		}
+		res, err := sim.Run(testBench, cfg, testScale, testSeed+uint64(off))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Batch.Metrics[sim.MetricRuntime][i]; got != res.Metrics[sim.MetricRuntime] || f.Batch.Cycles[i] != res.Cycles {
+			t.Errorf("offset %d: runtime %g and %d cycles, local %g and %d",
+				off, got, f.Batch.Cycles[i], res.Metrics[sim.MetricRuntime], res.Cycles)
 		}
 	}
 }
@@ -212,7 +198,7 @@ func TestWorkerRejectsMalformedChunk(t *testing.T) {
 // connection goroutine, 10^11 would exhaust its memory; either kills
 // the process), any count above maxChunk, and a negative start each get
 // an error frame before anything is allocated, and the connection still
-// serves a valid chunk afterwards.
+// serves a valid chunk afterwards. A refused chunk is not served.
 func TestWorkerRejectsOversizedChunk(t *testing.T) {
 	w := startWorker(t)
 	c := dialRaw(t, w.Addr())
@@ -240,24 +226,16 @@ func TestWorkerRejectsOversizedChunk(t *testing.T) {
 	if err := c.send(chunk(20, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for {
-		f := recvT(t, c)
-		if f.ID != 20 {
-			t.Fatalf("stray frame %+v", f)
-		}
-		switch f.Type {
-		case frameHeartbeat:
-		case frameResultBatch:
-			got += f.Batch.len()
-		case frameChunkDone:
-			if got != 2 {
-				t.Fatalf("valid chunk after rejected ones returned %d/2 runs", got)
-			}
-			return
-		default:
-			t.Fatalf("valid chunk after rejected ones answered with %+v", f)
-		}
+	f := recvT(t, c)
+	for f.Type == frameHeartbeat && f.ID == 20 {
+		f = recvT(t, c)
+	}
+	if f.Type != frameChunkDone || f.ID != 20 || f.Batch == nil || len(f.Batch.Offsets) != 2 {
+		t.Fatalf("valid chunk after rejected ones answered with %+v, want a chunk_done of 2 runs", f)
+	}
+	// Only the executed chunk counts as served.
+	if n := w.Status().ChunksServed; n != 1 {
+		t.Errorf("worker counts %d chunks served after 4 refusals and 1 executed chunk, want 1", n)
 	}
 }
 
@@ -470,8 +448,8 @@ func TestDoomedChunkStopsLaunchingRuns(t *testing.T) {
 		Config: &cfg, Scale: testScale, BaseSeed: testSeed, Count: count}); err != nil {
 		t.Fatal(err)
 	}
-	// Read the first frame (heartbeat or result) so the chunk is known
-	// to be executing, then kill the connection.
+	// Read the first heartbeat so the chunk is known to be executing,
+	// then kill the connection.
 	if _, err := c.recv(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}

@@ -418,10 +418,11 @@ func (c *faultConn) Write(p []byte) (int, error) {
 }
 
 // maxReplayLine caps the line a Duplicate fault may buffer and replay.
-// Batched result_batch frames (protocol v3) can run to hundreds of KB;
-// replaying one wholesale would double the hot path's traffic and pin
-// large buffers, and a long duplicate exercises nothing a short one
-// doesn't. Oversized lines pass through unfaulted.
+// A chunk_done frame carries every result of its chunk (up to 4096
+// runs) and can run to hundreds of KB; replaying one wholesale would
+// double the hot path's traffic and pin large buffers, and a long
+// duplicate exercises nothing a short one doesn't. Oversized lines pass
+// through unfaulted.
 const maxReplayLine = 8 << 10
 
 // writeDuplicated delivers p and then replays a complete frame line —

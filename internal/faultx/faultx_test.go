@@ -252,7 +252,7 @@ func TestDuplicateNeverReplaysSplitFrameTail(t *testing.T) {
 
 // TestDuplicateCapsReplayedLineSize: whole lines longer than
 // maxReplayLine pass through exactly once and are never recorded for
-// stale replay — a multi-hundred-run result_batch line must not be
+// stale replay — a multi-hundred-run chunk_done line must not be
 // doubled on the wire.
 func TestDuplicateCapsReplayedLineSize(t *testing.T) {
 	in := New(29, Profile{Rate: 1, GraceOps: -1, Scenarios: []Scenario{Duplicate}}, nil)

@@ -86,8 +86,11 @@ func (a Analysis) validateSampling() error {
 	if a.PilotScale < 0 || a.PilotScale > 1 {
 		return fmt.Errorf("manifest: pilot_scale %v outside [0, 1]", a.PilotScale)
 	}
-	if a.SamplingStrata < 0 || a.PilotRuns < 0 {
+	if a.SamplingStrata < 0 {
 		return errors.New("manifest: negative sampling knob")
+	}
+	if err := checkCount("pilot_runs", a.PilotRuns); err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	hasKnobs := a.SamplingStrata != 0 || a.SamplingAllocation != "" ||
 		a.PilotScale != 0 || a.PilotRuns != 0 || a.Fidelity != 0
@@ -214,6 +217,23 @@ func (m *Manifest) Save(w io.Writer) error {
 	return enc.Encode(m)
 }
 
+// maxCount bounds every run count a manifest names: runs, an entry's
+// runs, max_samples, grow_batch and pilot_runs. The runner, the
+// coordinator and the adaptive loop size arrays by these counts before
+// the first run, so one huge value would crash the process, and a
+// journaled one every restart of the campaign service. With at most 36
+// distinct entries the bound also keeps a campaign's total runs far
+// inside int.
+const maxCount = 1 << 20
+
+// checkCount refuses a count outside [0, maxCount].
+func checkCount(field string, n int) error {
+	if n < 0 || n > maxCount {
+		return fmt.Errorf("%s %d outside [0, %d]", field, n, maxCount)
+	}
+	return nil
+}
+
 // Validate checks the manifest for structural problems before any
 // simulation starts, so a typo fails fast rather than hours in.
 func (m *Manifest) Validate() error {
@@ -234,8 +254,8 @@ func (m *Manifest) Validate() error {
 	if m.Scale < 0 {
 		return errors.New("manifest: negative scale")
 	}
-	if m.Runs < 0 {
-		return errors.New("manifest: negative runs")
+	if err := checkCount("runs", m.Runs); err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	seen := map[string]bool{}
 	for i, e := range m.Entries {
@@ -245,8 +265,8 @@ func (m *Manifest) Validate() error {
 		if _, err := e.Config(); err != nil {
 			return fmt.Errorf("manifest: entry %d: %w", i, err)
 		}
-		if e.Runs < 0 {
-			return fmt.Errorf("manifest: entry %d: negative runs", i)
+		if err := checkCount("runs", e.Runs); err != nil {
+			return fmt.Errorf("manifest: entry %d: %w", i, err)
 		}
 		if seen[e.key()] {
 			return fmt.Errorf("manifest: duplicate entry %s", e.key())
@@ -267,8 +287,11 @@ func (m *Manifest) Validate() error {
 		if a.TargetWidth < 0 {
 			return fmt.Errorf("manifest: analysis %d: negative target width", i)
 		}
-		if a.MaxSamples < 0 || a.GrowBatch < 0 {
-			return fmt.Errorf("manifest: analysis %d: negative sample bound", i)
+		if err := checkCount("max_samples", a.MaxSamples); err != nil {
+			return fmt.Errorf("manifest: analysis %d: %w", i, err)
+		}
+		if err := checkCount("grow_batch", a.GrowBatch); err != nil {
+			return fmt.Errorf("manifest: analysis %d: %w", i, err)
 		}
 		if a.Adaptive() && a.MaxSamples > 0 {
 			if minN, err := core.CIMinSamples(p); err == nil && a.MaxSamples < minN {

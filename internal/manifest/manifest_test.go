@@ -63,6 +63,18 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"design knobs with plain sampling", func(m *Manifest) {
 			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].SamplingStrata = 0.01, "plain", 4
 		}},
+		// Each count a process sizes arrays by is bounded.
+		{"runs over the bound", func(m *Manifest) { m.Runs = maxCount + 1 }},
+		{"entry runs over the bound", func(m *Manifest) { m.Entries[0].Runs = maxCount + 1 }},
+		{"max_samples over the bound", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].MaxSamples = 0.01, maxCount+1
+		}},
+		{"grow_batch over the bound", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].GrowBatch = 0.01, maxCount+1
+		}},
+		{"pilot_runs over the bound", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].PilotRuns = 0.01, "stratified", maxCount+1
+		}},
 	}
 	for _, c := range cases {
 		m := base()
@@ -70,6 +82,18 @@ func TestValidateCatchesProblems(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: should be invalid", c.name)
 		}
+	}
+}
+
+// TestValidateCountBound: a count at exactly maxCount is still valid.
+func TestValidateCountBound(t *testing.T) {
+	m := Template()
+	m.Runs, m.Entries[0].Runs = maxCount, maxCount
+	a := &m.Analyses[0]
+	a.TargetWidth, a.MaxSamples, a.GrowBatch = 0.01, maxCount, maxCount
+	a.Sampling, a.PilotRuns = "stratified", maxCount
+	if err := m.Validate(); err != nil {
+		t.Fatalf("counts at the bound refused: %v", err)
 	}
 }
 
