@@ -19,9 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json")
 
 // goldenRecord pins one execution: the cycle count and every scalar metric,
 // formatted with strconv.FormatFloat(-1) so the comparison is exact (two
-// float64 values render identically iff their bits agree).
+// float64 values render identically iff their bits agree). Config names the
+// system configuration; it is empty for DefaultConfig.
 type goldenRecord struct {
 	Benchmark string            `json:"benchmark"`
+	Config    string            `json:"config,omitempty"`
 	Scale     float64           `json:"scale"`
 	Seed      uint64            `json:"seed"`
 	Cycles    uint64            `json:"cycles"`
@@ -31,6 +33,46 @@ type goldenRecord struct {
 var goldenScales = []float64{0.05, 0.2}
 
 const goldenSeed = 1
+
+// goldenConfigs are the non-default configurations the workloads, the
+// variants and the ablations run. Each is pinned on goldenConfigBenches at
+// goldenConfigScale, so a fast path that only a variant reaches (a smaller
+// L2, another replacement policy or protocol, the gshare predictor, the
+// prefetcher, OS noise) is fenced as tightly as the default system.
+func goldenConfigs() []struct {
+	label string
+	cfg   Config
+} {
+	variant := func(name string) Config {
+		cfg, err := VariantConfig(name)
+		if err != nil {
+			panic(err)
+		}
+		return cfg
+	}
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		return cfg
+	}
+	return []struct {
+		label string
+		cfg   Config
+	}{
+		{"l2half", variant("l2half")},
+		{"l2double", variant("l2double")},
+		{"hardware", variant("hardware")},
+		{"fifo", with(func(c *Config) { c.ReplacementPolicy = "fifo" })},
+		{"random", with(func(c *Config) { c.ReplacementPolicy = "random" })},
+		{"msi", with(func(c *Config) { c.CoherenceProtocol = "msi" })},
+		{"gshare", with(func(c *Config) { c.BPKind = "gshare" })},
+		{"prefetch", with(func(c *Config) { c.PrefetchNextLine = true })},
+	}
+}
+
+var goldenConfigBenches = []string{"canneal", "dedup", "ferret", "swaptions"}
+
+const goldenConfigScale = 0.05
 
 func goldenPath(t *testing.T) string {
 	t.Helper()
@@ -48,26 +90,36 @@ func formatMetrics(res *Result) map[string]string {
 func runGolden(t *testing.T) []goldenRecord {
 	t.Helper()
 	var recs []goldenRecord
+	add := func(bench, label string, cfg Config, scale float64) {
+		res, err := Run(bench, cfg, scale, goldenSeed)
+		if err != nil {
+			t.Fatalf("Run(%s, %q, %g): %v", bench, label, scale, err)
+		}
+		recs = append(recs, goldenRecord{
+			Benchmark: bench,
+			Config:    label,
+			Scale:     scale,
+			Seed:      goldenSeed,
+			Cycles:    res.Cycles,
+			Metrics:   formatMetrics(res),
+		})
+	}
 	for _, bench := range workload.Names() {
 		for _, scale := range goldenScales {
-			res, err := Run(bench, DefaultConfig(), scale, goldenSeed)
-			if err != nil {
-				t.Fatalf("Run(%s, %g): %v", bench, scale, err)
-			}
-			recs = append(recs, goldenRecord{
-				Benchmark: bench,
-				Scale:     scale,
-				Seed:      goldenSeed,
-				Cycles:    res.Cycles,
-				Metrics:   formatMetrics(res),
-			})
+			add(bench, "", DefaultConfig(), scale)
+		}
+	}
+	for _, c := range goldenConfigs() {
+		for _, bench := range goldenConfigBenches {
+			add(bench, c.label, c.cfg, goldenConfigScale)
 		}
 	}
 	return recs
 }
 
 // TestGoldenProfilesByteIdentical pins Result.Cycles and every metric for all nine
-// benchmark profiles at two scales against testdata/golden.json. It is the
+// benchmark profiles at two scales, and for goldenConfigBenches under every
+// goldenConfigs configuration, against testdata/golden.json. It is the
 // contract every performance optimization must preserve: the pooled runner,
 // the inlined event heap, and the cache/coherence fast paths may change how
 // a run executes, never what it computes.
@@ -101,9 +153,9 @@ func TestGoldenProfilesByteIdentical(t *testing.T) {
 	}
 	for i, w := range want {
 		g := got[i]
-		label := fmt.Sprintf("%s scale=%g seed=%d", w.Benchmark, w.Scale, w.Seed)
-		if g.Benchmark != w.Benchmark || g.Scale != w.Scale || g.Seed != w.Seed {
-			t.Fatalf("record %d is %s/%g/%d, want %s", i, g.Benchmark, g.Scale, g.Seed, label)
+		label := fmt.Sprintf("%s config=%q scale=%g seed=%d", w.Benchmark, w.Config, w.Scale, w.Seed)
+		if g.Benchmark != w.Benchmark || g.Config != w.Config || g.Scale != w.Scale || g.Seed != w.Seed {
+			t.Fatalf("record %d is %s/%q/%g/%d, want %s", i, g.Benchmark, g.Config, g.Scale, g.Seed, label)
 		}
 		if g.Cycles != w.Cycles {
 			t.Errorf("%s: cycles = %d, want %d", label, g.Cycles, w.Cycles)
