@@ -217,17 +217,32 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // distribution, used by workload generators for skewed address streams.
 // It uses inverse-CDF sampling over a precomputed table; build the table
 // once with NewZipf.
+//
+// A draw returns the first index whose CDF value is at least a uniform u.
+// A guide table (the cutpoint method) finds it without a binary search:
+// guide[j] is the first index whose CDF value is at least j/m, for
+// m = len(guide). For u in [j/m, (j+1)/m) the answer is therefore at or
+// after guide[j], and a forward scan from there stops exactly where the
+// binary search would. m is a power of two, so u·m is exact and
+// j = ⌊u·m⌋ never overshoots u. With n/8 ≤ m < n/4 a draw scans at most
+// n/m ≤ 8 entries on average, whatever the skew, and the guide is at most
+// an eighth of the CDF's size.
 type Zipf struct {
-	cdf []float64
-	r   *Rand
+	t *zipfTable
+	r *Rand
 }
 
-// zipfCDFCache memoizes CDF tables by (n, s). The table is a pure function
-// of its key — no randomness is drawn while building it — and is read-only
-// after construction, so sharing one copy across samplers (and goroutines)
-// yields bit-identical draws while skipping the O(n) math.Pow loop that
-// would otherwise run on every workload build.
-var zipfCDFCache sync.Map // zipfCDFKey → []float64
+type zipfTable struct {
+	cdf   []float64
+	guide []int32
+}
+
+// zipfCDFCache memoizes CDF tables and their guide tables by (n, s). Both
+// are a pure function of the key — no randomness is drawn while building
+// them — and are read-only after construction, so sharing one copy across
+// samplers (and goroutines) yields bit-identical draws while skipping the
+// O(n) math.Pow loop that would otherwise run on every workload build.
+var zipfCDFCache sync.Map // zipfCDFKey → *zipfTable
 
 type zipfCDFKey struct {
 	n int
@@ -242,7 +257,7 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	}
 	key := zipfCDFKey{n: n, s: s}
 	if cached, ok := zipfCDFCache.Load(key); ok {
-		return &Zipf{cdf: cached.([]float64), r: r}
+		return &Zipf{t: cached.(*zipfTable), r: r}
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -253,22 +268,33 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	zipfCDFCache.Store(key, cdf)
-	return &Zipf{cdf: cdf, r: r}
+	m := 1
+	for m*8 < n {
+		m *= 2
+	}
+	guide := make([]int32, m)
+	i := 0
+	for j := range guide {
+		for i < n-1 && cdf[i] < float64(j)/float64(m) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	t := &zipfTable{cdf: cdf, guide: guide}
+	zipfCDFCache.Store(key, t)
+	return &Zipf{t: t, r: r}
 }
 
 // Next returns the next Zipf-distributed integer.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	// Binary search for the first index with cdf ≥ u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] >= u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+func (z *Zipf) Next() int { return z.index(z.r.Float64()) }
+
+// index returns the first index whose CDF value is at least u, or n−1 if
+// none is, for u in [0, 1).
+func (z *Zipf) index(u float64) int {
+	cdf := z.t.cdf
+	i := int(z.t.guide[int(u*float64(len(z.t.guide)))])
+	for i < len(cdf)-1 && cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }

@@ -225,6 +225,71 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// zipfSearch is the reference draw: a binary search for the first index
+// whose CDF value is at least u, or the last index if none is.
+func zipfSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] >= u {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesBinarySearch: the guide-table draw returns the
+// binary search's index for every (n, s) the workload profiles build and
+// for small n, at random u, at every CDF value and bucket boundary, and at
+// each one's predecessor, and Next consumes exactly one Float64.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	params := []struct {
+		n int
+		s float64
+	}{
+		// internal/workload's skewed shared regions: size/64-byte blocks, skew.
+		{65536, 0.7}, {196608, 1.0}, {14336, 0.3}, {98304, 0.8}, {131072, 1.15}, {32768, 0.5},
+		{1, 1}, {2, 0.5}, {3, 1.2}, {1000, 0.9},
+		// s = 0 is uniform: every eighth CDF value lands exactly on a
+		// bucket boundary.
+		{64, 0},
+	}
+	r := New(5)
+	for _, p := range params {
+		z := NewZipf(New(9), p.n, p.s)
+		cdf := z.t.cdf
+		check := func(u float64) {
+			t.Helper()
+			if u < 0 || u >= 1 {
+				return // outside Float64's range
+			}
+			if got, want := z.index(u), zipfSearch(cdf, u); got != want {
+				t.Fatalf("n=%d s=%g u=%v: guide draw %d, binary search %d", p.n, p.s, u, got, want)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			check(r.Float64())
+		}
+		for _, c := range cdf {
+			check(c)
+			check(math.Nextafter(c, 0))
+		}
+		m := float64(len(z.t.guide))
+		for j := range z.t.guide {
+			check(float64(j) / m)
+			check(math.Nextafter(float64(j)/m, 0))
+		}
+		ref := New(9)
+		for i := 0; i < 1000; i++ {
+			if got, want := z.Next(), zipfSearch(cdf, ref.Float64()); got != want {
+				t.Fatalf("n=%d s=%g draw %d: Next %d, binary search %d", p.n, p.s, i, got, want)
+			}
+		}
+	}
+}
+
 func TestZipfPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {

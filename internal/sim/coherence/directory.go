@@ -37,6 +37,7 @@ func (s State) String() string {
 }
 
 type entry struct {
+	block   uint64
 	state   State
 	sharers uint64 // bitmask of cores holding the line
 	owner   int    // valid when state is Exclusive or Modified
@@ -66,18 +67,24 @@ func (p Protocol) String() string {
 // Directory tracks coherence state for every block resident anywhere on
 // chip.
 //
-// Entries live in a flat slab indexed through the map rather than as
-// individually heap-allocated values: directory churn (canneal touches
-// hundreds of thousands of blocks per run) would otherwise dominate the
-// simulator's allocation profile. A block that loses its last holder keeps
-// its slab slot, marked Invalid, instead of being deleted from the map:
+// Entries live in a flat slab rather than as individually heap-allocated
+// values: directory churn (canneal touches hundreds of thousands of blocks
+// per run) would otherwise dominate the simulator's allocation profile. A
+// block that loses its last holder keeps its slab slot, marked Invalid:
 // eviction-heavy workloads re-touch the same blocks constantly, and a state
-// write plus a later map hit is far cheaper than a delete/re-insert pair.
-// The live counter maintains TrackedBlocks under this scheme.
+// write plus a later lookup hit is far cheaper than a delete/re-insert
+// pair. The live counter maintains TrackedBlocks under this scheme.
+//
+// A block finds its slot through index, an open-addressed hash table of
+// slab positions plus one (0 marks an empty bucket). Its size is a power of
+// two, a block's probe starts at the top bits of its Fibonacci hash and
+// moves linearly, and the table doubles before it passes half full. Since
+// no slot is ever given up, the table needs no deletion.
 type Directory struct {
 	cores    int
 	protocol Protocol
-	entries  map[uint64]int32 // block → index into slab (possibly Invalid)
+	index    []int32
+	shift    uint // 64 − log2(len(index)): hash bits that pick a bucket
 	slab     []entry
 	live     int // entries not in state Invalid
 	// invScratch and holderScratch back the slices returned via
@@ -109,13 +116,16 @@ func NewWithProtocol(cores int, p Protocol) (*Directory, error) {
 	if p != MESI && p != MSI {
 		return nil, fmt.Errorf("coherence: unknown protocol %d", p)
 	}
-	return &Directory{cores: cores, protocol: p, entries: make(map[uint64]int32)}, nil
+	return &Directory{cores: cores, protocol: p,
+		index: make([]int32, 1<<initialIndexBits), shift: 64 - initialIndexBits}, nil
 }
 
+const initialIndexBits = 10
+
 // Reset drops all tracked blocks and zeroes the counters while keeping the
-// map buckets and slab capacity for reuse by a pooled runner.
+// index table and slab capacity for reuse by a pooled runner.
 func (d *Directory) Reset() {
-	clear(d.entries)
+	clear(d.index)
 	d.slab = d.slab[:0]
 	d.live = 0
 	d.stats = Stats{}
@@ -147,18 +157,49 @@ type Action struct {
 	Upgrade bool
 }
 
-func (d *Directory) get(block uint64) *entry {
-	if idx, ok := d.entries[block]; ok {
-		return &d.slab[idx]
+// find returns the index bucket that holds block's slab position, or the
+// empty bucket where it belongs.
+func (d *Directory) find(block uint64) int {
+	mask := len(d.index) - 1
+	h := int((block * 0x9e3779b97f4a7c15) >> d.shift)
+	for {
+		s := d.index[h]
+		if s == 0 || d.slab[s-1].block == block {
+			return h
+		}
+		h = (h + 1) & mask
 	}
-	d.slab = append(d.slab, entry{state: Invalid, owner: -1})
-	idx := int32(len(d.slab) - 1)
-	d.entries[block] = idx
-	return &d.slab[idx]
+}
+
+// lookup returns block's entry, or nil if the block was never tracked.
+func (d *Directory) lookup(block uint64) *entry {
+	if s := d.index[d.find(block)]; s != 0 {
+		return &d.slab[s-1]
+	}
+	return nil
+}
+
+// get returns block's entry, adding an Invalid one if it has none.
+func (d *Directory) get(block uint64) *entry {
+	h := d.find(block)
+	if s := d.index[h]; s != 0 {
+		return &d.slab[s-1]
+	}
+	if 2*(len(d.slab)+1) > len(d.index) {
+		d.index = make([]int32, 2*len(d.index))
+		d.shift--
+		for i := range d.slab {
+			d.index[d.find(d.slab[i].block)] = int32(i + 1)
+		}
+		h = d.find(block)
+	}
+	d.slab = append(d.slab, entry{block: block, state: Invalid, owner: -1})
+	d.index[h] = int32(len(d.slab))
+	return &d.slab[len(d.slab)-1]
 }
 
 // invalidate marks an entry untracked in place, keeping its slab slot and
-// map key for cheap re-acquisition.
+// index bucket for cheap re-acquisition.
 func (d *Directory) invalidate(e *entry) {
 	e.state = Invalid
 	e.sharers = 0
@@ -272,11 +313,10 @@ func (d *Directory) Write(core int, block uint64) Action {
 // back-invalidation). It returns whether the evicted copy was Modified.
 func (d *Directory) Evict(core int, block uint64) (wasModified bool) {
 	d.checkCore(core)
-	idx, ok := d.entries[block]
-	if !ok {
+	e := d.lookup(block)
+	if e == nil {
 		return false
 	}
-	e := &d.slab[idx]
 	bit := uint64(1) << uint(core)
 	switch e.state {
 	case Shared:
@@ -298,11 +338,10 @@ func (d *Directory) Evict(core int, block uint64) (wasModified bool) {
 // their L1s, and whether a modified copy existed. The returned slice aliases
 // a scratch buffer valid until the next DropBlock call.
 func (d *Directory) DropBlock(block uint64) (holders []int, hadModified bool) {
-	idx, ok := d.entries[block]
-	if !ok || d.slab[idx].state == Invalid {
+	e := d.lookup(block)
+	if e == nil || e.state == Invalid {
 		return nil, false
 	}
-	e := &d.slab[idx]
 	d.holderScratch = d.holderScratch[:0]
 	for c := 0; c < d.cores; c++ {
 		if e.sharers&(uint64(1)<<uint(c)) != 0 {
@@ -317,11 +356,10 @@ func (d *Directory) DropBlock(block uint64) (holders []int, hadModified bool) {
 // StateOf returns the directory state of a block and its holders, for tests
 // and invariant checks.
 func (d *Directory) StateOf(block uint64) (State, []int) {
-	idx, ok := d.entries[block]
-	if !ok || d.slab[idx].state == Invalid {
+	e := d.lookup(block)
+	if e == nil || e.state == Invalid {
 		return Invalid, nil
 	}
-	e := &d.slab[idx]
 	var holders []int
 	for c := 0; c < d.cores; c++ {
 		if e.sharers&(uint64(1)<<uint(c)) != 0 {
@@ -335,8 +373,9 @@ func (d *Directory) StateOf(block uint64) (State, []int) {
 // block: Modified/Exclusive imply exactly one holder which is the owner,
 // and Shared implies at least one holder. It returns the first violation.
 func (d *Directory) CheckInvariants() error {
-	for block, idx := range d.entries {
-		e := &d.slab[idx]
+	for i := range d.slab {
+		e := &d.slab[i]
+		block := e.block
 		holders := 0
 		for c := 0; c < d.cores; c++ {
 			if e.sharers&(uint64(1)<<uint(c)) != 0 {

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -259,4 +261,252 @@ func TestMSIInvariantsUnderTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// mapDirectory is the reference model: the directory as it was before the
+// open-addressed index, with a Go map from block to entry.
+type mapDirectory struct {
+	cores    int
+	protocol Protocol
+	entries  map[uint64]*entry
+	live     int
+	stats    Stats
+}
+
+func (d *mapDirectory) get(block uint64) *entry {
+	e, ok := d.entries[block]
+	if !ok {
+		e = &entry{block: block, state: Invalid, owner: -1}
+		d.entries[block] = e
+	}
+	return e
+}
+
+func (d *mapDirectory) invalidate(e *entry) {
+	e.state, e.sharers, e.owner = Invalid, 0, -1
+	d.live--
+}
+
+func (d *mapDirectory) holders(e *entry) []int {
+	var hs []int
+	for c := 0; c < d.cores; c++ {
+		if e.sharers&(uint64(1)<<uint(c)) != 0 {
+			hs = append(hs, c)
+		}
+	}
+	return hs
+}
+
+func (d *mapDirectory) read(core int, block uint64) Action {
+	e := d.get(block)
+	bit := uint64(1) << uint(core)
+	var act Action
+	switch e.state {
+	case Invalid:
+		if d.protocol == MSI {
+			e.state, e.owner = Shared, -1
+		} else {
+			e.state, e.owner = Exclusive, core
+		}
+		e.sharers = bit
+		d.live++
+		act.WasMiss = true
+		d.stats.ReadMisses++
+	case Shared:
+		if e.sharers&bit == 0 {
+			e.sharers |= bit
+			act.WasMiss = true
+			d.stats.ReadMisses++
+		}
+	case Exclusive, Modified:
+		if e.owner == core {
+			break
+		}
+		if e.state == Modified {
+			act.OwnerWriteback, act.OwnerCore = true, e.owner
+			d.stats.OwnerForwards++
+		}
+		e.state, e.owner = Shared, -1
+		e.sharers |= bit
+		act.WasMiss = true
+		d.stats.ReadMisses++
+	}
+	return act
+}
+
+func (d *mapDirectory) write(core int, block uint64) Action {
+	e := d.get(block)
+	bit := uint64(1) << uint(core)
+	var act Action
+	switch e.state {
+	case Invalid:
+		d.live++
+		act.WasMiss = true
+		d.stats.WriteMisses++
+	case Shared:
+		for _, c := range d.holders(e) {
+			if c != core {
+				act.Invalidated++
+				act.InvalidatedCores = append(act.InvalidatedCores, c)
+				d.stats.Invalidations++
+			}
+		}
+		if e.sharers&bit != 0 {
+			act.Upgrade = true
+			d.stats.Upgrades++
+		} else {
+			act.WasMiss = true
+			d.stats.WriteMisses++
+		}
+	case Exclusive, Modified:
+		if e.owner == core {
+			break
+		}
+		if e.state == Modified {
+			act.OwnerWriteback, act.OwnerCore = true, e.owner
+			d.stats.OwnerForwards++
+		}
+		act.Invalidated++
+		act.InvalidatedCores = []int{e.owner}
+		d.stats.Invalidations++
+		act.WasMiss = true
+		d.stats.WriteMisses++
+	}
+	e.state, e.owner, e.sharers = Modified, core, bit
+	return act
+}
+
+func (d *mapDirectory) evict(core int, block uint64) bool {
+	e, ok := d.entries[block]
+	if !ok {
+		return false
+	}
+	bit := uint64(1) << uint(core)
+	wasModified := false
+	switch e.state {
+	case Shared:
+		e.sharers &^= bit
+		if e.sharers == 0 {
+			d.invalidate(e)
+		}
+	case Exclusive, Modified:
+		if e.owner == core {
+			wasModified = e.state == Modified
+			d.invalidate(e)
+		}
+	}
+	return wasModified
+}
+
+func (d *mapDirectory) dropBlock(block uint64) ([]int, bool) {
+	e, ok := d.entries[block]
+	if !ok || e.state == Invalid {
+		return nil, false
+	}
+	hs, hadModified := d.holders(e), e.state == Modified
+	d.invalidate(e)
+	return hs, hadModified
+}
+
+func (d *mapDirectory) stateOf(block uint64) (State, []int) {
+	e, ok := d.entries[block]
+	if !ok || e.state == Invalid {
+		return Invalid, nil
+	}
+	return e.state, d.holders(e)
+}
+
+// TestDirectoryMatchesMapModel drives the directory and the map-based
+// model with one seeded stream of reads, writes, evictions and L2 drops
+// over enough distinct blocks to double the index table several times,
+// with a Reset between rounds. After every operation the results,
+// StateOf the block, TrackedBlocks and Stats must agree; CheckInvariants
+// and StateOf over every block are checked at each table growth and
+// every 1000 operations.
+func TestDirectoryMatchesMapModel(t *testing.T) {
+	for _, proto := range []Protocol{MESI, MSI} {
+		const cores, distinct = 4, 12000
+		d, err := NewWithProtocol(cores, proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := randx.New(uint64(31 + proto))
+		// Region-like addresses: runs of consecutive blocks at 64 bases a
+		// large power of two apart, whose low bits collide.
+		blocks := make([]uint64, distinct)
+		for i := range blocks {
+			blocks[i] = uint64(i%64)<<40 | uint64(i/64)
+		}
+		for round := 0; round < 3; round++ {
+			d.Reset()
+			m := &mapDirectory{cores: cores, protocol: proto, entries: map[uint64]*entry{}}
+			initial := len(d.index)
+			size := len(d.index)
+			sweep := func(op int) {
+				t.Helper()
+				if err := d.CheckInvariants(); err != nil {
+					t.Fatalf("%v round %d op %d: %v", proto, round, op, err)
+				}
+				for _, b := range blocks {
+					gs, gh := d.StateOf(b)
+					ws, wh := m.stateOf(b)
+					if gs != ws || !slices.Equal(gh, wh) {
+						t.Fatalf("%v round %d op %d: block %#x is %v%v, model %v%v", proto, round, op, b, gs, gh, ws, wh)
+					}
+				}
+			}
+			// Each round reaches further into the block set, so later
+			// rounds start from a grown, cleared table.
+			span := distinct * (round + 1) / 3
+			for op := 0; op < 40000; op++ {
+				core, block := r.Intn(cores), blocks[r.Intn(span)]
+				switch k := r.Intn(10); {
+				case k < 5:
+					got, want := d.Read(core, block), m.read(core, block)
+					if !reflect.DeepEqual(normAction(got), normAction(want)) {
+						t.Fatalf("%v op %d: Read(%d, %#x) = %+v, model %+v", proto, op, core, block, got, want)
+					}
+				case k < 8:
+					got, want := d.Write(core, block), m.write(core, block)
+					if !reflect.DeepEqual(normAction(got), normAction(want)) {
+						t.Fatalf("%v op %d: Write(%d, %#x) = %+v, model %+v", proto, op, core, block, got, want)
+					}
+				case k < 9:
+					if got, want := d.Evict(core, block), m.evict(core, block); got != want {
+						t.Fatalf("%v op %d: Evict(%d, %#x) = %v, model %v", proto, op, core, block, got, want)
+					}
+				default:
+					gh, gm := d.DropBlock(block)
+					wh, wm := m.dropBlock(block)
+					if !slices.Equal(gh, wh) || gm != wm {
+						t.Fatalf("%v op %d: DropBlock(%#x) = %v %v, model %v %v", proto, op, block, gh, gm, wh, wm)
+					}
+				}
+				gs, gh := d.StateOf(block)
+				ws, wh := m.stateOf(block)
+				if gs != ws || !slices.Equal(gh, wh) {
+					t.Fatalf("%v op %d: block %#x is %v%v, model %v%v", proto, op, block, gs, gh, ws, wh)
+				}
+				if d.TrackedBlocks() != m.live || d.Stats() != m.stats {
+					t.Fatalf("%v op %d: tracked %d stats %+v, model %d %+v", proto, op, d.TrackedBlocks(), d.Stats(), m.live, m.stats)
+				}
+				if len(d.index) != size || op%1000 == 0 {
+					size = len(d.index)
+					sweep(op)
+				}
+			}
+			sweep(-1)
+			if round == 0 && len(d.index) < 8*initial {
+				t.Fatalf("%v: index grew from %d to only %d buckets", proto, initial, len(d.index))
+			}
+		}
+	}
+}
+
+// normAction drops the empty-versus-nil distinction of InvalidatedCores.
+func normAction(a Action) Action {
+	if len(a.InvalidatedCores) == 0 {
+		a.InvalidatedCores = nil
+	}
+	return a
 }

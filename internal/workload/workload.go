@@ -200,20 +200,26 @@ type loopGen struct {
 	r     *randx.Rand
 	iters int
 	iter  int
-	queue []Op // ops pending for the current iteration
+	// queue holds the current iteration's ops and head the next one to
+	// return. Both reset when the iteration drains, so the buffer is
+	// reused and emit allocates nothing once it has grown to the largest
+	// iteration.
+	queue []Op
+	head  int
 	emit  func(g *loopGen)
 }
 
 func (g *loopGen) Next() (Op, bool) {
-	for len(g.queue) == 0 {
+	for g.head == len(g.queue) {
 		if g.iter >= g.iters {
 			return Op{}, false
 		}
+		g.queue, g.head = g.queue[:0], 0
 		g.iter++
 		g.emit(g)
 	}
-	op := g.queue[0]
-	g.queue = g.queue[1:]
+	op := g.queue[g.head]
+	g.head++
 	return op, true
 }
 

@@ -214,3 +214,29 @@ func TestScaleCountFloor(t *testing.T) {
 		t.Error("scaleCount should scale linearly")
 	}
 }
+
+// TestLoopGenDrainAllocatesNothing: once the first iteration has sized the
+// op buffer, draining further iterations of the same size reuses it.
+func TestLoopGenDrainAllocatesNothing(t *testing.T) {
+	r := randx.New(3)
+	g := newDataParallelGen(dataParallelParams{
+		iters: 100, computeMean: 200, computeJitter: 40, instrsPerCycle: 1.2,
+		memOps: 80, writeFrac: 0.3, sharedFrac: 0.4, branches: 6, branchBias: 0.9,
+		private:   newRegion(privBase(0), 1<<20, 0, r.Split(1)).withLocality(0.9, 64, 160),
+		shared:    newRegion(SharedBase, 4<<20, 0.7, r.Split(2)),
+		lockID:    -1,
+		barrierID: -1,
+	}, r.Split(3))
+	drain := func() {
+		it := g.iter
+		for g.iter == it || g.head < len(g.queue) {
+			if _, ok := g.Next(); !ok {
+				t.Fatal("stream ended early")
+			}
+		}
+	}
+	drain()
+	if allocs := testing.AllocsPerRun(50, drain); allocs != 0 {
+		t.Fatalf("draining an iteration allocated %v times", allocs)
+	}
+}
