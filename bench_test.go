@@ -20,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // benchEngine is shared across benchmarks so populations are simulated
@@ -344,7 +345,11 @@ func BenchmarkAblationBatchParallel(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed per benchmark
-// (supporting data for the substitution argument in DESIGN.md).
+// (supporting data for the substitution argument in DESIGN.md). The
+// suite-cold-shape case is one op of spabench's suite-cold work: its 11
+// entries (the nine profiles, canneal on l2half, ferret on l2double) × 10
+// seeds at scale 0.05 on one reused sim.Runner, the shape the simulator hot
+// path is tuned on.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, bench := range []string{"ferret", "canneal", "swaptions"} {
 		b.Run(bench, func(b *testing.B) {
@@ -359,6 +364,34 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.ReportMetric(float64(cycles), "sim-cycles")
 		})
 	}
+	b.Run("suite-cold-shape", func(b *testing.B) {
+		type entry struct{ bench, variant string }
+		var entries []entry
+		for _, bench := range workload.Names() {
+			entries = append(entries, entry{bench, "default"})
+		}
+		entries = append(entries, entry{"canneal", "l2half"}, entry{"ferret", "l2double"})
+		r := sim.NewRunner()
+		b.ReportAllocs()
+		var cycles uint64
+		for i := 0; i < b.N; i++ {
+			cycles = 0
+			for _, e := range entries {
+				cfg, err := sim.VariantConfig(e.variant)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for seed := uint64(1); seed <= 10; seed++ {
+					res, err := r.Run(e.bench, cfg, 0.05, seed)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += res.Cycles
+				}
+			}
+		}
+		b.ReportMetric(float64(cycles), "sim-cycles")
+	})
 }
 
 // BenchmarkPopulationGeneration measures parallel campaign throughput.
