@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -110,6 +111,11 @@ func TestBadBenchAndFlags(t *testing.T) {
 	}
 	if err := run([]string{"-runs", "0"}, &buf); err == nil {
 		t.Error("zero runs should error")
+	}
+	// A count too large to allocate is refused, not a makeslice panic.
+	err := run([]string{"-bench", "swaptions", "-runs", "4611686018427387904", "-scale", "0.01"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(population.MaxRuns)) {
+		t.Errorf("-runs 2^62: err = %v, want one naming the bound %d", err, population.MaxRuns)
 	}
 	if err := run([]string{"-notaflag"}, &buf); err == nil {
 		t.Error("bad flag should error")

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -323,6 +324,11 @@ func TestCISim(t *testing.T) {
 	want := fmt.Sprintf("SPA CI: [%.6g, %.6g]\nwidth: %.6g\nsamples: 30, F=0.5, C=0.9, property: metric at-most v\n", iv.Lo, iv.Hi, iv.Width())
 	if out != want {
 		t.Errorf("spa printed\n%s\nwant\n%s", out, want)
+	}
+	// A count too large to allocate is refused, not a makeslice panic.
+	_, err = runOut(t, "ci", "-sim", "swaptions", "-runs", "4611686018427387904", "-scale", "0.01", "-f", "0.5", "-c", "0.9")
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(population.MaxRuns)) {
+		t.Errorf("-runs 2^62: err = %v, want one naming the bound %d", err, population.MaxRuns)
 	}
 }
 

@@ -291,8 +291,8 @@ func (st *runState) finished() (bool, error) {
 // dispatched and no new in-process run launched. The campaign service's
 // DELETE and drain paths ride on this.
 func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n int, h population.RunHooks) ([]RunResult, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dist: non-positive run count %d", n)
+	if n <= 0 || n > population.MaxRuns {
+		return nil, fmt.Errorf("dist: run count %d outside [1, %d]", n, population.MaxRuns)
 	}
 	if job.Benchmark == "" {
 		return nil, errors.New("dist: job has no benchmark")

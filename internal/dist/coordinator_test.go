@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,10 @@ func TestRunRejectsBadJobs(t *testing.T) {
 	c := fastCoord()
 	if _, err := c.RunCtx(context.Background(), testJob(), testSeed, 0, population.RunHooks{}); err == nil {
 		t.Error("zero runs should error")
+	}
+	_, err := c.RunCtx(context.Background(), testJob(), testSeed, population.MaxRuns+1, population.RunHooks{})
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(population.MaxRuns)) {
+		t.Errorf("MaxRuns+1 runs: err = %v, want one naming the bound %d", err, population.MaxRuns)
 	}
 	if _, err := c.RunCtx(context.Background(), Job{Config: sim.DefaultConfig()}, testSeed, 4, population.RunHooks{}); err == nil {
 		t.Error("missing benchmark should error")

@@ -5,12 +5,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/population"
 )
 
 // FuzzManifest feeds arbitrary bytes to Load, the path every manifest a
 // CLI reads or a tenant submits takes. Load must not panic. A manifest
 // it accepts must survive Save → Load unchanged, name no run count over
-// maxCount, and every file a campaign of it writes — report and
+// population.MaxRuns, and every file a campaign of it writes — report and
 // populations — must land directly in the output directory.
 func FuzzManifest(f *testing.F) {
 	var tpl bytes.Buffer
@@ -56,16 +58,16 @@ func FuzzManifest(f *testing.F) {
 		}
 		// Every count is bounded, so no array a campaign sizes by one, and
 		// no sum of them, can overflow.
-		if m.Runs > maxCount {
+		if m.Runs > population.MaxRuns {
 			t.Fatalf("accepted runs %d", m.Runs)
 		}
 		for _, e := range m.Entries {
-			if n := m.EntryRuns(e); n > maxCount {
+			if n := m.EntryRuns(e); n > population.MaxRuns {
 				t.Fatalf("accepted entry %s of %d runs", e.Key(), n)
 			}
 		}
 		for _, a := range m.Analyses {
-			if a.MaxSamples > maxCount || a.GrowBatch > maxCount || a.PilotRuns > maxCount {
+			if a.MaxSamples > population.MaxRuns || a.GrowBatch > population.MaxRuns || a.PilotRuns > population.MaxRuns {
 				t.Fatalf("accepted analysis %+v over the count bound", a)
 			}
 		}

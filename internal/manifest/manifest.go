@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/population"
 	"repro/internal/sampling"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -217,19 +218,13 @@ func (m *Manifest) Save(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// maxCount bounds every run count a manifest names: runs, an entry's
-// runs, max_samples, grow_batch and pilot_runs. The runner, the
-// coordinator and the adaptive loop size arrays by these counts before
-// the first run, so one huge value would crash the process, and a
-// journaled one every restart of the campaign service. With at most 36
-// distinct entries the bound also keeps a campaign's total runs far
-// inside int.
-const maxCount = 1 << 20
-
-// checkCount refuses a count outside [0, maxCount].
+// checkCount refuses a count outside [0, population.MaxRuns]. It bounds
+// every run count a manifest names: runs, an entry's runs, max_samples,
+// grow_batch and pilot_runs. With at most 36 distinct entries the bound
+// also keeps a campaign's total runs far inside int.
 func checkCount(field string, n int) error {
-	if n < 0 || n > maxCount {
-		return fmt.Errorf("%s %d outside [0, %d]", field, n, maxCount)
+	if n < 0 || n > population.MaxRuns {
+		return fmt.Errorf("%s %d outside [0, %d]", field, n, population.MaxRuns)
 	}
 	return nil
 }

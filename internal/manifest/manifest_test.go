@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/population"
 	"repro/internal/sim"
 )
 
@@ -64,16 +65,16 @@ func TestValidateCatchesProblems(t *testing.T) {
 			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].SamplingStrata = 0.01, "plain", 4
 		}},
 		// Each count a process sizes arrays by is bounded.
-		{"runs over the bound", func(m *Manifest) { m.Runs = maxCount + 1 }},
-		{"entry runs over the bound", func(m *Manifest) { m.Entries[0].Runs = maxCount + 1 }},
+		{"runs over the bound", func(m *Manifest) { m.Runs = population.MaxRuns + 1 }},
+		{"entry runs over the bound", func(m *Manifest) { m.Entries[0].Runs = population.MaxRuns + 1 }},
 		{"max_samples over the bound", func(m *Manifest) {
-			m.Analyses[0].TargetWidth, m.Analyses[0].MaxSamples = 0.01, maxCount+1
+			m.Analyses[0].TargetWidth, m.Analyses[0].MaxSamples = 0.01, population.MaxRuns+1
 		}},
 		{"grow_batch over the bound", func(m *Manifest) {
-			m.Analyses[0].TargetWidth, m.Analyses[0].GrowBatch = 0.01, maxCount+1
+			m.Analyses[0].TargetWidth, m.Analyses[0].GrowBatch = 0.01, population.MaxRuns+1
 		}},
 		{"pilot_runs over the bound", func(m *Manifest) {
-			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].PilotRuns = 0.01, "stratified", maxCount+1
+			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].PilotRuns = 0.01, "stratified", population.MaxRuns+1
 		}},
 	}
 	for _, c := range cases {
@@ -85,13 +86,13 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}
 }
 
-// TestValidateCountBound: a count at exactly maxCount is still valid.
+// TestValidateCountBound: a count at exactly population.MaxRuns is still valid.
 func TestValidateCountBound(t *testing.T) {
 	m := Template()
-	m.Runs, m.Entries[0].Runs = maxCount, maxCount
+	m.Runs, m.Entries[0].Runs = population.MaxRuns, population.MaxRuns
 	a := &m.Analyses[0]
-	a.TargetWidth, a.MaxSamples, a.GrowBatch = 0.01, maxCount, maxCount
-	a.Sampling, a.PilotRuns = "stratified", maxCount
+	a.TargetWidth, a.MaxSamples, a.GrowBatch = 0.01, population.MaxRuns, population.MaxRuns
+	a.Sampling, a.PilotRuns = "stratified", population.MaxRuns
 	if err := m.Validate(); err != nil {
 		t.Fatalf("counts at the bound refused: %v", err)
 	}

@@ -11,6 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
+// MaxRuns bounds every run count a population is built from: a manifest's
+// counts, a CLI's -runs, a coordinator job. Callers size arrays by the
+// count before the first run, so one huge value would crash the process,
+// and a journaled one every restart of the campaign service.
+const MaxRuns = 1 << 20
+
 // Executor runs seeded simulations in-process on a fixed set of reusable
 // sim.Runner arenas. The arenas double as the CPU budget: a run holds one
 // from launch until its OnRunDone hook returns, so however many callers
@@ -101,8 +107,8 @@ func (e *Executor) Run(ctx context.Context, benchmark string, cfg sim.Config, sc
 // Generate is GenerateHooked on this executor, stopping early with
 // context.Cause(ctx) when ctx ends.
 func (e *Executor) Generate(ctx context.Context, benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, h RunHooks) (*Population, error) {
-	if runs <= 0 {
-		return nil, fmt.Errorf("population: non-positive run count %d", runs)
+	if runs <= 0 || runs > MaxRuns {
+		return nil, fmt.Errorf("population: run count %d outside [1, %d]", runs, MaxRuns)
 	}
 	metrics, err := e.Run(ctx, benchmark, cfg, scale, baseSeed, 0, runs, h)
 	if err != nil {

@@ -2,7 +2,10 @@ package population
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/randx"
@@ -52,6 +55,10 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate("swaptions", sim.DefaultConfig(), 0.05, 0, 0, 1); err == nil {
 		t.Error("zero runs should error")
+	}
+	_, err := NewExecutor(1).Generate(context.Background(), "swaptions", sim.DefaultConfig(), 0.05, MaxRuns+1, 0, RunHooks{})
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxRuns)) {
+		t.Errorf("MaxRuns+1 runs: err = %v, want one naming the bound %d", err, MaxRuns)
 	}
 	if _, err := Generate("nope", sim.DefaultConfig(), 0.05, 2, 0, 1); err == nil {
 		t.Error("unknown benchmark should error")
