@@ -3,11 +3,13 @@
 // benchmark with ns/op, every ReportMetric value (sim-cycles, B/op,
 // allocs/op, ...), and — when a baseline run is supplied — the relative
 // ns/op improvement, so a regression shows up as a negative number in the
-// committed artifact.
+// committed artifact. Under `go test -count N` the N lines of a benchmark
+// fold into one record of medians with the repeat count and the ns/op
+// quartiles, and a repeated baseline is compared median against median.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -run='^$' . > bench.txt
+//	go test -bench=. -benchmem -count 5 -run='^$' . > bench.txt
 //	benchreport -in bench.txt -baseline old-bench.txt -out BENCH_3.json
 //
 // -in - reads the benchmark text from stdin instead.
@@ -30,6 +32,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 func main() {
@@ -44,6 +48,12 @@ type Benchmark struct {
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
+	// Runs, NsPerOpQ1 and NsPerOpQ3 are set when the input repeats the
+	// benchmark: Runs lines were folded, Iterations, NsPerOp and every
+	// metric are their medians, and the quartiles give the ns/op spread.
+	Runs      int     `json:"runs,omitempty"`
+	NsPerOpQ1 float64 `json:"ns_per_op_q1,omitempty"`
+	NsPerOpQ3 float64 `json:"ns_per_op_q3,omitempty"`
 	// Metrics holds every further "value unit" pair the benchmark emitted:
 	// testing's B/op and allocs/op plus custom ReportMetric units.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -122,8 +132,11 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // Parse reads `go test -bench` text output. Lines it does not recognize
 // (PASS, ok, test logs) are skipped, so piping the full test output works.
+// The lines of one benchmark name fold into one record, in the order the
+// names first appear.
 func Parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
+	var lines []Benchmark
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -141,13 +154,61 @@ func Parse(r io.Reader) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep.Benchmarks = append(rep.Benchmarks, b)
+			lines = append(lines, b)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rep.Benchmarks = fold(lines)
 	return rep, nil
+}
+
+// fold merges repeated lines of one benchmark into a record of medians
+// (stats.Summarize's inverted-CDF quantiles, so each is a measured value)
+// with the repeat count and the ns/op quartiles. A name seen once keeps
+// its line as is.
+func fold(lines []Benchmark) []Benchmark {
+	var names []string
+	reps := make(map[string][]Benchmark)
+	for _, b := range lines {
+		if _, ok := reps[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		reps[b.Name] = append(reps[b.Name], b)
+	}
+	median := func(xs []float64) float64 {
+		m, _ := stats.Median(xs) // never empty
+		return m
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		rs := reps[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		ns := make([]float64, len(rs))
+		iters := make([]float64, len(rs))
+		units := make(map[string][]float64)
+		for i, b := range rs {
+			ns[i], iters[i] = b.NsPerOp, float64(b.Iterations)
+			for unit, v := range b.Metrics {
+				units[unit] = append(units[unit], v)
+			}
+		}
+		s, _ := stats.Summarize(ns) // never empty
+		b := Benchmark{Name: name, Iterations: int64(median(iters)), NsPerOp: s.Median,
+			Runs: len(rs), NsPerOpQ1: s.Q1, NsPerOpQ3: s.Q3}
+		for unit, vs := range units {
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64, len(units))
+			}
+			b.Metrics[unit] = median(vs)
+		}
+		out = append(out, b)
+	}
+	return out
 }
 
 // parseLine decodes one result line:
@@ -184,7 +245,8 @@ func parseLine(line string) (Benchmark, error) {
 }
 
 // applyBaseline annotates rep's benchmarks with the baseline ns/op and the
-// relative improvement of any same-named baseline benchmark.
+// relative improvement of any same-named baseline benchmark. Parse folds
+// both reports, so repeated runs compare median against median.
 func applyBaseline(rep, base *Report) {
 	old := make(map[string]float64, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {

@@ -88,6 +88,53 @@ func TestBaselineImprovement(t *testing.T) {
 	}
 }
 
+// repeated is five -count repeats of one benchmark, shuffled, with a
+// metric; the medians are 300 ns/op and 30 allocs/op, the mean 400 ns/op.
+const repeated = `BenchmarkSimulatorThroughput/suite-cold-shape-2  1  1000 ns/op  50 allocs/op
+BenchmarkSimulatorThroughput/suite-cold-shape-2  1  100 ns/op  10 allocs/op
+BenchmarkSimulatorThroughput/suite-cold-shape-2  1  300 ns/op  30 allocs/op
+BenchmarkOther-2  7  42 ns/op
+BenchmarkSimulatorThroughput/suite-cold-shape-2  1  400 ns/op  40 allocs/op
+BenchmarkSimulatorThroughput/suite-cold-shape-2  1  200 ns/op  20 allocs/op
+`
+
+func TestParseFoldsRepeats(t *testing.T) {
+	rep, err := Parse(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("parsed %d records, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	b := rep.Benchmarks[0]
+	if b.Name != "SimulatorThroughput/suite-cold-shape" || b.Runs != 5 || b.NsPerOp != 300 ||
+		b.NsPerOpQ1 != 200 || b.NsPerOpQ3 != 400 || b.Metrics["allocs/op"] != 30 || b.Iterations != 1 {
+		t.Errorf("folded record = %+v, want 5 runs, median 300 ns/op in [200, 400], 30 allocs/op", b)
+	}
+	// A name seen once renders as before: no repeat count, no quartiles.
+	if o := rep.Benchmarks[1]; o.Name != "Other" || o.Runs != 0 || o.NsPerOpQ1 != 0 || o.NsPerOp != 42 {
+		t.Errorf("single record = %+v", o)
+	}
+}
+
+func TestBaselineComparesMedians(t *testing.T) {
+	base, err := Parse(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Against the last baseline line (200) or the mean (400) the answer
+	// would differ; against the median (300), 150 is a 50% improvement.
+	rep, err := Parse(strings.NewReader(strings.Repeat("BenchmarkSimulatorThroughput/suite-cold-shape-2  1  150 ns/op\n", 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyBaseline(rep, base)
+	b := rep.Benchmarks[0]
+	if b.Runs != 3 || b.BaselineNsPerOp != 300 || b.ImprovementPct != 50 {
+		t.Errorf("record = %+v, want 3 runs against the 300 ns/op baseline median, +50%%", b)
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.txt")
