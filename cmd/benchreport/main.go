@@ -200,10 +200,10 @@ func fold(lines []Benchmark) []Benchmark {
 		s, _ := stats.Summarize(ns) // never empty
 		b := Benchmark{Name: name, Iterations: int64(median(iters)), NsPerOp: s.Median,
 			Runs: len(rs), NsPerOpQ1: s.Q1, NsPerOpQ3: s.Q3}
+		if len(units) > 0 {
+			b.Metrics = make(map[string]float64, len(units))
+		}
 		for unit, vs := range units {
-			if b.Metrics == nil {
-				b.Metrics = make(map[string]float64, len(units))
-			}
 			b.Metrics[unit] = median(vs)
 		}
 		out = append(out, b)

@@ -120,6 +120,8 @@ func NewWithProtocol(cores int, p Protocol) (*Directory, error) {
 		index: make([]int32, 1<<initialIndexBits), shift: 64 - initialIndexBits}, nil
 }
 
+// initialIndexBits sizes a new directory's index at 1024 buckets (4 KiB),
+// enough for 512 blocks before the first doubling.
 const initialIndexBits = 10
 
 // Reset drops all tracked blocks and zeroes the counters while keeping the

@@ -35,39 +35,24 @@ var goldenScales = []float64{0.05, 0.2}
 const goldenSeed = 1
 
 // goldenConfigs are the non-default configurations the workloads, the
-// variants and the ablations run. Each is pinned on goldenConfigBenches at
-// goldenConfigScale, so a fast path that only a variant reaches (a smaller
-// L2, another replacement policy or protocol, the gshare predictor, the
-// prefetcher, OS noise) is fenced as tightly as the default system.
-func goldenConfigs() []struct {
+// variants and the ablations run, each an edit of DefaultConfig. Each is
+// pinned on goldenConfigBenches at goldenConfigScale, so a fast path that
+// only a variant reaches (a smaller L2, another replacement policy or
+// protocol, the gshare predictor, the prefetcher, OS noise) is fenced as
+// tightly as the default system.
+var goldenConfigs = []struct {
 	label string
-	cfg   Config
-} {
-	variant := func(name string) Config {
-		cfg, err := VariantConfig(name)
-		if err != nil {
-			panic(err)
-		}
-		return cfg
-	}
-	with := func(edit func(*Config)) Config {
-		cfg := DefaultConfig()
-		edit(&cfg)
-		return cfg
-	}
-	return []struct {
-		label string
-		cfg   Config
-	}{
-		{"l2half", variant("l2half")},
-		{"l2double", variant("l2double")},
-		{"hardware", variant("hardware")},
-		{"fifo", with(func(c *Config) { c.ReplacementPolicy = "fifo" })},
-		{"random", with(func(c *Config) { c.ReplacementPolicy = "random" })},
-		{"msi", with(func(c *Config) { c.CoherenceProtocol = "msi" })},
-		{"gshare", with(func(c *Config) { c.BPKind = "gshare" })},
-		{"prefetch", with(func(c *Config) { c.PrefetchNextLine = true })},
-	}
+	edit  func(*Config)
+}{
+	// The names are known; a misspelt one would fail the run's Validate.
+	{"l2half", func(c *Config) { *c, _ = VariantConfig("l2half") }},
+	{"l2double", func(c *Config) { *c, _ = VariantConfig("l2double") }},
+	{"hardware", func(c *Config) { *c, _ = VariantConfig("hardware") }},
+	{"fifo", func(c *Config) { c.ReplacementPolicy = "fifo" }},
+	{"random", func(c *Config) { c.ReplacementPolicy = "random" }},
+	{"msi", func(c *Config) { c.CoherenceProtocol = "msi" }},
+	{"gshare", func(c *Config) { c.BPKind = "gshare" }},
+	{"prefetch", func(c *Config) { c.PrefetchNextLine = true }},
 }
 
 var goldenConfigBenches = []string{"canneal", "dedup", "ferret", "swaptions"}
@@ -109,9 +94,11 @@ func runGolden(t *testing.T) []goldenRecord {
 			add(bench, "", DefaultConfig(), scale)
 		}
 	}
-	for _, c := range goldenConfigs() {
+	for _, c := range goldenConfigs {
+		cfg := DefaultConfig()
+		c.edit(&cfg)
 		for _, bench := range goldenConfigBenches {
-			add(bench, c.label, c.cfg, goldenConfigScale)
+			add(bench, c.label, cfg, goldenConfigScale)
 		}
 	}
 	return recs
