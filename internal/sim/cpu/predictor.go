@@ -70,20 +70,28 @@ func (b *BranchPredictor) Reset() {
 // fixed-size pages. The recency order is an intrusive doubly-linked list
 // over preallocated nodes, so both hits and evictions are O(1) — the TLB
 // sits on every memory access of the simulator, so this matters.
+//
+// A page finds its node through an open-addressed table rather than a Go
+// map: each slot holds a node index + 1 (0 is empty), a page's home slot is
+// its Fibonacci hash, collisions probe linearly, and the evicted LRU page
+// leaves by backward-shift deletion, so no tombstones build up. The table
+// has a power-of-two size of at least twice the entry count, so it is never
+// more than half full.
 type TLB struct {
-	entries  int
 	pageBits uint
-	slots    map[uint64]int // page → node index
+	table    []int32
+	shift    uint // 64 − log2(len(table)): the hash keeps the top bits
 	nodes    []tlbNode
-	head     int // most recently used, -1 when empty
-	tail     int // least recently used, -1 when empty
-	free     []int
+	fill     int32 // nodes in use; they are handed out in index order
+	head     int32 // most recently used, -1 when empty
+	tail     int32 // least recently used, -1 when empty
 	stats    TLBStats
 }
 
 type tlbNode struct {
 	page       uint64
-	prev, next int
+	prev, next int32
+	slot       int32 // the table slot pointing at this node
 }
 
 // TLBStats counts translation outcomes.
@@ -95,8 +103,8 @@ type TLBStats struct {
 // NewTLB builds a TLB with the given entry count and page size (a power of
 // two).
 func NewTLB(entries int, pageSize int) (*TLB, error) {
-	if entries <= 0 {
-		return nil, fmt.Errorf("cpu: non-positive TLB entries %d", entries)
+	if entries <= 0 || entries > 1<<30 {
+		return nil, fmt.Errorf("cpu: TLB entries %d outside [1, 2^30]", entries)
 	}
 	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
 		return nil, fmt.Errorf("cpu: page size %d not a power of two", pageSize)
@@ -105,23 +113,28 @@ func NewTLB(entries int, pageSize int) (*TLB, error) {
 	for 1<<bits < pageSize {
 		bits++
 	}
-	t := &TLB{
-		entries:  entries,
+	size, shift := 2, uint(63)
+	for size < 2*entries {
+		size <<= 1
+		shift--
+	}
+	return &TLB{
 		pageBits: bits,
-		slots:    make(map[uint64]int, entries),
+		table:    make([]int32, size),
+		shift:    shift,
 		nodes:    make([]tlbNode, entries),
 		head:     -1,
 		tail:     -1,
-	}
-	t.free = make([]int, entries)
-	for i := range t.free {
-		t.free[i] = i
-	}
-	return t, nil
+	}, nil
+}
+
+// home is page's first probe slot.
+func (t *TLB) home(page uint64) int {
+	return int((page * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
 // unlink removes node i from the recency list.
-func (t *TLB) unlink(i int) {
+func (t *TLB) unlink(i int32) {
 	n := &t.nodes[i]
 	if n.prev >= 0 {
 		t.nodes[n.prev].next = n.next
@@ -136,7 +149,7 @@ func (t *TLB) unlink(i int) {
 }
 
 // pushFront makes node i the most recently used.
-func (t *TLB) pushFront(i int) {
+func (t *TLB) pushFront(i int32) {
 	n := &t.nodes[i]
 	n.prev = -1
 	n.next = t.head
@@ -149,42 +162,67 @@ func (t *TLB) pushFront(i int) {
 	}
 }
 
+// remove deletes node i's page from the table and returns the slot it
+// leaves empty. Each later entry of the probe run moves back into the hole
+// unless its home slot lies cyclically in (hole, its slot], where the move
+// would put it before its home.
+func (t *TLB) remove(i int32) int {
+	mask := len(t.table) - 1
+	hole := int(t.nodes[i].slot)
+	for j := (hole + 1) & mask; t.table[j] != 0; j = (j + 1) & mask {
+		n := t.table[j] - 1
+		if h := t.home(t.nodes[n].page); (j-h)&mask >= (j-hole)&mask {
+			t.table[hole] = n + 1
+			t.nodes[n].slot = int32(hole)
+			hole = j
+		}
+	}
+	t.table[hole] = 0
+	return hole
+}
+
 // Lookup translates addr, returning whether it missed. On a miss the page
 // is filled, evicting the LRU entry when full.
 func (t *TLB) Lookup(addr uint64) (miss bool) {
 	page := addr >> t.pageBits
 	t.stats.Lookups++
-	if i, ok := t.slots[page]; ok {
-		if t.head != i {
-			t.unlink(i)
-			t.pushFront(i)
+	mask := len(t.table) - 1
+	h := t.home(page)
+	s := h
+	for ; t.table[s] != 0; s = (s + 1) & mask {
+		if i := t.table[s] - 1; t.nodes[i].page == page {
+			if t.head != i {
+				t.unlink(i)
+				t.pushFront(i)
+			}
+			return false
 		}
-		return false
 	}
 	t.stats.Misses++
-	var i int
-	if len(t.free) > 0 {
-		i = t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
+	i := t.fill
+	if int(i) < len(t.nodes) {
+		t.fill++
 	} else {
 		i = t.tail
 		t.unlink(i)
-		delete(t.slots, t.nodes[i].page)
+		// The deletion leaves one slot empty; if it lies on page's probe
+		// run before s, it is now the first empty slot there. The shifts
+		// stop at s, which stays empty.
+		if hole := t.remove(i); (hole-h)&mask < (s-h)&mask {
+			s = hole
+		}
 	}
-	t.nodes[i].page = page
-	t.slots[page] = i
+	t.nodes[i] = tlbNode{page: page, slot: int32(s)}
+	t.table[s] = i + 1
 	t.pushFront(i)
 	return true
 }
 
 // Flush empties the TLB (context switch).
 func (t *TLB) Flush() {
-	clear(t.slots)
+	clear(t.table)
 	t.head, t.tail = -1, -1
-	t.free = t.free[:0]
-	for i := 0; i < t.entries; i++ {
-		t.free = append(t.free, i)
-	}
+	t.fill = 0
 }
 
 // Stats returns a copy of the counters.
@@ -198,7 +236,7 @@ func (t *TLB) Reset() {
 }
 
 // Resident returns the number of valid entries.
-func (t *TLB) Resident() int { return len(t.slots) }
+func (t *TLB) Resident() int { return int(t.fill) }
 
 // Gshare is a global-history branch predictor: the PC hash is XORed with a
 // shift register of recent outcomes before indexing the counter table,

@@ -143,29 +143,81 @@ func (t *refTLB) lookup(page uint64) bool {
 	return true
 }
 
+// collidingPages returns pages whose home slots in t's table are the last
+// two slots and the first, each shared by perSlot pages, so probe runs are
+// long and wrap around the end of the table.
+func collidingPages(t *TLB, perSlot int) []uint64 {
+	last := len(t.table) - 1
+	want := map[int]int{last - 1: perSlot, last: perSlot, 0: perSlot}
+	var pages []uint64
+	for p := uint64(0); len(pages) < 3*perSlot; p++ {
+		if h := t.home(p); want[h] > 0 {
+			want[h]--
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}
+
 func TestTLBMatchesReferenceModel(t *testing.T) {
+	const entries = 64
 	for seed := uint64(0); seed < 20; seed++ {
-		tlb, err := NewTLB(8, 4096)
+		tlb, err := NewTLB(entries, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &refTLB{entries: 8, slots: map[uint64]uint64{}}
+		if len(tlb.table) != 128 {
+			t.Fatalf("table has %d slots, want 128", len(tlb.table))
+		}
+		// 90 pages in three adjacent, wrapping collision runs plus 30
+		// scattered ones: more than the TLB holds, so it evicts all the
+		// time, and every eviction shifts entries back across the wrap.
+		pages := collidingPages(tlb, 30)
+		for p := uint64(1); p <= 30; p++ {
+			pages = append(pages, p*7919)
+		}
+		ref := &refTLB{entries: entries, slots: map[uint64]uint64{}}
 		r := randx.New(seed)
-		for i := 0; i < 3000; i++ {
-			if r.Bernoulli(0.01) {
+		for i := 0; i < 20000; i++ {
+			if r.Bernoulli(0.002) {
 				tlb.Flush()
 				ref.slots = map[uint64]uint64{}
 				continue
 			}
-			addr := uint64(r.Intn(20)) * 4096
-			got := tlb.Lookup(addr)
-			want := ref.lookup(addr >> 12)
-			if got != want {
-				t.Fatalf("seed %d access %d: miss=%v, reference says %v", seed, i, got, want)
+			// A hot subset keeps hits common, so the recency order matters.
+			var page uint64
+			if r.Bernoulli(0.5) {
+				page = pages[r.Intn(40)]
+			} else {
+				page = pages[r.Intn(len(pages))]
+			}
+			got := tlb.Lookup(page<<12 | uint64(r.Intn(4096)))
+			if want := ref.lookup(page); got != want {
+				t.Fatalf("seed %d access %d page %d: miss=%v, reference says %v", seed, i, page, got, want)
+			}
+			if tlb.Resident() != len(ref.slots) {
+				t.Fatalf("seed %d access %d: occupancy %d, reference %d", seed, i, tlb.Resident(), len(ref.slots))
 			}
 		}
-		if tlb.Resident() != len(ref.slots) {
-			t.Fatalf("occupancy diverged: %d vs %d", tlb.Resident(), len(ref.slots))
+		// Every resident page is found from its home slot, and nothing else
+		// is in the table.
+		inTable := 0
+		for _, n := range tlb.table {
+			if n != 0 {
+				inTable++
+			}
+		}
+		if inTable != len(ref.slots) {
+			t.Fatalf("seed %d: %d table slots in use, %d resident", seed, inTable, len(ref.slots))
+		}
+		before := tlb.Stats()
+		for page := range ref.slots {
+			if tlb.Lookup(page << 12) {
+				t.Fatalf("seed %d: resident page %d missed", seed, page)
+			}
+		}
+		if tlb.Stats().Misses != before.Misses {
+			t.Fatalf("seed %d: resident pages missed", seed)
 		}
 	}
 }
