@@ -35,15 +35,6 @@ func (p Policy) String() string {
 	}
 }
 
-// Line is one cache line's tag state.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set logical clock: larger means more recently used.
-	lru uint64
-}
-
 // Stats counts cache events.
 type Stats struct {
 	Hits       uint64
@@ -53,6 +44,12 @@ type Stats struct {
 }
 
 // Cache is a set-associative, write-back cache.
+//
+// Each way's tag state is one key, tag<<2 | dirty<<1 | valid, with 0 for an
+// invalid way; keys are stored sets × ways, row-major, so a lookup compares
+// 8 bytes per way and a 16-way set spans two host cache lines. Each way's
+// LRU/FIFO stamp sits at the same index of a parallel array that only a
+// fill, an LRU hit and victim choice touch.
 type Cache struct {
 	name      string
 	sets      int
@@ -64,11 +61,21 @@ type Cache struct {
 	setShift uint
 	setMask  uint64
 	policy   Policy
-	lines    []line // sets × ways, row-major
+	keys     []uint64
+	// stamps holds a logical clock value per way: larger means more
+	// recently used (LRU) or filled (FIFO). An invalid way's stamp is
+	// stale and never read, since victim choice takes invalid ways first.
+	stamps   []uint64
 	clock    uint64
 	rngState uint64 // xorshift state for the Random policy
 	stats    Stats
 }
+
+// Key bits below the tag.
+const (
+	validBit = 1
+	dirtyBit = 2
+)
 
 // initialRNGState seeds the deterministic xorshift stream of the Random
 // replacement policy; Reset restores it so a reused cache replays the same
@@ -111,13 +118,19 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Policy < LRU || cfg.Policy > Random {
 		return nil, fmt.Errorf("cache: unknown replacement policy %d", cfg.Policy)
 	}
+	// A key holds the tag above two state bits, so block offset and set
+	// index together must drop at least two address bits.
+	if uint64(cfg.BlockSize)*uint64(sets) < 4 {
+		return nil, fmt.Errorf("cache: %d sets of %d-byte blocks leave no room for the line state bits", sets, cfg.BlockSize)
+	}
 	c := &Cache{
 		name:      cfg.Name,
 		sets:      sets,
 		ways:      cfg.Ways,
 		blockBits: blockBits,
 		policy:    cfg.Policy,
-		lines:     make([]line, sets*cfg.Ways),
+		keys:      make([]uint64, sets*cfg.Ways),
+		stamps:    make([]uint64, sets*cfg.Ways),
 		rngState:  initialRNGState,
 	}
 	if sets&(sets-1) == 0 {
@@ -131,11 +144,12 @@ func New(cfg Config) (*Cache, error) {
 
 // Reset returns the cache to its post-New state — every line invalid, the
 // LRU clock and the Random-policy stream at their initial values, all
-// counters zero — without reallocating the line array. It exists so a
-// pooled simulation runner can reuse the multi-megabyte line arrays across
-// runs while staying bit-identical to a freshly constructed cache.
+// counters zero — without reallocating the tag arrays. It exists so a
+// pooled simulation runner can reuse the multi-megabyte arrays across runs
+// while staying bit-identical to a freshly constructed cache. The stamps
+// of invalid ways are never read, so they are left as they are.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	clear(c.keys)
 	c.clock = 0
 	c.rngState = initialRNGState
 	c.stats = Stats{}
@@ -171,35 +185,29 @@ type AccessResult struct {
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	set, tag := c.index(addr)
 	base := set * c.ways
-	lines := c.lines[base : base+c.ways : base+c.ways]
+	keys := c.keys[base : base+c.ways : base+c.ways]
 	c.clock++
 
-	// One pass over the set serves both hit detection and victim
-	// pre-selection (first invalid way, else the smallest stamp for LRU and
-	// FIFO — FIFO never refreshes stamps on hits), so the miss path does
-	// not rescan. Victim choice is identical to the former two-loop form.
+	want := tag<<2 | validBit
+	for w, k := range keys {
+		if k&^dirtyBit == want {
+			if c.policy == LRU {
+				c.stamps[base+w] = c.clock
+			}
+			if write {
+				keys[w] = k | dirtyBit
+			}
+			c.stats.Hits++
+			return AccessResult{Hit: true}
+		}
+	}
+	// Miss: the victim is the first invalid way, else the oldest stamp
+	// (FIFO never refreshes stamps on hits), else the Random stream's draw.
 	victim := -1
-	minIdx := -1
-	var oldest uint64 = ^uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if ln.valid {
-			if ln.tag == tag {
-				if c.policy == LRU {
-					ln.lru = c.clock
-				}
-				if write {
-					ln.dirty = true
-				}
-				c.stats.Hits++
-				return AccessResult{Hit: true}
-			}
-			if ln.lru < oldest {
-				oldest = ln.lru
-				minIdx = w
-			}
-		} else if victim == -1 {
+	for w, k := range keys {
+		if k == 0 {
 			victim = w
+			break
 		}
 	}
 	if victim == -1 {
@@ -210,24 +218,31 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 			c.rngState ^= c.rngState << 17
 			victim = int(c.rngState % uint64(c.ways))
 		} else {
-			victim = minIdx
+			stamps := c.stamps[base : base+c.ways : base+c.ways]
+			victim = 0
+			oldest := stamps[0]
+			for w, st := range stamps {
+				if st < oldest {
+					victim, oldest = w, st
+				}
+			}
 		}
 	}
-	ln := &lines[victim]
 	res := AccessResult{}
-	if ln.valid {
+	if k := keys[victim]; k != 0 {
 		res.Evicted = true
-		res.EvictedAddr = c.reconstruct(set, ln.tag)
-		if ln.dirty {
+		res.EvictedAddr = c.reconstruct(set, k>>2)
+		if k&dirtyBit != 0 {
 			res.Writeback = true
 			c.stats.Writebacks++
 		}
 		c.stats.Evictions++
 	}
-	ln.valid = true
-	ln.tag = tag
-	ln.dirty = write
-	ln.lru = c.clock
+	if write {
+		want |= dirtyBit
+	}
+	keys[victim] = want
+	c.stamps[base+victim] = c.clock
 	c.stats.Misses++
 	return res
 }
@@ -237,34 +252,34 @@ func (c *Cache) reconstruct(set int, tag uint64) uint64 {
 	return (tag*uint64(c.sets) + uint64(set)) << c.blockBits
 }
 
-// Contains reports whether addr's block is resident, without touching LRU
-// state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
+// find returns the index in keys of addr's resident way, or -1.
+func (c *Cache) find(addr uint64) int {
 	set, tag := c.index(addr)
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			return true
+	want := tag<<2 | validBit
+	for w, k := range c.keys[base : base+c.ways] {
+		if k&^dirtyBit == want {
+			return base + w
 		}
 	}
-	return false
+	return -1
 }
+
+// Contains reports whether addr's block is resident, without touching LRU
+// state or statistics.
+func (c *Cache) Contains(addr uint64) bool { return c.find(addr) >= 0 }
 
 // Invalidate drops addr's block if resident, returning whether it was dirty
 // (the caller models the writeback). Used for coherence invalidations and
 // L2-inclusion back-invalidations.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.valid = false
-			return true, ln.dirty
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.keys[i]&dirtyBit != 0
+	c.keys[i] = 0
+	return true, dirty
 }
 
 // FlushRatio invalidates roughly the given fraction of resident lines
@@ -282,12 +297,12 @@ func (c *Cache) FlushRatio(ratio float64) int {
 		stride = 1
 	}
 	dropped, seen := 0, 0
-	for i := range c.lines {
-		if !c.lines[i].valid {
+	for i, k := range c.keys {
+		if k == 0 {
 			continue
 		}
 		if seen%stride == 0 {
-			c.lines[i].valid = false
+			c.keys[i] = 0
 			dropped++
 		}
 		seen++
@@ -300,9 +315,9 @@ func (c *Cache) FlushRatio(ratio float64) int {
 // inclusion) and does not touch LRU state or statistics.
 func (c *Cache) Blocks() []uint64 {
 	var out []uint64
-	for i := range c.lines {
-		if c.lines[i].valid {
-			out = append(out, c.reconstruct(i/c.ways, c.lines[i].tag))
+	for i, k := range c.keys {
+		if k != 0 {
+			out = append(out, c.reconstruct(i/c.ways, k>>2))
 		}
 	}
 	return out
