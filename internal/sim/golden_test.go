@@ -108,8 +108,8 @@ func runGolden(t *testing.T) []goldenRecord {
 // benchmark profiles at two scales, and for goldenConfigBenches under every
 // goldenConfigs configuration, against testdata/golden.json. It is the
 // contract every performance optimization must preserve: the pooled runner,
-// the inlined event heap, and the cache/coherence fast paths may change how
-// a run executes, never what it computes.
+// the per-core activation slots, the packed cache tags, the TLB and
+// directory tables may change how a run executes, never what it computes.
 func TestGoldenProfilesByteIdentical(t *testing.T) {
 	got := runGolden(t)
 	path := goldenPath(t)

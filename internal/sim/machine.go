@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/randx"
 	"repro/internal/sim/cache"
@@ -59,69 +60,16 @@ type queueSt struct {
 	emptyWait []int // consumers blocked on an empty queue
 }
 
-// event is a scheduled core activation.
-type event struct {
-	at   uint64
-	core int
-}
-
-// eventHeap is a binary min-heap of events ordered by (at, core), inlined
-// rather than going through container/heap: the event loop pushes and pops
-// once per core activation, and the interface-based heap boxes every event
-// into an `any` (one allocation per push) besides the indirect calls.
-// Ordering is a strict total order on distinct events, so the pop sequence —
-// and therefore every simulated outcome — is identical to the old
-// implementation's.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].core < h[j].core // deterministic tie-break
-}
-
-func (h *eventHeap) push(e event) {
-	s := append(*h, e)
-	*h = s
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && s.less(r, l) {
-			c = r
-		}
-		if !s.less(c, i) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	return top
-}
-
 // machine wires the full system for one run.
+//
+// Its event queue is one pending-activation slot per core: wakeAt[c] holds
+// core c's next activation time while bit c of armed is set. A core is
+// re-armed only from its own step (the slot was cleared when the step was
+// popped) or by wake while it is idle, which for a dispatched core means it
+// has nothing pending, so a core never holds two activations; continueAt
+// panics if one would. Popping the lowest (time, core) over the armed slots
+// therefore yields exactly the order of a heap over all pending events.
+// Config.Validate caps Cores at 64, the width of armed.
 type machine struct {
 	cfg  Config
 	prog *workload.Program
@@ -138,7 +86,8 @@ type machine struct {
 	cores    []coreCtx
 	threads  []threadCtx
 	ready    []int
-	events   eventHeap
+	wakeAt   []uint64
+	armed    uint64
 	locks    map[int]*lockSt
 	barriers map[int]*barrierSt
 	queues   map[int]*queueSt
@@ -269,6 +218,7 @@ func (m *machine) build(cfg Config) error {
 		m.tlb = append(m.tlb, tlb)
 	}
 	m.cores = make([]coreCtx, cfg.Cores)
+	m.wakeAt = make([]uint64, cfg.Cores)
 	m.l2, err = cache.New(cache.Config{Name: "l2",
 		SizeBytes: cfg.L2Size, Ways: cfg.L2Ways, BlockSize: cfg.BlockSize, Policy: policy})
 	if err != nil {
@@ -389,7 +339,7 @@ func (m *machine) initRun(prog *workload.Program, rng *randx.Rand) error {
 	m.tracer.init(cfg.SampleInterval, m)
 
 	m.ready = m.ready[:0]
-	m.events = m.events[:0]
+	m.armed = 0
 	m.now = 0
 	m.finished = 0
 	m.instructions = 0
@@ -435,16 +385,16 @@ func (m *machine) run() error {
 		m.dispatch(&m.cores[i], 0)
 	}
 
-	for len(m.events) > 0 {
-		e := m.events.pop()
-		if e.at > m.cfg.MaxCycles {
+	for m.armed != 0 {
+		c, at := m.next()
+		if at > m.cfg.MaxCycles {
 			return fmt.Errorf("sim: %q exceeded cycle budget %d", m.prog.Name, m.cfg.MaxCycles)
 		}
-		if e.at > m.now {
-			m.now = e.at
+		if at > m.now {
+			m.now = at
 			m.tracer.advance(m.now)
 		}
-		m.step(&m.cores[e.core], e.at)
+		m.step(&m.cores[c], at)
 	}
 	if m.finished != len(m.threads) {
 		return fmt.Errorf("sim: deadlock in %q: %d/%d threads finished at cycle %d",
@@ -643,9 +593,29 @@ func (m *machine) queue(id int) *queueSt {
 	return q
 }
 
-// continueAt schedules the core's next activation.
+// next pops the pending activation with the lowest (time, core): armed
+// slots are scanned in core order and only a strictly earlier time
+// displaces the best so far.
+func (m *machine) next() (core int, at uint64) {
+	core = bits.TrailingZeros64(m.armed)
+	at = m.wakeAt[core]
+	for rest := m.armed & (m.armed - 1); rest != 0; rest &= rest - 1 {
+		if c := bits.TrailingZeros64(rest); m.wakeAt[c] < at {
+			core, at = c, m.wakeAt[c]
+		}
+	}
+	m.armed &^= 1 << core
+	return core, at
+}
+
+// continueAt schedules the core's next activation. A second pending
+// activation on one core is a scheduler bug, like an unknown op kind.
 func (m *machine) continueAt(core *coreCtx, at uint64) {
-	m.events.push(event{at: at, core: core.id})
+	if m.armed&(1<<core.id) != 0 {
+		panic(fmt.Sprintf("sim: core %d already has an activation pending at cycle %d", core.id, m.wakeAt[core.id]))
+	}
+	m.armed |= 1 << core.id
+	m.wakeAt[core.id] = at
 }
 
 // busyFor accounts d busy cycles on the core and schedules its next

@@ -265,6 +265,41 @@ func TestCycleBudgetEnforced(t *testing.T) {
 	}
 }
 
+// TestActivationSlots pins the event queue on a 64-core machine:
+// activations pop in (time, core) order, a tie going to the lower core, and
+// a second pending activation on one core is refused.
+func TestActivationSlots(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 64
+	prog := &workload.Program{Name: "idle", Threads: []workload.ThreadGen{opList{}.gen()}}
+	m, err := newMachine(prog, cfg, randx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []struct {
+		core int
+		at   uint64
+	}{{63, 5}, {7, 9}, {3, 5}, {0, 9}, {40, 1}, {12, 5}} {
+		m.continueAt(&m.cores[a.core], a.at)
+	}
+	for _, want := range [][2]uint64{{40, 1}, {3, 5}, {12, 5}, {63, 5}, {0, 9}, {7, 9}} {
+		if c, at := m.next(); c != int(want[0]) || at != want[1] {
+			t.Fatalf("popped core %d at %d, want core %d at %d", c, at, want[0], want[1])
+		}
+	}
+	if m.armed != 0 {
+		t.Fatalf("slots %b still armed after every pop", m.armed)
+	}
+
+	m.continueAt(&m.cores[5], 10)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "core 5 already has an activation pending at cycle 10") {
+			t.Errorf("second activation on core 5: recovered %v", r)
+		}
+	}()
+	m.continueAt(&m.cores[5], 11)
+}
+
 func TestEmptyProgramRejected(t *testing.T) {
 	if _, err := RunProgram(&workload.Program{Name: "empty"}, DefaultConfig(), randx.New(1)); err == nil {
 		t.Error("empty program should error")
