@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -235,6 +236,9 @@ func readValues(f *os.File) ([]float64, error) {
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %v", line, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("line %d: %w %q", line, stats.ErrNonFinite, text)
 		}
 		out = append(out, v)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/population"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func writeValues(t *testing.T, lines string) string {
@@ -142,6 +144,29 @@ func TestBadInputValues(t *testing.T) {
 	empty := writeValues(t, "# only a comment\n")
 	if err := run([]string{"ci", "-input", empty}); err == nil {
 		t.Error("empty input should error")
+	}
+}
+
+// TestCIRefusesNonFiniteValues: the values 1–20 plus NaN lines used to
+// print [5, 14] over 22 samples (NaN sorts first and shifts every rank);
+// any NaN or ±Inf line is now refused by name.
+func TestCIRefusesNonFiniteValues(t *testing.T) {
+	var clean strings.Builder
+	for v := 1; v <= 20; v++ {
+		fmt.Fprintf(&clean, "%d\n", v)
+	}
+	for _, bad := range []string{"NaN", "nan", "+Inf", "-Inf", "Infinity", "-inf"} {
+		path := writeValues(t, clean.String()[:8]+bad+"\n"+clean.String()[8:])
+		for _, sub := range []string{"ci", "compare"} {
+			err := run([]string{sub, "-input", path, "-f", "0.5", "-c", "0.9"})
+			if !errors.Is(err, stats.ErrNonFinite) || !strings.Contains(err.Error(), "line 5:") {
+				t.Errorf("%s with a %s line: err = %v, want a non-finite error naming line 5", sub, bad, err)
+			}
+		}
+	}
+	path := writeValues(t, clean.String())
+	if err := run([]string{"ci", "-input", path, "-f", "0.5", "-c", "0.9"}); err != nil {
+		t.Fatalf("the 20 finite values: %v", err)
 	}
 }
 

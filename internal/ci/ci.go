@@ -4,7 +4,8 @@
 // testing, and the Gaussian Z-score interval. Each method reproduces the
 // failure modes the paper reports — in particular BCa's refusal to produce
 // an interval when the sample contains many duplicate data points
-// (Sec. 6.4, Fig. 15).
+// (Sec. 6.4, Fig. 15). The bootstrap and rank constructions refuse a sample
+// holding NaN or ±Inf with an error matching stats.ErrNonFinite.
 package ci
 
 import (
@@ -81,6 +82,9 @@ func BootstrapPercentileSorted(sorted []float64, f, c float64, opts BootstrapOpt
 	if err := validate(f, c); err != nil {
 		return stats.Interval{}, err
 	}
+	if err := stats.CheckFiniteSorted(sorted); err != nil {
+		return stats.Interval{}, err
+	}
 	if len(sorted) < 2 {
 		return stats.Interval{}, fmt.Errorf("%w: need at least 2 samples", ErrDegenerate)
 	}
@@ -125,6 +129,9 @@ func BootstrapBCa(samples []float64, f, c float64, opts BootstrapOptions) (stats
 // any permutation of xs.
 func BootstrapBCaSorted(sorted []float64, f, c float64, opts BootstrapOptions) (stats.Interval, error) {
 	if err := validate(f, c); err != nil {
+		return stats.Interval{}, err
+	}
+	if err := stats.CheckFiniteSorted(sorted); err != nil {
 		return stats.Interval{}, err
 	}
 	n := len(sorted)
@@ -215,6 +222,9 @@ func RankCISorted(sorted []float64, f, c float64) (stats.Interval, error) {
 	if err := validate(f, c); err != nil {
 		return stats.Interval{}, err
 	}
+	if err := stats.CheckFiniteSorted(sorted); err != nil {
+		return stats.Interval{}, err
+	}
 	n := len(sorted)
 	if n < 2 {
 		return stats.Interval{}, fmt.Errorf("%w: need at least 2 samples", ErrDegenerate)
@@ -253,6 +263,9 @@ func RankCIExact(samples []float64, f, c float64) (stats.Interval, error) {
 // RankCIExactSorted is RankCIExact for an already ascending-sorted sample.
 func RankCIExactSorted(sorted []float64, f, c float64) (stats.Interval, error) {
 	if err := validate(f, c); err != nil {
+		return stats.Interval{}, err
+	}
+	if err := stats.CheckFiniteSorted(sorted); err != nil {
 		return stats.Interval{}, err
 	}
 	n := len(sorted)

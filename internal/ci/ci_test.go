@@ -274,3 +274,24 @@ func TestZScoreWiderThanQuantileCIOnSkewedData(t *testing.T) {
 		t.Errorf("Z width %.4f should far exceed rank width %.4f on tail-heavy data", z.Width(), rank.Width())
 	}
 }
+
+func TestConstructionsRefuseNonFiniteSamples(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		xs := []float64{bad}
+		for v := 1; v <= 60; v++ {
+			xs = append(xs, float64(v))
+		}
+		xs[0], xs[30] = xs[30], xs[0]
+		opts := BootstrapOptions{Resamples: 50, Seed: 1}
+		for name, build := range map[string]func() (stats.Interval, error){
+			"BootstrapPercentile": func() (stats.Interval, error) { return BootstrapPercentile(xs, 0.5, 0.9, opts) },
+			"BootstrapBCa":        func() (stats.Interval, error) { return BootstrapBCa(xs, 0.5, 0.9, opts) },
+			"RankCI":              func() (stats.Interval, error) { return RankCI(xs, 0.5, 0.9) },
+			"RankCIExact":         func() (stats.Interval, error) { return RankCIExact(xs, 0.5, 0.9) },
+		} {
+			if iv, err := build(); !errors.Is(err, stats.ErrNonFinite) {
+				t.Errorf("%s with %v = %v, %v; want ErrNonFinite", name, bad, iv, err)
+			}
+		}
+	}
+}

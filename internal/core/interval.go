@@ -125,6 +125,9 @@ var ErrInsufficientSamples = errors.New("core: not enough samples for requested 
 //
 // in 1-based order statistics, which is exactly what the paper's search
 // returns as [V_lower, V_upper] when the granularity is fine enough.
+//
+// A sample holding NaN or ±Inf is refused with an error matching
+// stats.ErrNonFinite.
 func ConfidenceInterval(samples []float64, p Params) (stats.Interval, error) {
 	if err := p.validate(); err != nil {
 		return stats.Interval{}, err
@@ -147,6 +150,9 @@ func ConfidenceInterval(samples []float64, p Params) (stats.Interval, error) {
 // materializing the negated sample.
 func ConfidenceIntervalSorted(sorted []float64, p Params) (stats.Interval, error) {
 	if err := p.validate(); err != nil {
+		return stats.Interval{}, err
+	}
+	if err := stats.CheckFiniteSorted(sorted); err != nil {
 		return stats.Interval{}, err
 	}
 	n := len(sorted)

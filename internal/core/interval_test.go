@@ -439,3 +439,34 @@ func TestPerSideCompositionCoverageGap(t *testing.T) {
 		t.Errorf("literal composition (%.3f) should miss more than the split (%.3f)", literal, split)
 	}
 }
+
+// TestIntervalsRefuseNonFiniteSamples: NaN sorts first and ±Inf sits at an
+// end, so a sample holding one used to shift every order statistic; every
+// interval entry point now refuses it, in either direction.
+func TestIntervalsRefuseNonFiniteSamples(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		xs := []float64{bad}
+		for v := 1; v <= 40; v++ {
+			xs = append(xs, float64(v))
+		}
+		xs[0], xs[17] = xs[17], xs[0]
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, dir := range []Direction{AtMost, AtLeast} {
+			p := Params{F: 0.5, C: 0.9, Direction: dir}
+			for name, build := range map[string]func() (stats.Interval, error){
+				"ConfidenceInterval":       func() (stats.Interval, error) { return ConfidenceInterval(xs, p) },
+				"ConfidenceIntervalSorted": func() (stats.Interval, error) { return ConfidenceIntervalSorted(sorted, p) },
+				"ConfidenceIntervalSweep":  func() (stats.Interval, error) { return ConfidenceIntervalSweep(xs, p) },
+			} {
+				if iv, err := build(); !errors.Is(err, stats.ErrNonFinite) {
+					t.Errorf("%s(%v, %v) = %v, %v; want ErrNonFinite", name, bad, dir, iv, err)
+				}
+			}
+		}
+	}
+	if _, err := ConfidenceInterval([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
+		Params{F: 0.5, C: 0.9}); err != nil {
+		t.Fatalf("finite sample refused: %v", err)
+	}
+}

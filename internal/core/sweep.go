@@ -44,6 +44,9 @@ func ConfidenceIntervalSweep(samples []float64, p Params) (stats.Interval, error
 	// per step), the extrema, and the initial estimate.
 	sorted := append([]float64(nil), samples...)
 	stats.SortFloats(sorted)
+	if err := stats.CheckFiniteSorted(sorted); err != nil {
+		return stats.Interval{}, err
+	}
 
 	lo, hi := sorted[0], sorted[len(sorted)-1]
 	g := p.Granularity

@@ -9,12 +9,34 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
 
 // ErrEmpty reports an operation on an empty sample.
 var ErrEmpty = errors.New("stats: empty sample")
+
+// ErrNonFinite reports a sample holding NaN or ±Inf. No order statistic of
+// such a sample is a measurement, and NaN sorts below every number, so it
+// would shift every rank.
+var ErrNonFinite = errors.New("stats: non-finite sample value")
+
+// CheckFiniteSorted returns an error matching ErrNonFinite when an
+// ascending-sorted sample (sort.Float64s or SortFloats order) holds NaN or
+// ±Inf. That order puts NaN and −Inf first and +Inf last, so only the two
+// ends are read.
+func CheckFiniteSorted(sorted []float64) error {
+	if len(sorted) == 0 {
+		return nil
+	}
+	for _, x := range [2]float64{sorted[0], sorted[len(sorted)-1]} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w %v", ErrNonFinite, x)
+		}
+	}
+	return nil
+}
 
 // Mean returns the arithmetic mean, or NaN for an empty slice.
 func Mean(xs []float64) float64 {

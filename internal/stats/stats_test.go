@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -256,5 +257,20 @@ func TestSortFloats(t *testing.T) {
 	SortFloats(xs)
 	if xs[0] != 1 || xs[2] != 3 {
 		t.Errorf("SortFloats wrong: %v", xs)
+	}
+}
+
+func TestCheckFiniteSorted(t *testing.T) {
+	for _, xs := range [][]float64{nil, {1}, {-3, 0, 2.5}, {math.MaxFloat64}} {
+		if err := CheckFiniteSorted(xs); err != nil {
+			t.Errorf("CheckFiniteSorted(%v) = %v", xs, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		xs := []float64{3, bad, 1, 2}
+		SortFloats(xs)
+		if err := CheckFiniteSorted(xs); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("CheckFiniteSorted(%v) = %v, want ErrNonFinite", xs, err)
+		}
 	}
 }
