@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -101,21 +102,16 @@ func parseLine(line string) (string, float64, bool) {
 	if len(fields) < 2 {
 		return "", 0, false
 	}
-	name := fields[0]
 	// Vector stats repeat the name with ::bucket suffixes; keep them —
-	// they are legitimate scalars — but skip obvious non-numerics.
-	raw := fields[1]
-	switch raw {
-	case "nan", "-nan", "inf", "-inf", "|":
+	// they are legitimate scalars. Percentages like "12.34%" appear in some
+	// vector rows. ParseFloat accepts NaN and ±Inf in any spelling
+	// ("nan", "NaN", "+Inf", "Infinity"), and overflows to ±Inf, so any
+	// non-finite result is skipped with the non-numerics.
+	v, err := strconv.ParseFloat(strings.TrimSuffix(fields[1], "%"), 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return "", 0, false
 	}
-	// Percentages like "12.34%" appear in some vector rows.
-	raw = strings.TrimSuffix(raw, "%")
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return name, v, true
+	return fields[0], v, true
 }
 
 // Metric returns a stat by exact name.

@@ -2,6 +2,7 @@ package gem5
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,39 @@ func TestParseScalars(t *testing.T) {
 	}
 	if _, err := st.Metric("badline"); err == nil {
 		t.Error("malformed line should be skipped")
+	}
+}
+
+// TestParseLineSkipsNonFinite: ParseFloat accepts NaN and ±Inf in any
+// case and spelling, and overflows to ±Inf; none of them is stored.
+func TestParseLineSkipsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want float64
+		ok   bool
+	}{
+		{"foo NaN", 0, false},
+		{"foo nan # placeholder", 0, false},
+		{"foo -nan", 0, false},
+		{"bar +Inf", 0, false},
+		{"bar inf", 0, false},
+		{"bar -INF", 0, false},
+		{"baz Infinity", 0, false},
+		{"baz -infinity", 0, false},
+		{"pct nan%", 0, false},
+		{"big 1e999", 0, false},
+		{"bucket |", 0, false},
+		{"lonely", 0, false},
+		{"ipc 0.75 # ipc", 0.75, true},
+		{"neg -3", -3, true},
+		{"pct 12.5%", 12.5, true},
+		{"hex 0x1p-2", 0.25, true},
+		{"max 1.7976931348623157e308", math.MaxFloat64, true},
+	} {
+		name, v, ok := parseLine(tc.line)
+		if ok != tc.ok || (ok && (v != tc.want || name != strings.Fields(tc.line)[0])) {
+			t.Errorf("parseLine(%q) = %q, %v, %v; want ok=%v value %v", tc.line, name, v, ok, tc.ok, tc.want)
+		}
 	}
 }
 
