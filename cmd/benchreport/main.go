@@ -1,9 +1,9 @@
 // Command benchreport converts `go test -bench` text output into the
 // repository's BENCH_N.json perf-trajectory format: one record per
 // benchmark with ns/op, every ReportMetric value (sim-cycles, B/op,
-// allocs/op, ...), and — when a baseline run is supplied — the relative
-// ns/op improvement, so a regression shows up as a negative number in the
-// committed artifact. Under `go test -count N` the N lines of a benchmark
+// allocs/op, ...), and — when a baseline run is supplied — the baseline's
+// ns/op and metrics with the relative ns/op improvement, so a regression
+// shows up as a negative number in the committed artifact. Under `go test -count N` the N lines of a benchmark
 // fold into one record of medians with the repeat count and the ns/op
 // quartiles, and a repeated baseline is compared median against median.
 //
@@ -57,10 +57,13 @@ type Benchmark struct {
 	// Metrics holds every further "value unit" pair the benchmark emitted:
 	// testing's B/op and allocs/op plus custom ReportMetric units.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// BaselineNsPerOp and ImprovementPct are filled when -baseline has a
-	// benchmark of the same name. Positive improvement = faster.
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	ImprovementPct  float64 `json:"improvement_pct,omitempty"`
+	// BaselineNsPerOp, BaselineMetrics and ImprovementPct are filled when
+	// -baseline has a benchmark of the same name: the baseline's (folded)
+	// ns/op and every metric it reported, such as B/op and allocs/op.
+	// Positive improvement = faster.
+	BaselineNsPerOp float64            `json:"baseline_ns_per_op,omitempty"`
+	BaselineMetrics map[string]float64 `json:"baseline_metrics,omitempty"`
+	ImprovementPct  float64            `json:"improvement_pct,omitempty"`
 }
 
 // Report is the BENCH_N.json document.
@@ -244,24 +247,29 @@ func parseLine(line string) (Benchmark, error) {
 	return b, nil
 }
 
-// applyBaseline annotates rep's benchmarks with the baseline ns/op and the
-// relative improvement of any same-named baseline benchmark. Parse folds
-// both reports, so repeated runs compare median against median.
+// applyBaseline annotates rep's benchmarks with the metrics, the ns/op and
+// the relative improvement of any same-named baseline benchmark. Parse
+// folds both reports, so repeated runs compare median against median.
 func applyBaseline(rep, base *Report) {
-	old := make(map[string]float64, len(base.Benchmarks))
+	old := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		old[b.Name] = b.NsPerOp
+		old[b.Name] = b
 	}
 	for i := range rep.Benchmarks {
-		prev, ok := old[rep.Benchmarks[i].Name]
-		if !ok || prev == 0 || rep.Benchmarks[i].NsPerOp == 0 {
+		b := &rep.Benchmarks[i]
+		prev, ok := old[b.Name]
+		if !ok {
 			continue
 		}
-		rep.Benchmarks[i].BaselineNsPerOp = prev
-		pct := (prev - rep.Benchmarks[i].NsPerOp) / prev * 100
+		b.BaselineMetrics = prev.Metrics
+		if prev.NsPerOp == 0 || b.NsPerOp == 0 {
+			continue
+		}
+		b.BaselineNsPerOp = prev.NsPerOp
+		pct := (prev.NsPerOp - b.NsPerOp) / prev.NsPerOp * 100
 		// Round to 0.1% so the committed artifact does not churn on noise
 		// digits.
-		rep.Benchmarks[i].ImprovementPct = roundTenth(pct)
+		b.ImprovementPct = roundTenth(pct)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,36 @@ func TestBaselineComparesMedians(t *testing.T) {
 	b := rep.Benchmarks[0]
 	if b.Runs != 3 || b.BaselineNsPerOp != 300 || b.ImprovementPct != 50 {
 		t.Errorf("record = %+v, want 3 runs against the 300 ns/op baseline median, +50%%", b)
+	}
+}
+
+// TestBaselineKeepsMetrics: a -baseline record carries the folded median
+// of every baseline metric beside its ns/op, and a record with no baseline
+// of its name renders as before.
+func TestBaselineKeepsMetrics(t *testing.T) {
+	base, err := Parse(strings.NewReader(repeated + `BenchmarkSimulatorThroughput/suite-cold-shape-2  1  250 ns/op  35 allocs/op  900 B/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Parse(strings.NewReader("BenchmarkSimulatorThroughput/suite-cold-shape-2  1  150 ns/op  5 allocs/op  100 B/op\n" +
+		"BenchmarkOnlyNew-2  3  10 ns/op  7 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyBaseline(rep, base)
+	// Six baseline lines: allocs 10..50 plus 35 fold to 30 (inverted-CDF
+	// median); B/op appears once.
+	want := map[string]float64{"allocs/op": 30, "B/op": 900}
+	if b := rep.Benchmarks[0]; !reflect.DeepEqual(b.BaselineMetrics, want) || b.BaselineNsPerOp != 250 {
+		t.Errorf("record = %+v, want baseline metrics %v at 250 ns/op", b, want)
+	}
+	data, err := json.Marshal(rep.Benchmarks[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(data); got != `{"name":"OnlyNew","iterations":3,"ns_per_op":10,"metrics":{"allocs/op":7}}` {
+		t.Errorf("record without a baseline renders as %s", got)
 	}
 }
 
