@@ -345,17 +345,20 @@ func BenchmarkAblationBatchParallel(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed per benchmark
-// (supporting data for the substitution argument in DESIGN.md). The
-// suite-cold-shape case is one op of spabench's suite-cold work: its 11
-// entries (the nine profiles, canneal on l2half, ferret on l2double) × 10
-// seeds at scale 0.05 on one reused sim.Runner, the shape the simulator hot
-// path is tuned on.
+// (supporting data for the substitution argument in DESIGN.md). Each case
+// holds one sim.Runner, as a population.Executor arena does: sim.Run's
+// pooled arenas are dropped by garbage collections, so whether an op
+// rebuilt its machine would depend on GC timing. The suite-cold-shape case
+// is one op of spabench's suite-cold work: its 11 entries (the nine
+// profiles, canneal on l2half, ferret on l2double) × 10 seeds at scale 0.05,
+// the shape the simulator hot path is tuned on.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, bench := range []string{"ferret", "canneal", "swaptions"} {
 		b.Run(bench, func(b *testing.B) {
+			r := sim.NewRunner()
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(bench, sim.DefaultConfig(), 0.2, 1)
+				res, err := r.Run(bench, sim.DefaultConfig(), 0.2, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
