@@ -23,11 +23,15 @@ func TestNewValidation(t *testing.T) {
 		{SizeBytes: 1024, Ways: 2, BlockSize: 0},
 		{SizeBytes: 1024, Ways: 2, BlockSize: 48},   // not power of two
 		{SizeBytes: 64 * 3, Ways: 2, BlockSize: 64}, // blocks not divisible by ways
+		{SizeBytes: 4, Ways: 2, BlockSize: 2},       // no room below the tag for state bits
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %+v should be rejected", cfg)
 		}
+	}
+	if c := mustNew(t, 4, 1, 1); c.Sets() != 4 {
+		t.Errorf("4 one-byte blocks should make 4 sets, got %d", c.Sets())
 	}
 	c := mustNew(t, 32*1024, 8, 64)
 	if c.Sets() != 64 || c.Ways() != 8 {

@@ -64,12 +64,13 @@ type queueSt struct {
 //
 // Its event queue is one pending-activation slot per core: wakeAt[c] holds
 // core c's next activation time while bit c of armed is set. A core is
-// re-armed only from its own step (the slot was cleared when the step was
-// popped) or by wake while it is idle, which for a dispatched core means it
-// has nothing pending, so a core never holds two activations; continueAt
-// panics if one would. Popping the lowest (time, core) over the armed slots
-// therefore yields exactly the order of a heap over all pending events.
-// Config.Validate caps Cores at 64, the width of armed.
+// re-armed only from its own step, whose slot was cleared when the step
+// was popped, or by wake while it is idle, and an idle core has nothing
+// pending: it went idle in its own step without re-arming. So a core never
+// holds two activations (continueAt panics if one would), and popping the
+// lowest (time, core) over the armed slots yields exactly the order of a
+// heap over all pending events. Config.Validate caps Cores at 64, the
+// width of armed.
 type machine struct {
 	cfg  Config
 	prog *workload.Program
