@@ -3,9 +3,10 @@
 // benchmark with ns/op, every ReportMetric value (sim-cycles, B/op,
 // allocs/op, ...), and — when a baseline run is supplied — the baseline's
 // ns/op and metrics with the relative ns/op improvement, so a regression
-// shows up as a negative number in the committed artifact. Under `go test -count N` the N lines of a benchmark
-// fold into one record of medians with the repeat count and the ns/op
-// quartiles, and a repeated baseline is compared median against median.
+// shows up as a negative number in the committed artifact. Under
+// `go test -count N` the N lines of a benchmark fold into one record of
+// medians with the repeat count and the ns/op quartiles, and a repeated
+// baseline is compared median against median.
 //
 // Usage:
 //
