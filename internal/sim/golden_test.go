@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -187,6 +191,104 @@ func TestGoldenRepeatedRuns(t *testing.T) {
 			if res.Trace.Len() != first.Trace.Len() {
 				t.Fatalf("%s repeat %d: trace length %d != %d", bench, rep, res.Trace.Len(), first.Trace.Len())
 			}
+		}
+	}
+}
+
+// seedRecord pins one run of the multi-seed fence compactly: its cycle
+// count and a SHA-256 over its formatted metrics (see metricsDigest).
+type seedRecord struct {
+	Benchmark string `json:"benchmark"`
+	Config    string `json:"config"`
+	Seed      uint64 `json:"seed"`
+	Cycles    uint64 `json:"cycles"`
+	Metrics   string `json:"metrics_sha256"`
+}
+
+// The multi-seed fence runs every profile at seedFenceScale under these
+// configurations for seeds 1 to seedFenceSeeds.
+var seedFenceConfigs = []string{"default", "hardware"}
+
+const (
+	seedFenceScale = 0.05
+	seedFenceSeeds = 16
+)
+
+// metricsDigest hashes a run's metrics as sorted "name=value" lines, each
+// value formatted like the golden records.
+func metricsDigest(res *Result) string {
+	m := formatMetrics(res)
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(h, "%s=%s\n", name, m[name])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenSeeds pins every profile under the default and hardware
+// configurations for 16 seeds each against testdata/golden_seeds.json.
+// Threads draw the shared region's addresses in the order the run's
+// interleaving reaches them, and every seed interleaves differently, so
+// more seeds fence more orders than the one seed of
+// TestGoldenProfilesByteIdentical.
+func TestGoldenSeeds(t *testing.T) {
+	var got []seedRecord
+	for _, bench := range workload.Names() {
+		for _, variant := range seedFenceConfigs {
+			cfg, err := VariantConfig(variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= seedFenceSeeds; seed++ {
+				res, err := Run(bench, cfg, seedFenceScale, seed)
+				if err != nil {
+					t.Fatalf("Run(%s, %s, seed %d): %v", bench, variant, seed, err)
+				}
+				got = append(got, seedRecord{bench, variant, seed, res.Cycles, metricsDigest(res)})
+			}
+		}
+	}
+	path := filepath.Join("testdata", "golden_seeds.json")
+	if *updateGolden {
+		var buf bytes.Buffer
+		buf.WriteString("[\n")
+		for i, rec := range got {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(line)
+			if i < len(got)-1 {
+				buf.WriteByte(',')
+			}
+			buf.WriteByte('\n')
+		}
+		buf.WriteString("]\n")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d records to %s", len(got), path)
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading multi-seed golden file (regenerate with -update): %v", err)
+	}
+	var want []seedRecord
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parsing %s: %v", path, err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s has %d records, current run produced %d (regenerate with -update)", path, len(want), len(got))
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("record %d: got %+v, want %+v", i, got[i], w)
 		}
 	}
 }
