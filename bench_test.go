@@ -346,9 +346,8 @@ func BenchmarkAblationBatchParallel(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulator speed per benchmark
 // (supporting data for the substitution argument in DESIGN.md). Each case
-// holds one sim.Runner, as a population.Executor arena does: sim.Run's
-// pooled arenas are dropped by garbage collections, so whether an op
-// rebuilt its machine would depend on GC timing. The suite-cold-shape case
+// holds one sim.Runner, as a population.Executor arena does, and replays
+// the cached program of each profile. The suite-cold-shape case
 // is one op of spabench's suite-cold work: its 11 entries (the nine
 // profiles, canneal on l2half, ferret on l2double) × 10 seeds at scale 0.05,
 // the shape the simulator hot path is tuned on.

@@ -48,9 +48,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The same program on every execution, as in the paper: build it once.
+	// A Program is read-only, so every run replays it.
+	prog := profile.Build(1.0, randx.New(0x0BEEF))
 	cfg := sim.DefaultConfig()
 	runtime := func(seed uint64) (float64, error) {
-		prog := profile.Build(1.0, randx.New(0x0BEEF)) // fixed program, as in the paper
 		res, err := sim.RunProgram(prog, cfg, randx.New(seed))
 		if err != nil {
 			return 0, err

@@ -25,7 +25,6 @@ const (
 
 type threadCtx struct {
 	id        int
-	gen       workload.ThreadGen
 	state     threadState
 	lastCore  int
 	fetchPC   uint64
@@ -72,8 +71,9 @@ type queueSt struct {
 // heap over all pending events. Config.Validate caps Cores at 64, the
 // width of armed.
 type machine struct {
-	cfg  Config
-	prog *workload.Program
+	cfg    Config
+	prog   *workload.Program
+	replay workload.Replay
 
 	l1i  []*cache.Cache
 	l1d  []*cache.Cache
@@ -141,7 +141,8 @@ const defaultProgSeed = 0x0BEEF
 // noise, the colocation draw) and everything it perturbs.
 //
 // Run executes on a pooled Runner arena, so repeated calls with the same
-// Config reuse machine state instead of reallocating it.
+// Config reuse machine state instead of reallocating it, and it replays
+// the program from a process-wide cache instead of building it again.
 func Run(profile string, cfg Config, scale float64, seed uint64) (*Result, error) {
 	return pooledRun(func(r *Runner) (*Result, error) {
 		return r.Run(profile, cfg, scale, seed)
@@ -157,7 +158,8 @@ func RunVariant(profile string, cfg Config, scale float64, progSeed, seed uint64
 }
 
 // RunProgram executes an instantiated program. The rng must be dedicated
-// to this run; all component substreams are split from it.
+// to this run; all component substreams are split from it. The program is
+// only read, so it can be replayed any number of times, concurrently too.
 func RunProgram(prog *workload.Program, cfg Config, rng *randx.Rand) (*Result, error) {
 	return pooledRun(func(r *Runner) (*Result, error) {
 		return r.RunProgram(prog, cfg, rng)
@@ -278,9 +280,10 @@ func (m *machine) initRun(prog *workload.Program, rng *randx.Rand) error {
 		m.threads = make([]threadCtx, len(prog.Threads))
 	}
 	m.threads = m.threads[:len(prog.Threads)]
-	for id, g := range prog.Threads {
+	m.replay.Reset(prog)
+	for id := range prog.Threads {
 		m.threads[id] = threadCtx{
-			id: id, gen: g, state: tsReady, lastCore: -1,
+			id: id, state: tsReady, lastCore: -1,
 			fetchPC: 0x100000 + uint64(id)*0x4000,
 		}
 	}
@@ -428,7 +431,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 		return
 	}
 
-	op, ok := t.gen.Next()
+	op, ok := m.replay.Next(t.id)
 	if !ok {
 		now = m.fence(core, now)
 		t.state = tsDone
@@ -440,22 +443,22 @@ func (m *machine) step(core *coreCtx, now uint64) {
 		return
 	}
 
-	switch op.Kind {
+	switch op.Kind() {
 	case workload.OpCompute:
-		d := m.scaledCompute(core.id, op.Cycles)
+		d := m.scaledCompute(core.id, op.Cycles())
 		if m.cfg.OSNoiseRate > 0 && m.noiseRng.Bernoulli(m.cfg.OSNoiseRate) {
 			d += uint64(m.noiseRng.Exponential(1.0/float64(m.cfg.OSNoiseCycles))) + 1
 			m.osNoiseEvents++
 		}
 		d = m.dilate(core.id, d)
-		m.instructions += op.Instrs
+		m.instructions += op.Instrs()
 		m.computeCycles += d
 		m.busyFor(core, now, d)
 
 	case workload.OpBranch:
 		m.instructions++
-		d := uint64(1) + m.ifetch(core.id, op.PC, now)
-		if m.bp[core.id].Predict(op.PC, op.Taken) {
+		d := uint64(1) + m.ifetch(core.id, op.PC(), now)
+		if m.bp[core.id].Predict(op.PC(), op.Taken()) {
 			d += m.cfg.MispredictPenalty
 			m.mispredictCost += m.cfg.MispredictPenalty
 		}
@@ -463,7 +466,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 
 	case workload.OpLoad, workload.OpStore:
 		m.instructions++
-		write := op.Kind == workload.OpStore
+		write := op.Kind() == workload.OpStore
 		d := m.ifetch(core.id, t.fetchPC, now)
 		// Walk the thread's code footprint (16 KB, fits the L1I after
 		// warmup) rather than an unbounded stream.
@@ -471,7 +474,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 		// Issue under the MSHR window: a full window stalls until the
 		// earliest in-flight access returns.
 		stallUntil := m.issueMem(core, now+d, 0)
-		lat := m.dataAccess(core.id, op.Addr+m.aslr[workload.RegionIndex(op.Addr)], write, stallUntil)
+		lat := m.dataAccess(core.id, op.Addr()+m.aslr[workload.RegionIndex(op.Addr())], write, stallUntil)
 		core.outstanding[len(core.outstanding)-1] = stallUntil + lat
 		if !write {
 			m.loads++
@@ -488,7 +491,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 	case workload.OpLock:
 		m.instructions++
 		now = m.fence(core, now)
-		l := m.lock(op.ID)
+		l := m.lock(op.ID())
 		if l.owner < 0 {
 			l.owner = t.id
 			m.busyFor(core, now, m.cfg.LockLatency)
@@ -500,7 +503,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 	case workload.OpUnlock:
 		m.instructions++
 		now = m.fence(core, now)
-		l := m.lock(op.ID)
+		l := m.lock(op.ID())
 		if len(l.waiters) > 0 {
 			next := l.waiters[0]
 			l.waiters = l.waiters[1:]
@@ -514,11 +517,11 @@ func (m *machine) step(core *coreCtx, now uint64) {
 	case workload.OpBarrier:
 		m.instructions++
 		now = m.fence(core, now)
-		b, ok := m.barriers[op.ID]
+		b, ok := m.barriers[op.ID()]
 		if !ok {
 			// Undeclared barrier: treat as all-threads.
 			b = &barrierSt{participants: len(m.threads)}
-			m.barriers[op.ID] = b
+			m.barriers[op.ID()] = b
 		}
 		if len(b.waiting)+1 >= b.participants {
 			for _, w := range b.waiting {
@@ -534,7 +537,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 	case workload.OpProduce:
 		m.instructions++
 		now = m.fence(core, now)
-		q := m.queue(op.ID)
+		q := m.queue(op.ID())
 		// A consumer blocked on empty takes the item directly.
 		if len(q.emptyWait) > 0 {
 			c := q.emptyWait[0]
@@ -554,7 +557,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 	case workload.OpConsume:
 		m.instructions++
 		now = m.fence(core, now)
-		q := m.queue(op.ID)
+		q := m.queue(op.ID())
 		if q.occupancy > 0 {
 			q.occupancy--
 			// A producer blocked on full can now deposit its item.
@@ -572,7 +575,7 @@ func (m *machine) step(core *coreCtx, now uint64) {
 
 	default:
 		// Unknown op kinds are a programming error in the workload.
-		panic(fmt.Sprintf("sim: unknown op kind %d", op.Kind))
+		panic(fmt.Sprintf("sim: unknown op kind %d", op.Kind()))
 	}
 }
 

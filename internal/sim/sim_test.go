@@ -247,7 +247,7 @@ func TestDeadlockDetection(t *testing.T) {
 	// A thread that consumes from a queue nobody fills must deadlock.
 	prog := &workload.Program{
 		Name:    "deadlock",
-		Threads: []workload.ThreadGen{opList{{Kind: workload.OpConsume, ID: 0}}.gen()},
+		Threads: [][]workload.Op{{workload.Consume(0)}},
 		Queues:  []workload.QueueSpec{{ID: 0, Capacity: 1}},
 	}
 	_, err := RunProgram(prog, DefaultConfig(), randx.New(1))
@@ -271,7 +271,7 @@ func TestCycleBudgetEnforced(t *testing.T) {
 func TestActivationSlots(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 64
-	prog := &workload.Program{Name: "idle", Threads: []workload.ThreadGen{opList{}.gen()}}
+	prog := &workload.Program{Name: "idle", Threads: [][]workload.Op{nil}}
 	m, err := newMachine(prog, cfg, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestEmptyProgramRejected(t *testing.T) {
 func TestBadQueueAndBarrierSpecs(t *testing.T) {
 	prog := &workload.Program{
 		Name:    "bad",
-		Threads: []workload.ThreadGen{opList{{Kind: workload.OpCompute, Cycles: 1, Instrs: 1}}.gen()},
+		Threads: [][]workload.Op{{workload.Compute(1, 1)}},
 		Queues:  []workload.QueueSpec{{ID: 0, Capacity: 0}},
 	}
 	if _, err := RunProgram(prog, DefaultConfig(), randx.New(1)); err == nil {
@@ -317,7 +317,7 @@ func TestBadQueueAndBarrierSpecs(t *testing.T) {
 	}
 	prog2 := &workload.Program{
 		Name:     "bad2",
-		Threads:  []workload.ThreadGen{opList{{Kind: workload.OpCompute, Cycles: 1, Instrs: 1}}.gen()},
+		Threads:  [][]workload.Op{{workload.Compute(1, 1)}},
 		Barriers: []workload.BarrierSpec{{ID: 0, Participants: 5}},
 	}
 	if _, err := RunProgram(prog2, DefaultConfig(), randx.New(1)); err == nil {
@@ -330,14 +330,8 @@ func TestLockMutualExclusionTiming(t *testing.T) {
 	// runtime must be at least the sum of both critical sections (they
 	// cannot overlap).
 	cs := uint64(10_000)
-	mk := func() workload.ThreadGen {
-		return opList{
-			{Kind: workload.OpLock, ID: 0},
-			{Kind: workload.OpCompute, Cycles: cs, Instrs: cs},
-			{Kind: workload.OpUnlock, ID: 0},
-		}.gen()
-	}
-	prog := &workload.Program{Name: "mutex", Threads: []workload.ThreadGen{mk(), mk()}}
+	ops := []workload.Op{workload.Lock(0), workload.Compute(cs, cs), workload.Unlock(0)}
+	prog := &workload.Program{Name: "mutex", Threads: [][]workload.Op{ops, ops}}
 	cfg := DefaultConfig()
 	cfg.Thermal.Enabled = false // keep compute durations exact
 	res, err := RunProgram(prog, cfg, randx.New(1))
@@ -352,16 +346,12 @@ func TestLockMutualExclusionTiming(t *testing.T) {
 func TestBarrierSynchronizesThreads(t *testing.T) {
 	// One fast and one slow thread meet at a barrier, then both compute.
 	// Total runtime ≥ slow prefix + post-barrier work.
-	mk := func(prefix uint64) workload.ThreadGen {
-		return opList{
-			{Kind: workload.OpCompute, Cycles: prefix, Instrs: prefix},
-			{Kind: workload.OpBarrier, ID: 0},
-			{Kind: workload.OpCompute, Cycles: 5_000, Instrs: 5_000},
-		}.gen()
+	mk := func(prefix uint64) []workload.Op {
+		return []workload.Op{workload.Compute(prefix, prefix), workload.Barrier(0), workload.Compute(5_000, 5_000)}
 	}
 	prog := &workload.Program{
 		Name:     "barrier",
-		Threads:  []workload.ThreadGen{mk(1_000), mk(50_000)},
+		Threads:  [][]workload.Op{mk(1_000), mk(50_000)},
 		Barriers: []workload.BarrierSpec{{ID: 0, Participants: 2}},
 	}
 	cfg := DefaultConfig()
@@ -399,20 +389,6 @@ func TestRunVariantChangesProgram(t *testing.T) {
 	if a.Instructions == b.Instructions && a.Cycles == b.Cycles {
 		t.Error("different program seeds should produce different executions")
 	}
-}
-
-// opList is a tiny fixed-op ThreadGen for targeted machine tests.
-type opList []workload.Op
-
-func (l opList) gen() workload.ThreadGen { ops := append(opList(nil), l...); return &ops }
-
-func (l *opList) Next() (workload.Op, bool) {
-	if len(*l) == 0 {
-		return workload.Op{}, false
-	}
-	op := (*l)[0]
-	*l = (*l)[1:]
-	return op, true
 }
 
 func TestThermalSprintCycle(t *testing.T) {
@@ -541,11 +517,8 @@ func TestStrayUnlockTolerated(t *testing.T) {
 	// Unlocking a lock nobody holds is a workload bug the machine should
 	// survive (real kernels tolerate it too).
 	prog := &workload.Program{
-		Name: "stray-unlock",
-		Threads: []workload.ThreadGen{opList{
-			{Kind: workload.OpUnlock, ID: 9},
-			{Kind: workload.OpCompute, Cycles: 100, Instrs: 100},
-		}.gen()},
+		Name:    "stray-unlock",
+		Threads: [][]workload.Op{{workload.Unlock(9), workload.Compute(100, 100)}},
 	}
 	res, err := RunProgram(prog, DefaultConfig(), randx.New(1))
 	if err != nil {
@@ -557,22 +530,21 @@ func TestStrayUnlockTolerated(t *testing.T) {
 }
 
 func TestUndeclaredBarrierDefaultsToAllThreads(t *testing.T) {
-	mk := func() workload.ThreadGen {
-		return opList{
-			{Kind: workload.OpBarrier, ID: 42}, // never declared in Program.Barriers
-			{Kind: workload.OpCompute, Cycles: 10, Instrs: 10},
-		}.gen()
+	ops := []workload.Op{
+		workload.Barrier(42), // never declared in Program.Barriers
+		workload.Compute(10, 10),
 	}
-	prog := &workload.Program{Name: "implicit-barrier", Threads: []workload.ThreadGen{mk(), mk()}}
+	prog := &workload.Program{Name: "implicit-barrier", Threads: [][]workload.Op{ops, ops}}
 	if _, err := RunProgram(prog, DefaultConfig(), randx.New(1)); err != nil {
 		t.Fatalf("undeclared barrier should default to all threads: %v", err)
 	}
 }
 
 func TestUndeclaredQueueGetsUnitCapacity(t *testing.T) {
-	producer := opList{{Kind: workload.OpProduce, ID: 7}}.gen()
-	consumer := opList{{Kind: workload.OpConsume, ID: 7}}.gen()
-	prog := &workload.Program{Name: "implicit-queue", Threads: []workload.ThreadGen{producer, consumer}}
+	prog := &workload.Program{
+		Name:    "implicit-queue",
+		Threads: [][]workload.Op{{workload.Produce(7)}, {workload.Consume(7)}},
+	}
 	if _, err := RunProgram(prog, DefaultConfig(), randx.New(1)); err != nil {
 		t.Fatalf("undeclared queue should default to capacity 1: %v", err)
 	}
@@ -581,11 +553,11 @@ func TestUndeclaredQueueGetsUnitCapacity(t *testing.T) {
 func TestSingleThreadOnManyCores(t *testing.T) {
 	prog := &workload.Program{
 		Name: "solo",
-		Threads: []workload.ThreadGen{opList{
-			{Kind: workload.OpCompute, Cycles: 5000, Instrs: 5000},
-			{Kind: workload.OpLoad, Addr: 0x4000_0000},
-			{Kind: workload.OpBranch, PC: 0x100, Taken: true},
-		}.gen()},
+		Threads: [][]workload.Op{{
+			workload.Compute(5000, 5000),
+			workload.Load(0x4000_0000),
+			workload.Branch(0x100, true),
+		}},
 	}
 	cfg := DefaultConfig()
 	cfg.Thermal.Enabled = false
@@ -604,7 +576,7 @@ func TestSingleThreadOnManyCores(t *testing.T) {
 func TestEmptyThreadStreamFinishesImmediately(t *testing.T) {
 	prog := &workload.Program{
 		Name:    "empty-thread",
-		Threads: []workload.ThreadGen{opList{}.gen(), opList{{Kind: workload.OpCompute, Cycles: 10, Instrs: 1}}.gen()},
+		Threads: [][]workload.Op{nil, {workload.Compute(10, 1)}},
 	}
 	if _, err := RunProgram(prog, DefaultConfig(), randx.New(3)); err != nil {
 		t.Fatalf("empty op stream should be fine: %v", err)
@@ -616,18 +588,14 @@ func TestProducerConsumerThroughputBound(t *testing.T) {
 	// eats them in 10: total runtime is bound by the producer, and the
 	// queue never deadlocks despite capacity 1.
 	const items = 20
-	var prodOps, consOps opList
+	var prodOps, consOps []workload.Op
 	for i := 0; i < items; i++ {
-		prodOps = append(prodOps,
-			workload.Op{Kind: workload.OpCompute, Cycles: 1000, Instrs: 1000},
-			workload.Op{Kind: workload.OpProduce, ID: 0})
-		consOps = append(consOps,
-			workload.Op{Kind: workload.OpConsume, ID: 0},
-			workload.Op{Kind: workload.OpCompute, Cycles: 10, Instrs: 10})
+		prodOps = append(prodOps, workload.Compute(1000, 1000), workload.Produce(0))
+		consOps = append(consOps, workload.Consume(0), workload.Compute(10, 10))
 	}
 	prog := &workload.Program{
 		Name:    "pipeline-bound",
-		Threads: []workload.ThreadGen{prodOps.gen(), consOps.gen()},
+		Threads: [][]workload.Op{prodOps, consOps},
 		Queues:  []workload.QueueSpec{{ID: 0, Capacity: 1}},
 	}
 	cfg := DefaultConfig()
@@ -835,16 +803,16 @@ func TestMemoryLatencyValidation(t *testing.T) {
 	// *marginal* cost between a long and a short run isolates the data
 	// path with a warm I-cache.
 	const base, extra = 1024, 512
-	mkOps := func(count int, stride uint64) opList {
-		ops := opList{}
+	mkOps := func(count int, stride uint64) []workload.Op {
+		var ops []workload.Op
 		for i := 0; i < count; i++ {
-			ops = append(ops, workload.Op{Kind: workload.OpLoad, Addr: 0x4000_0000 + uint64(i)*stride})
+			ops = append(ops, workload.Load(0x4000_0000+uint64(i)*stride))
 		}
 		return ops
 	}
 
-	run := func(ops opList) uint64 {
-		prog := &workload.Program{Name: "latprobe", Threads: []workload.ThreadGen{ops.gen()}}
+	run := func(ops []workload.Op) uint64 {
+		prog := &workload.Program{Name: "latprobe", Threads: [][]workload.Op{ops}}
 		res, err := RunProgram(prog, cfg, randx.New(1))
 		if err != nil {
 			t.Fatal(err)
@@ -879,10 +847,10 @@ func TestPrefetcherCutsDemandL2Misses(t *testing.T) {
 	// A single thread streaming sequentially through cold blocks: the
 	// next-line prefetcher should convert roughly half the demand L2
 	// misses into hits.
-	mk := func() opList {
-		ops := opList{}
+	mk := func() []workload.Op {
+		var ops []workload.Op
 		for i := 0; i < 600; i++ {
-			ops = append(ops, workload.Op{Kind: workload.OpLoad, Addr: 0x4000_0000 + uint64(i)*64})
+			ops = append(ops, workload.Load(0x4000_0000+uint64(i)*64))
 		}
 		return ops
 	}
@@ -892,7 +860,7 @@ func TestPrefetcherCutsDemandL2Misses(t *testing.T) {
 		cfg.JitterMax = -1
 		cfg.Thermal.Enabled = false
 		cfg.CtxSwitchKernelBlocks = 0
-		prog := &workload.Program{Name: "stream", Threads: []workload.ThreadGen{mk().gen()}}
+		prog := &workload.Program{Name: "stream", Threads: [][]workload.Op{mk()}}
 		res, err := RunProgram(prog, cfg, randx.New(1))
 		if err != nil {
 			t.Fatal(err)

@@ -135,7 +135,7 @@ func NewDataParallelProfile(name string, spec DataParallelSpec) (Profile, error)
 				if spec.BarrierEvery > 0 {
 					barrierID = 0
 				}
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: spec.ComputeMean, computeJitter: spec.ComputeJitter,
 					instrsPerCycle: spec.InstrsPerCycle, memOps: spec.MemOps,
 					writeFrac: spec.WriteFraction, sharedFrac: spec.SharedFraction,
@@ -146,12 +146,12 @@ func NewDataParallelProfile(name string, spec DataParallelSpec) (Profile, error)
 					barrierID:   barrierID, barrierEvery: spec.BarrierEvery,
 					pcBase: 0xC000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			if spec.BarrierEvery > 0 {
 				prog.Barriers = []BarrierSpec{{ID: 0, Participants: spec.Threads}}
 			}
-			return prog
+			return prog.drawShared(shared)
 		},
 	}, nil
 }
@@ -246,7 +246,7 @@ func NewPipelineProfile(name string, spec PipelineSpec) (Profile, error) {
 				pr.Shared = false
 				p.private = pr.build(tid, r.Split(uint64(500+tid)))
 				p.shared = shared
-				prog.Threads = append(prog.Threads, newPipelineStageGen(p, r.Split(uint64(tid))))
+				prog.Threads = append(prog.Threads, pipelineStageThread(p, r.Split(uint64(tid))))
 				tid++
 			}
 			// Source.
@@ -265,7 +265,7 @@ func NewPipelineProfile(name string, spec PipelineSpec) (Profile, error) {
 			// Sink.
 			add(pipelineStageParams{items: items, inQueue: nq - 1, outQueue: -1,
 				computeMean: 40, computeJitter: 8, memOps: 3, writeFrac: 0.6, sharedFrac: 0.1, branches: 2})
-			return prog
+			return prog.drawShared(shared)
 		},
 	}, nil
 }

@@ -29,13 +29,9 @@ func TestNewDataParallelProfile(t *testing.T) {
 		t.Fatalf("program shape wrong: %d threads, %d barriers", len(prog.Threads), len(prog.Barriers))
 	}
 	kinds := map[OpKind]int{}
-	for _, g := range prog.Threads {
-		for {
-			op, ok := g.Next()
-			if !ok {
-				break
-			}
-			kinds[op.Kind]++
+	for _, ops := range prog.Threads {
+		for _, op := range ops {
+			kinds[op.Kind()]++
 		}
 	}
 	for _, k := range []OpKind{OpCompute, OpLoad, OpStore, OpBranch, OpLock, OpUnlock, OpBarrier} {
@@ -96,17 +92,13 @@ func TestNewPipelineProfileBalanced(t *testing.T) {
 	}
 	produces := map[int]int{}
 	consumes := map[int]int{}
-	for _, g := range prog.Threads {
-		for {
-			op, ok := g.Next()
-			if !ok {
-				break
-			}
-			switch op.Kind {
+	for _, ops := range prog.Threads {
+		for _, op := range ops {
+			switch op.Kind() {
 			case OpProduce:
-				produces[op.ID]++
+				produces[op.ID()]++
 			case OpConsume:
-				consumes[op.ID]++
+				consumes[op.ID()]++
 			}
 		}
 	}
@@ -126,17 +118,13 @@ func TestNewPipelineProfileScalingKeepsDivisibility(t *testing.T) {
 		prog := p.Build(scale, randx.New(1))
 		produces := map[int]int{}
 		consumes := map[int]int{}
-		for _, g := range prog.Threads {
-			for {
-				op, ok := g.Next()
-				if !ok {
-					break
-				}
-				switch op.Kind {
+		for _, ops := range prog.Threads {
+			for _, op := range ops {
+				switch op.Kind() {
 				case OpProduce:
-					produces[op.ID]++
+					produces[op.ID()]++
 				case OpConsume:
-					consumes[op.ID]++
+					consumes[op.ID()]++
 				}
 			}
 		}

@@ -39,7 +39,7 @@ var profiles = []Profile{
 			shared := newRegion(SharedBase, 1*mb, 0, r.Split(1000))
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 300, computeJitter: 20,
 					instrsPerCycle: 1.5, memOps: 48, writeFrac: 0.25,
 					sharedFrac: 0.02, branches: 4, branchBias: 0.92,
@@ -48,10 +48,10 @@ var profiles = []Profile{
 					barrierEvery: iters, // one barrier at the end
 					pcBase:       0x1000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -65,7 +65,7 @@ var profiles = []Profile{
 			shared := newRegion(SharedBase, 4*mb, 0.7, r.Split(1000))
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 220, computeJitter: 50,
 					instrsPerCycle: 1.3, memOps: 80, writeFrac: 0.3,
 					sharedFrac: 0.15, branches: 6, branchBias: 0.85,
@@ -74,10 +74,10 @@ var profiles = []Profile{
 					barrierID: 0, barrierEvery: 25,
 					pcBase: 0x2000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -92,7 +92,7 @@ var profiles = []Profile{
 			shared := newRegion(SharedBase, 48*mb, 0, r.Split(1000))
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 90, computeJitter: 20,
 					instrsPerCycle: 1.0, memOps: 240, writeFrac: 0.4,
 					sharedFrac: 0.9, branches: 5, branchBias: 0.6,
@@ -101,9 +101,9 @@ var profiles = []Profile{
 					barrierID: -1,
 					pcBase:    0x3000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -124,7 +124,7 @@ var profiles = []Profile{
 					p.private = newRegion(privBase(tid), 1*mb, 0, r.Split(uint64(500+tid))).withLocality(0.9, 64, 150)
 				}
 				p.shared = shared
-				prog.Threads = append(prog.Threads, newPipelineStageGen(p, r.Split(uint64(tid))))
+				prog.Threads = append(prog.Threads, pipelineStageThread(p, r.Split(uint64(tid))))
 				tid++
 			}
 			// Source reads input and produces chunks.
@@ -143,7 +143,7 @@ var profiles = []Profile{
 			// Sink.
 			add(pipelineStageParams{items: items, inQueue: 2, outQueue: -1,
 				computeMean: 90, computeJitter: 20, memOps: 48, writeFrac: 0.6, sharedFrac: 0.2, branches: 2})
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -172,7 +172,7 @@ var profiles = []Profile{
 					p.private = newRegion(privBase(tid), 768*1024, 0, r.Split(uint64(500+tid))).withLocality(0.9, 64, 150)
 				}
 				p.shared = shared
-				prog.Threads = append(prog.Threads, newPipelineStageGen(p, r.Split(uint64(tid))))
+				prog.Threads = append(prog.Threads, pipelineStageThread(p, r.Split(uint64(tid))))
 				tid++
 			}
 			add(pipelineStageParams{items: items, inQueue: -1, outQueue: 0,
@@ -193,7 +193,7 @@ var profiles = []Profile{
 			}
 			add(pipelineStageParams{items: items, inQueue: 4, outQueue: -1,
 				computeMean: 50, computeJitter: 10, memOps: 24, writeFrac: 0.7, sharedFrac: 0.1, branches: 2})
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -207,7 +207,7 @@ var profiles = []Profile{
 			shared := newRegion(SharedBase, 6*mb, 0.8, r.Split(1000))
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 150, computeJitter: 30,
 					instrsPerCycle: 1.4, memOps: 96, writeFrac: 0.35,
 					sharedFrac: 0.3, branches: 5, branchBias: 0.8,
@@ -216,10 +216,10 @@ var profiles = []Profile{
 					barrierID: 0, barrierEvery: 30,
 					pcBase: 0x6000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -233,7 +233,7 @@ var profiles = []Profile{
 			shared := newRegion(SharedBase, 8*mb, 1.15, r.Split(1000))
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 350, computeJitter: 60,
 					instrsPerCycle: 1.6, memOps: 112, writeFrac: 0.15,
 					sharedFrac: 0.6, branches: 7, branchBias: 0.75,
@@ -242,10 +242,10 @@ var profiles = []Profile{
 					barrierID: 0, barrierEvery: 140,
 					pcBase: 0x7000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -259,7 +259,7 @@ var profiles = []Profile{
 			shared := newRegion(SharedBase, 2*mb, 0.5, r.Split(1000))
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 180, computeJitter: 25,
 					instrsPerCycle: 1.2, memOps: 128, writeFrac: 0.2,
 					sharedFrac: 0.5, branches: 4, branchBias: 0.88,
@@ -268,10 +268,10 @@ var profiles = []Profile{
 					barrierID: 0, barrierEvery: 10,
 					pcBase: 0x8000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog
+			return prog.drawShared(shared)
 		},
 	},
 	{
@@ -284,7 +284,7 @@ var profiles = []Profile{
 			iters := scaleCount(350, scale)
 			for t := 0; t < threads; t++ {
 				tr := r.Split(uint64(t))
-				g := newDataParallelGen(dataParallelParams{
+				ops := dataParallelThread(dataParallelParams{
 					iters: iters, computeMean: 400, computeJitter: 60,
 					instrsPerCycle: 1.7, memOps: 32, writeFrac: 0.3,
 					sharedFrac: 0, branches: 5, branchBias: 0.9,
@@ -292,7 +292,7 @@ var profiles = []Profile{
 					shared:  nil, lockID: -1, barrierID: -1,
 					pcBase: 0x9000 + uint64(t)*0x100,
 				}, tr)
-				prog.Threads = append(prog.Threads, g)
+				prog.Threads = append(prog.Threads, ops)
 			}
 			return prog
 		},

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/randx"
 )
@@ -26,22 +29,6 @@ func TestNamesAndByName(t *testing.T) {
 	}
 }
 
-// drain consumes a generator fully and returns its ops.
-func drain(t *testing.T, g ThreadGen, cap int) []Op {
-	t.Helper()
-	var ops []Op
-	for {
-		op, ok := g.Next()
-		if !ok {
-			return ops
-		}
-		ops = append(ops, op)
-		if len(ops) > cap {
-			t.Fatalf("generator exceeded %d ops without terminating", cap)
-		}
-	}
-}
-
 func TestAllProfilesBuildAndTerminate(t *testing.T) {
 	for _, name := range Names() {
 		p, err := ByName(name)
@@ -52,8 +39,7 @@ func TestAllProfilesBuildAndTerminate(t *testing.T) {
 		if len(prog.Threads) == 0 {
 			t.Errorf("%s: no threads", name)
 		}
-		for tid, g := range prog.Threads {
-			ops := drain(t, g, 2_000_000)
+		for tid, ops := range prog.Threads {
 			if len(ops) == 0 {
 				t.Errorf("%s thread %d: empty stream", name, tid)
 			}
@@ -69,13 +55,13 @@ func TestPipelineQueueBalance(t *testing.T) {
 		prog := p.Build(0.3, randx.New(7))
 		produces := map[int]int{}
 		consumes := map[int]int{}
-		for _, g := range prog.Threads {
-			for _, op := range drain(t, g, 5_000_000) {
-				switch op.Kind {
+		for _, ops := range prog.Threads {
+			for _, op := range ops {
+				switch op.Kind() {
 				case OpProduce:
-					produces[op.ID]++
+					produces[op.ID()]++
 				case OpConsume:
-					consumes[op.ID]++
+					consumes[op.ID()]++
 				}
 			}
 		}
@@ -100,19 +86,19 @@ func TestLockPairing(t *testing.T) {
 	for _, name := range Names() {
 		p, _ := ByName(name)
 		prog := p.Build(0.1, randx.New(3))
-		for tid, g := range prog.Threads {
+		for tid, ops := range prog.Threads {
 			held := map[int]int{}
-			for _, op := range drain(t, g, 2_000_000) {
-				switch op.Kind {
+			for _, op := range ops {
+				switch op.Kind() {
 				case OpLock:
-					held[op.ID]++
-					if held[op.ID] > 1 {
-						t.Fatalf("%s thread %d: re-acquired lock %d", name, tid, op.ID)
+					held[op.ID()]++
+					if held[op.ID()] > 1 {
+						t.Fatalf("%s thread %d: re-acquired lock %d", name, tid, op.ID())
 					}
 				case OpUnlock:
-					held[op.ID]--
-					if held[op.ID] < 0 {
-						t.Fatalf("%s thread %d: unlock of free lock %d", name, tid, op.ID)
+					held[op.ID()]--
+					if held[op.ID()] < 0 {
+						t.Fatalf("%s thread %d: unlock of free lock %d", name, tid, op.ID())
 					}
 				}
 			}
@@ -134,11 +120,11 @@ func TestBarrierBalance(t *testing.T) {
 			continue
 		}
 		counts := make([]map[int]int, len(prog.Threads))
-		for tid, g := range prog.Threads {
+		for tid, ops := range prog.Threads {
 			counts[tid] = map[int]int{}
-			for _, op := range drain(t, g, 2_000_000) {
-				if op.Kind == OpBarrier {
-					counts[tid][op.ID]++
+			for _, op := range ops {
+				if op.Kind() == OpBarrier {
+					counts[tid][op.ID()]++
 				}
 			}
 		}
@@ -163,16 +149,12 @@ func TestBuildDeterministicPerSeed(t *testing.T) {
 	a := p.Build(0.1, randx.New(11))
 	b := p.Build(0.1, randx.New(11))
 	for tid := range a.Threads {
-		opsA := drain(t, a.Threads[tid], 5_000_000)
-		opsB := drain(t, b.Threads[tid], 5_000_000)
-		if len(opsA) != len(opsB) {
-			t.Fatalf("thread %d stream lengths differ", tid)
+		if !slices.Equal(a.Threads[tid], b.Threads[tid]) {
+			t.Fatalf("thread %d streams differ", tid)
 		}
-		for i := range opsA {
-			if opsA[i] != opsB[i] {
-				t.Fatalf("thread %d op %d differs: %+v vs %+v", tid, i, opsA[i], opsB[i])
-			}
-		}
+	}
+	if !slices.Equal(a.shared, b.shared) {
+		t.Fatal("shared streams differ")
 	}
 }
 
@@ -180,8 +162,8 @@ func TestScaleChangesWork(t *testing.T) {
 	p, _ := ByName("swaptions")
 	small := p.Build(0.05, randx.New(2))
 	big := p.Build(0.5, randx.New(2))
-	nSmall := len(drain(t, small.Threads[0], 5_000_000))
-	nBig := len(drain(t, big.Threads[0], 5_000_000))
+	nSmall := len(small.Threads[0])
+	nBig := len(big.Threads[0])
 	if nBig <= nSmall {
 		t.Errorf("scale 0.5 (%d ops) should exceed scale 0.05 (%d ops)", nBig, nSmall)
 	}
@@ -192,15 +174,15 @@ func TestScaleChangesWork(t *testing.T) {
 func TestPrivateRegionsDisjoint(t *testing.T) {
 	p, _ := ByName("swaptions") // pure private traffic
 	prog := p.Build(0.1, randx.New(9))
-	for tid, g := range prog.Threads {
+	for tid, ops := range prog.Threads {
 		lo := privBase(tid)
 		hi := lo + PrivateStep
-		for _, op := range drain(t, g, 2_000_000) {
-			if op.Kind != OpLoad && op.Kind != OpStore {
+		for _, op := range ops {
+			if op.Kind() != OpLoad && op.Kind() != OpStore {
 				continue
 			}
-			if op.Addr < lo || op.Addr >= hi {
-				t.Fatalf("thread %d address %#x escapes [%#x, %#x)", tid, op.Addr, lo, hi)
+			if op.Addr() < lo || op.Addr() >= hi {
+				t.Fatalf("thread %d address %#x escapes [%#x, %#x)", tid, op.Addr(), lo, hi)
 			}
 		}
 	}
@@ -215,28 +197,119 @@ func TestScaleCountFloor(t *testing.T) {
 	}
 }
 
-// TestLoopGenDrainAllocatesNothing: once the first iteration has sized the
-// op buffer, draining further iterations of the same size reuses it.
-func TestLoopGenDrainAllocatesNothing(t *testing.T) {
-	r := randx.New(3)
-	g := newDataParallelGen(dataParallelParams{
-		iters: 100, computeMean: 200, computeJitter: 40, instrsPerCycle: 1.2,
-		memOps: 80, writeFrac: 0.3, sharedFrac: 0.4, branches: 6, branchBias: 0.9,
-		private:   newRegion(privBase(0), 1<<20, 0, r.Split(1)).withLocality(0.9, 64, 160),
-		shared:    newRegion(SharedBase, 4<<20, 0.7, r.Split(2)),
-		lockID:    -1,
-		barrierID: -1,
-	}, r.Split(3))
-	drain := func() {
-		it := g.iter
-		for g.iter == it || g.head < len(g.queue) {
-			if _, ok := g.Next(); !ok {
-				t.Fatal("stream ended early")
-			}
+// TestOpSize: a program's ops are its memory, 24 bytes each at most.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 24 {
+		t.Fatalf("Op takes %d bytes, want at most 24", n)
+	}
+}
+
+// TestOpFullRange: every field keeps its full range through the packing.
+func TestOpFullRange(t *testing.T) {
+	const big = math.MaxUint64
+	if op := Compute(big, big-1); op.Kind() != OpCompute || op.Cycles() != big || op.Instrs() != big-1 {
+		t.Errorf("Compute round trip: %+v", op)
+	}
+	if op := Store(big); op.Kind() != OpStore || op.Addr() != big {
+		t.Errorf("Store round trip: %+v", op)
+	}
+	if op := Branch(big, true); op.Kind() != OpBranch || op.PC() != big || !op.Taken() {
+		t.Errorf("Branch round trip: %+v", op)
+	}
+	for _, id := range []int{math.MinInt, -1, 0, math.MaxInt} {
+		if op := Consume(id); op.Kind() != OpConsume || op.ID() != id {
+			t.Errorf("Consume(%d) round trip: %+v", id, op)
 		}
 	}
-	drain()
-	if allocs := testing.AllocsPerRun(50, drain); allocs != 0 {
-		t.Fatalf("draining an iteration allocated %v times", allocs)
+}
+
+// TestReplayClaimRule pins the claim rule on a hand-built program: a
+// thread reaching an iteration's first op takes the next claim addresses
+// of the shared stream as one block, in whatever order the threads get
+// there, and private accesses never touch the stream.
+func TestReplayClaimRule(t *testing.T) {
+	first := func(claim uint32) Op { op := Compute(1, 1); op.claim = claim; return op }
+	sharedLoad := Op{kind: OpLoad, shared: true}
+	prog := &Program{
+		Threads: [][]Op{
+			{first(2), sharedLoad, Load(7), sharedLoad, first(1), sharedLoad},
+			{first(3), sharedLoad, sharedLoad, sharedLoad},
+		},
+		shared: []uint64{10, 20, 30, 40, 50, 60},
+	}
+	var r Replay
+	r.Reset(prog)
+	// Thread 1 reaches its iteration first, then thread 0 runs to the end.
+	var got [2][]uint64
+	for _, tid := range []int{1, 0, 0, 1, 1, 0, 0, 0, 0, 1} {
+		op, ok := r.Next(tid)
+		if !ok {
+			t.Fatalf("thread %d ended early", tid)
+		}
+		if op.Kind() == OpLoad {
+			got[tid] = append(got[tid], op.Addr())
+		}
+	}
+	want := [2][]uint64{{40, 7, 50, 60}, {10, 20, 30}}
+	for tid := range want {
+		if !slices.Equal(got[tid], want[tid]) {
+			t.Errorf("thread %d loaded %v, want %v", tid, got[tid], want[tid])
+		}
+	}
+	for tid := range prog.Threads {
+		if _, ok := r.Next(tid); ok {
+			t.Errorf("thread %d has ops past its stream", tid)
+		}
+	}
+	// A reset replays the same program from the start.
+	r.Reset(prog)
+	if op, _ := r.Next(0); op.claim != 2 {
+		t.Errorf("after Reset thread 0 starts at %+v", op)
+	}
+	if op, _ := r.Next(0); op.Addr() != 10 {
+		t.Errorf("after Reset thread 0's first shared load reads %d, want 10", op.Addr())
+	}
+}
+
+// TestBuildSharedStream: every profile's claims add up to its shared
+// stream, and a replay in any order puts every shared access inside the
+// shared mapping.
+func TestBuildSharedStream(t *testing.T) {
+	for _, name := range Names() {
+		p, _ := ByName(name)
+		prog := p.Build(0.1, randx.New(4))
+		claims, placeholders := 0, 0
+		for _, ops := range prog.Threads {
+			for _, op := range ops {
+				claims += int(op.claim)
+				if op.shared {
+					placeholders++
+				}
+			}
+		}
+		if claims != placeholders || claims != len(prog.shared) {
+			t.Fatalf("%s: %d claimed, %d placeholders, %d shared addresses", name, claims, placeholders, len(prog.shared))
+		}
+		var r Replay
+		r.Reset(prog)
+		for tid := len(prog.Threads) - 1; tid >= 0; tid-- {
+			for {
+				op, ok := r.Next(tid)
+				if !ok {
+					break
+				}
+				if (op.Kind() == OpLoad || op.Kind() == OpStore) && op.Addr() == 0 {
+					t.Fatalf("%s thread %d: unresolved access", name, tid)
+				}
+			}
+		}
+		if r.claimed != len(prog.shared) {
+			t.Errorf("%s: replay handed out %d of %d shared addresses", name, r.claimed, len(prog.shared))
+		}
+		for _, a := range prog.shared {
+			if RegionIndex(a) != 0 {
+				t.Fatalf("%s: shared address %#x outside the shared mapping", name, a)
+			}
+		}
 	}
 }
