@@ -300,7 +300,8 @@ func RankCIExactSorted(sorted []float64, f, c float64) (stats.Interval, error) {
 // ZScoreCI builds the Gaussian-assumption interval x̄ ± z·s/√n at
 // confidence c (Sec. 2.4). Under the Gaussian assumption the mean equals
 // every central quantile, so the paper applies this method only at the
-// median (F = 0.5); callers pass no F.
+// median (F = 0.5); callers pass no F. A sample holding NaN or ±Inf is
+// refused with an error matching stats.ErrNonFinite.
 func ZScoreCI(samples []float64, c float64) (stats.Interval, error) {
 	if err := validate(0.5, c); err != nil {
 		return stats.Interval{}, err
@@ -308,6 +309,12 @@ func ZScoreCI(samples []float64, c float64) (stats.Interval, error) {
 	n := len(samples)
 	if n < 2 {
 		return stats.Interval{}, fmt.Errorf("%w: need at least 2 samples", ErrDegenerate)
+	}
+	// The sample is unsorted, so every value is read.
+	for _, x := range samples {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return stats.Interval{}, fmt.Errorf("%w %v", stats.ErrNonFinite, x)
+		}
 	}
 	mean := stats.Mean(samples)
 	se := stats.StdDev(samples) / math.Sqrt(float64(n))

@@ -275,6 +275,8 @@ func TestZScoreWiderThanQuantileCIOnSkewedData(t *testing.T) {
 	}
 }
 
+// TestConstructionsRefuseNonFiniteSamples puts NaN, +Inf and −Inf in the
+// middle of an unsorted sample for every interval construction.
 func TestConstructionsRefuseNonFiniteSamples(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		xs := []float64{bad}
@@ -288,6 +290,7 @@ func TestConstructionsRefuseNonFiniteSamples(t *testing.T) {
 			"BootstrapBCa":        func() (stats.Interval, error) { return BootstrapBCa(xs, 0.5, 0.9, opts) },
 			"RankCI":              func() (stats.Interval, error) { return RankCI(xs, 0.5, 0.9) },
 			"RankCIExact":         func() (stats.Interval, error) { return RankCIExact(xs, 0.5, 0.9) },
+			"ZScoreCI":            func() (stats.Interval, error) { return ZScoreCI(xs, 0.9) },
 		} {
 			if iv, err := build(); !errors.Is(err, stats.ErrNonFinite) {
 				t.Errorf("%s with %v = %v, %v; want ErrNonFinite", name, bad, iv, err)
