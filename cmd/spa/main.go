@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -223,9 +224,12 @@ func (d *dataFlags) load() ([]float64, error) {
 	}
 }
 
-func readValues(f *os.File) ([]float64, error) {
+// readValues reads one float per line, skipping blank lines and lines
+// starting with '#'. A line that does not parse, or parses to NaN or ±Inf,
+// is refused with an error naming it.
+func readValues(r io.Reader) ([]float64, error) {
 	var out []float64
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
 		line++

@@ -28,14 +28,19 @@ func writeValues(t *testing.T, lines string) string {
 	return path
 }
 
-func manyValues(t *testing.T) string {
-	t.Helper()
+// manyValuesText is a comment, a blank line and 40 values.
+func manyValuesText() string {
 	var sb strings.Builder
 	sb.WriteString("# comment line\n\n")
 	for i := 0; i < 40; i++ {
 		sb.WriteString(strings.TrimSpace(strings.Repeat(" ", i%2)+"1.") + string(rune('0'+i%10)) + "\n")
 	}
-	return writeValues(t, sb.String())
+	return sb.String()
+}
+
+func manyValues(t *testing.T) string {
+	t.Helper()
+	return writeValues(t, manyValuesText())
 }
 
 func TestRunRequiresSubcommand(t *testing.T) {
@@ -151,12 +156,8 @@ func TestBadInputValues(t *testing.T) {
 // print [5, 14] over 22 samples (NaN sorts first and shifts every rank);
 // any NaN or ±Inf line is now refused by name.
 func TestCIRefusesNonFiniteValues(t *testing.T) {
-	var clean strings.Builder
-	for v := 1; v <= 20; v++ {
-		fmt.Fprintf(&clean, "%d\n", v)
-	}
-	for _, bad := range []string{"NaN", "nan", "+Inf", "-Inf", "Infinity", "-inf"} {
-		path := writeValues(t, clean.String()[:8]+bad+"\n"+clean.String()[8:])
+	for _, bad := range nonFiniteSpellings {
+		path := writeValues(t, withBadLine5(bad))
 		for _, sub := range []string{"ci", "compare"} {
 			err := run([]string{sub, "-input", path, "-f", "0.5", "-c", "0.9"})
 			if !errors.Is(err, stats.ErrNonFinite) || !strings.Contains(err.Error(), "line 5:") {
@@ -164,10 +165,27 @@ func TestCIRefusesNonFiniteValues(t *testing.T) {
 			}
 		}
 	}
-	path := writeValues(t, clean.String())
+	path := writeValues(t, oneToTwenty())
 	if err := run([]string{"ci", "-input", path, "-f", "0.5", "-c", "0.9"}); err != nil {
 		t.Fatalf("the 20 finite values: %v", err)
 	}
+}
+
+var nonFiniteSpellings = []string{"NaN", "nan", "+Inf", "-Inf", "Infinity", "-inf"}
+
+// oneToTwenty is the values 1 to 20, one per line.
+func oneToTwenty() string {
+	var sb strings.Builder
+	for v := 1; v <= 20; v++ {
+		fmt.Fprintf(&sb, "%d\n", v)
+	}
+	return sb.String()
+}
+
+// withBadLine5 is oneToTwenty with bad inserted as line 5.
+func withBadLine5(bad string) string {
+	clean := oneToTwenty()
+	return clean[:8] + bad + "\n" + clean[8:]
 }
 
 func TestProportionSubcommand(t *testing.T) {
