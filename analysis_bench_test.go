@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ci"
@@ -18,7 +19,7 @@ func analysisSample(n int) []float64 {
 	r := randx.New(42)
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = r.LogNormal(0, 0.15)
+		xs[i] = math.Exp(r.Normal(0, 0.15))
 	}
 	return xs
 }

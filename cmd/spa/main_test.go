@@ -121,7 +121,7 @@ func TestJSONInput(t *testing.T) {
 	for i := range vals {
 		vals[i] = 5 + float64(i)*0.01
 	}
-	pop := population.FromValues("bench", "m", vals)
+	pop := &population.Population{Benchmark: "bench", Runs: len(vals), Metrics: map[string][]float64{"m": vals}}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestStatsSubcommand(t *testing.T) {
 	}
 	// JSON population path.
 	vals := []float64{1, 2, 3}
-	pop := population.FromValues("b", "m", vals)
+	pop := &population.Population{Benchmark: "b", Runs: len(vals), Metrics: map[string][]float64{"m": vals}}
 	jp := filepath.Join(dir, "pop.json")
 	f, err := os.Create(jp)
 	if err != nil {

@@ -43,8 +43,8 @@ func lognormalSample(seed uint64, n int) []float64 {
 
 // TestBootstrapParallelByteIdentical pins the determinism contract: the
 // bootstrap distribution (and the BCa interval built on it) is a pure
-// function of (sample, f, B, seed) — the Workers option and GOMAXPROCS
-// change only scheduling, never a single output bit.
+// function of (sample, f, B, seed) — the kernel's worker count and
+// GOMAXPROCS change only scheduling, never a single output bit.
 func TestBootstrapParallelByteIdentical(t *testing.T) {
 	xs := lognormalSample(11, 200)
 	sorted := append([]float64(nil), xs...)
@@ -71,15 +71,19 @@ func TestBootstrapParallelByteIdentical(t *testing.T) {
 }
 
 // TestBootstrapBCaWorkerInvariant checks the same contract end to end
-// through the public API: the full BCa interval is byte-identical for every
-// worker count.
+// through the public API, which resamples on GOMAXPROCS goroutines: the
+// full BCa interval is byte-identical for every GOMAXPROCS, the sequential
+// path (1) included.
 func TestBootstrapBCaWorkerInvariant(t *testing.T) {
 	xs := lognormalSample(12, 150)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
 	var base stats.Interval
-	for i, workers := range []int{1, 2, 8, 0} {
-		iv, err := BootstrapBCa(xs, 0.5, 0.9, BootstrapOptions{Resamples: 400, Seed: 3, Workers: workers})
+	for i, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		iv, err := BootstrapBCa(xs, 0.5, 0.9, BootstrapOptions{Resamples: 400, Seed: 3})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if i == 0 {
 			base = iv
@@ -87,7 +91,7 @@ func TestBootstrapBCaWorkerInvariant(t *testing.T) {
 		}
 		if math.Float64bits(iv.Lo) != math.Float64bits(base.Lo) ||
 			math.Float64bits(iv.Hi) != math.Float64bits(base.Hi) {
-			t.Fatalf("workers=%d: interval %v differs from workers=1 interval %v", workers, iv, base)
+			t.Fatalf("GOMAXPROCS=%d: interval %v differs from GOMAXPROCS=1 interval %v", procs, iv, base)
 		}
 	}
 }

@@ -38,12 +38,10 @@ type BootstrapOptions struct {
 	Resamples int
 	// Seed drives the resampling RNG; bootstrap CIs are deterministic
 	// given the seed. Every resample i draws from its own substream split
-	// from (Seed, i), so the result does not depend on scheduling.
+	// from (Seed, i), so the result does not depend on scheduling: the
+	// resamples run on GOMAXPROCS goroutines, and the interval is
+	// byte-identical for every GOMAXPROCS.
 	Seed uint64
-	// Workers bounds the goroutines resampling concurrently; zero selects
-	// GOMAXPROCS, one forces the sequential path. The interval is
-	// byte-identical for every worker count.
-	Workers int
 }
 
 func (o BootstrapOptions) resamples() int {
@@ -88,7 +86,7 @@ func BootstrapPercentileSorted(sorted []float64, f, c float64, opts BootstrapOpt
 	if len(sorted) < 2 {
 		return stats.Interval{}, fmt.Errorf("%w: need at least 2 samples", ErrDegenerate)
 	}
-	thetasp := bootstrapDistribution(sorted, f, opts.resamples(), opts.Seed, opts.Workers)
+	thetasp := bootstrapDistribution(sorted, f, opts.resamples(), opts.Seed, 0)
 	thetas := *thetasp
 	alpha := (1 - c) / 2
 	iv := stats.Interval{
@@ -141,7 +139,7 @@ func BootstrapBCaSorted(sorted []float64, f, c float64, opts BootstrapOptions) (
 	thetaHat := stats.QuantileSorted(sorted, f)
 
 	b := opts.resamples()
-	thetasp := bootstrapDistribution(sorted, f, b, opts.Seed, opts.Workers)
+	thetasp := bootstrapDistribution(sorted, f, b, opts.Seed, 0)
 	defer putFloats(thetasp)
 	thetas := *thetasp
 

@@ -109,7 +109,7 @@ func TestFleetSendsOneResultFramePerChunk(t *testing.T) {
 }
 
 // slowConn adds a fixed latency to every read and write — a distant or
-// congested link. Unlike faultx delays it is unconditional and
+// congested link. Unlike injected fault delays it is unconditional and
 // deterministic, so the throughput gap between workers is guaranteed.
 type slowConn struct {
 	net.Conn

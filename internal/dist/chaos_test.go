@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultx"
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/sim"
@@ -31,17 +30,18 @@ func chaosSeed(t *testing.T) uint64 {
 }
 
 // chaosProfile tunes a scenario profile for test-speed soaking.
-func chaosProfile(scenarios ...faultx.Scenario) faultx.Profile {
-	p := faultx.ProfileFor(scenarios...)
-	p.Rate = 0.25
-	p.MaxDelay = 5 * time.Millisecond
-	p.StallFor = 150 * time.Millisecond
-	return p
+func chaosProfile(scenarios ...faultScenario) faultProfile {
+	return faultProfile{
+		Scenarios: scenarios,
+		Rate:      0.25,
+		MaxDelay:  5 * time.Millisecond,
+		StallFor:  150 * time.Millisecond,
+	}
 }
 
 // startChaosWorker boots a real worker behind a fault-injecting
 // listener.
-func startChaosWorker(t *testing.T, inj *faultx.Injector) *Worker {
+func startChaosWorker(t *testing.T, inj *injector) *Worker {
 	t.Helper()
 	w := &Worker{Parallelism: 2, pol: policyWith(func(p *policy) {
 		p.heartbeat = 50 * time.Millisecond
@@ -51,7 +51,7 @@ func startChaosWorker(t *testing.T, inj *faultx.Injector) *Worker {
 	return startChaos(t, w, inj)
 }
 
-func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
+func startChaos(t *testing.T, w *Worker, inj *injector) *Worker {
 	t.Helper()
 	w.listen = inj.Listen
 	if err := w.Listen("127.0.0.1:0"); err != nil {
@@ -80,7 +80,7 @@ func startChaos(t *testing.T, w *Worker, inj *faultx.Injector) *Worker {
 // carves many variably sized chunks — re-dispatch of chunks whose
 // chunk_done was torn, duplicated or never sent is exactly where
 // scheduling bugs would corrupt assembly.
-func chaosCoord(dial *faultx.Injector, obsv *obs.Observer, addrs ...string) *Coordinator {
+func chaosCoord(dial *injector, obsv *obs.Observer, addrs ...string) *Coordinator {
 	return &Coordinator{
 		Workers:     addrs,
 		ChunkTarget: 100 * time.Millisecond,
@@ -111,23 +111,23 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 	reg := obs.NewRegistry()
 	chaosObs := &obs.Observer{Metrics: reg}
 
-	scenarios := append(faultx.Scenarios(), faultx.Scenario(255)) // 255 = combined
+	scenarios := append(faultScenarios(), faultScenario(255)) // 255 = combined
 	for _, sc := range scenarios {
 		name := sc.String()
 		prof := chaosProfile(sc)
 		if sc == 255 {
 			name = "combined"
-			prof = chaosProfile(faultx.Scenarios()...)
+			prof = chaosProfile(faultScenarios()...)
 		}
 		t.Run(name, func(t *testing.T) {
 			// Distinct, deterministic sub-seeds per scenario and side.
 			base := seed*1000 + uint64(sc)*10
 			addrs := make([]string, 2)
 			for i := range addrs {
-				w := startChaosWorker(t, faultx.New(base+uint64(i), prof, chaosObs))
+				w := startChaosWorker(t, newInjector(base+uint64(i), prof, chaosObs))
 				addrs[i] = w.Addr()
 			}
-			c := chaosCoord(faultx.New(base+7, prof, chaosObs), &obs.Observer{Metrics: reg}, addrs...)
+			c := chaosCoord(newInjector(base+7, prof, chaosObs), &obs.Observer{Metrics: reg}, addrs...)
 			got, err := c.GeneratePopulationCtx(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
 			if err != nil {
 				t.Fatalf("chaos campaign (%s, seed %d) failed outright: %v", name, seed, err)
@@ -137,13 +137,13 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 	}
 	// Across the full soak the injectors must actually have fired:
 	// a soak that never faulted proves nothing.
-	if v := reg.Counter(obs.MetricChaosFaults).Value() + reg.Counter(obs.MetricChaosRefusals).Value(); v == 0 {
+	if v := reg.Counter(metricChaosFaults).Value() + reg.Counter(metricChaosRefusals).Value(); v == 0 {
 		t.Error("chaos soak completed without a single injected fault")
 	}
 	t.Logf("chaos soak seed %d: %d faults, %d refusals, %d redispatches, %d dead workers, %d local-fallback chunks",
 		seed,
-		reg.Counter(obs.MetricChaosFaults).Value(),
-		reg.Counter(obs.MetricChaosRefusals).Value(),
+		reg.Counter(metricChaosFaults).Value(),
+		reg.Counter(metricChaosRefusals).Value(),
 		reg.Counter(obs.MetricDistRedispatches).Value(),
 		reg.Counter(obs.MetricDistWorkersDead).Value(),
 		reg.Counter(obs.MetricDistLocalChunks).Value())
@@ -156,9 +156,9 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 func TestChaosHooksNeverDuplicate(t *testing.T) {
 	const runs = 9
 	seed := chaosSeed(t)
-	prof := chaosProfile(faultx.Scenarios()...)
-	w1 := startChaosWorker(t, faultx.New(seed*7+1, prof, nil))
-	w2 := startChaosWorker(t, faultx.New(seed*7+2, prof, nil))
+	prof := chaosProfile(faultScenarios()...)
+	w1 := startChaosWorker(t, newInjector(seed*7+1, prof, nil))
+	w2 := startChaosWorker(t, newInjector(seed*7+2, prof, nil))
 
 	var mu sync.Mutex
 	seen := map[int]int{}
@@ -169,7 +169,7 @@ func TestChaosHooksNeverDuplicate(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	c := chaosCoord(faultx.New(seed*7+3, prof, nil), nil, w1.Addr(), w2.Addr())
+	c := chaosCoord(newInjector(seed*7+3, prof, nil), nil, w1.Addr(), w2.Addr())
 	if _, err := c.RunCtx(context.Background(), testJob(), testSeed, runs, h); err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type Coordinator struct {
 	// non-deterministic; assembled results are not — they stay keyed by
 	// seed offset.
 	ChunkTarget time.Duration
-	// Dial optionally replaces the TCP dialer — fault injection
-	// (internal/faultx) and tests. Nil uses net.DialTimeout.
+	// Dial optionally replaces the TCP dialer, as the chaos soak does to
+	// inject faults. Nil uses net.DialTimeout.
 	Dial DialFunc
 	// Parallelism is the arena count of the in-process executor that
 	// runs whatever no worker takes (0 = GOMAXPROCS).

@@ -51,9 +51,9 @@
 //
 // The transport is injectable — Coordinator.Dial and the worker's
 // unexported listen seam replace the real network — which is how the
-// chaos soak (TestChaos*, run by CI at two seeds) uses internal/faultx
-// to subject the whole layer to deterministic, seeded faults (delays,
+// chaos soak (TestChaos*, run by CI at two seeds) puts a test-file fault
+// injector under the whole layer: deterministic, seeded faults (delays,
 // stalls, abrupt closes, truncated and duplicated frames, refused
-// connects) and proves the byte-identity contract holds under network
+// connects) prove the byte-identity contract holds under network
 // pathology, not just clean failures.
 package dist

@@ -31,9 +31,9 @@ type Worker struct {
 
 	// pol is the transport policy; nil runs defaultPolicy.
 	pol *policy
-	// listen replaces the TCP listener — the test seam for fault
-	// injection (internal/faultx) and in-memory transports. Nil uses a
-	// TCP listener with keepalive enabled.
+	// listen replaces the TCP listener — the test seam for the chaos
+	// soak's fault injector and in-memory transports. Nil uses a TCP
+	// listener with keepalive enabled.
 	listen func(network, address string) (net.Listener, error)
 
 	ln       net.Listener

@@ -17,7 +17,7 @@ func TestEvaluateCIDeterministicAcrossParallelism(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i%37) + float64(i)*0.01
 	}
-	pop := population.FromValues("synth", "m", vals)
+	pop := &population.Population{Benchmark: "synth", Runs: len(vals), Metrics: map[string][]float64{"m": vals}}
 	methods := []Method{MethodSPA, MethodBootstrap, MethodRank, MethodZScore}
 	var base []MethodEval
 	for i, par := range []int{1, 4} {
@@ -45,7 +45,7 @@ func TestEvaluateCIErrorIndependentOfScheduling(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i%37) + float64(i)*0.01
 	}
-	pop := population.FromValues("synth", "m", vals)
+	pop := &population.Population{Benchmark: "synth", Runs: len(vals), Metrics: map[string][]float64{"m": vals}}
 	opts := tinyOpts()
 	opts.Trials = 400
 	opts.Parallelism = 8

@@ -96,7 +96,7 @@ func TestEvaluateCIProtocol(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	pop := population.FromValues("synth", "m", vals)
+	pop := &population.Population{Benchmark: "synth", Runs: len(vals), Metrics: map[string][]float64{"m": vals}}
 	methods := []Method{MethodSPA, MethodBootstrap, MethodRank, MethodZScore}
 	evals, err := e.EvaluateCI(pop, "m", 0.5, 0.9, methods)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestEvaluateCIRoundedTriggersNulls(t *testing.T) {
 	for i := range vals {
 		vals[i] = 10 + 0.0001*float64(i%3)
 	}
-	pop := population.FromValues("dup", "m", vals)
+	pop := &population.Population{Benchmark: "dup", Runs: len(vals), Metrics: map[string][]float64{"m": vals}}
 	evals, err := e.EvaluateCIRounded(pop, "m", 0.5, 0.9, []Method{MethodBootstrap}, 3)
 	if err != nil {
 		t.Fatal(err)

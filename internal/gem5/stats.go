@@ -123,19 +123,6 @@ func (s Stats) Metric(name string) (float64, error) {
 	return v, nil
 }
 
-// Find returns the stats whose names contain the given substring, sorted —
-// the discovery aid for long gem5 stat lists.
-func (s Stats) Find(substr string) []string {
-	var out []string
-	for name := range s {
-		if strings.Contains(name, substr) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LoadFile parses a stats.txt on disk (last section).
 func LoadFile(path string) (Stats, error) {
 	f, err := os.Open(path)

@@ -117,17 +117,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestFind(t *testing.T) {
-	st, _ := Parse(strings.NewReader(sampleStats))
-	hits := st.Find("l2")
-	if len(hits) != 2 {
-		t.Errorf("Find(l2) = %v", hits)
-	}
-	if len(st.Find("zzz")) != 0 {
-		t.Error("Find should return nothing for no matches")
-	}
-}
-
 // writeStats writes a stats.txt with the given ipc and an extra stat that
 // only some files carry (to exercise common-metric intersection).
 func writeStats(t *testing.T, dir, name string, ipc float64, extra bool) {

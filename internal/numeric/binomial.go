@@ -2,38 +2,6 @@ package numeric
 
 import "math"
 
-// LogChoose returns ln C(n, k) for 0 ≤ k ≤ n, and NaN otherwise.
-func LogChoose(n, k int) float64 {
-	if k < 0 || n < 0 || k > n {
-		return math.NaN()
-	}
-	ln1, _ := math.Lgamma(float64(n) + 1)
-	lk, _ := math.Lgamma(float64(k) + 1)
-	lnk, _ := math.Lgamma(float64(n-k) + 1)
-	return ln1 - lk - lnk
-}
-
-// BinomialPMF returns P(X = k) for X ~ Binom(n, p), computed in log space so
-// it stays finite for large n.
-func BinomialPMF(k, n int, p float64) float64 {
-	if k < 0 || k > n || n < 0 || p < 0 || p > 1 {
-		return 0
-	}
-	if p == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p == 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	return math.Exp(LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
-}
-
 // BinomialCDF returns P(X ≤ k) for X ~ Binom(n, p), using the identity
 // P(X ≤ k) = I_{1−p}(n−k, k+1) with the regularized incomplete beta function.
 func BinomialCDF(k, n int, p float64) float64 {
@@ -46,25 +14,4 @@ func BinomialCDF(k, n int, p float64) float64 {
 		return 1
 	}
 	return RegIncBeta(1-p, float64(n-k), float64(k)+1)
-}
-
-// BinomialQuantile returns the smallest k with P(X ≤ k) ≥ q for
-// X ~ Binom(n, p). It binary-searches the CDF.
-func BinomialQuantile(q float64, n int, p float64) int {
-	if q <= 0 {
-		return 0
-	}
-	if q >= 1 {
-		return n
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if BinomialCDF(mid, n, p) >= q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

@@ -2,11 +2,6 @@ package numeric
 
 import "math"
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormalCDF returns Φ(x), the standard normal CDF, via math.Erfc for
 // full-precision tails.
 func NormalCDF(x float64) float64 {

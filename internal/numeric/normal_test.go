@@ -75,28 +75,3 @@ func TestNormalQuantileAntisymmetryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNormalPDFSymmetricAndNormalized(t *testing.T) {
-	if math.Abs(NormalPDF(0)-1/math.Sqrt(2*math.Pi)) > 1e-15 {
-		t.Error("NormalPDF(0) wrong")
-	}
-	for _, x := range []float64{0.5, 1, 2.5} {
-		if math.Abs(NormalPDF(x)-NormalPDF(-x)) > 1e-15 {
-			t.Errorf("NormalPDF not symmetric at %g", x)
-		}
-	}
-	// ∫pdf ≈ 1 via trapezoid over [-8, 8].
-	const n = 8000
-	sum := 0.0
-	for i := 0; i <= n; i++ {
-		x := -8 + 16*float64(i)/n
-		w := 1.0
-		if i == 0 || i == n {
-			w = 0.5
-		}
-		sum += w * NormalPDF(x) * 16 / n
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("∫pdf = %g, want 1", sum)
-	}
-}

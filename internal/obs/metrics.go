@@ -36,13 +36,6 @@ const (
 	MetricDistChunksServed     = "spa_dist_chunks_served_total"
 	MetricDistWorkerRuns       = "spa_dist_worker_runs_total"
 
-	// Chaos fault injection (internal/faultx): connections wrapped with
-	// a fault schedule, faults actually fired, and connection attempts
-	// refused outright.
-	MetricChaosConns    = "spa_chaos_conns_total"
-	MetricChaosFaults   = "spa_chaos_faults_total"
-	MetricChaosRefusals = "spa_chaos_refusals_total"
-
 	// In-flight simulation runs (gauge): RunStarted adds, RunDone
 	// subtracts, so /metrics shows live concurrency rather than only
 	// cumulative counters.
@@ -52,16 +45,14 @@ const (
 	// benchmarks in one process), per-worker fleet series the coordinator
 	// keeps from its own dispatches and commits (what this coordinator
 	// saw of each worker, the throughput gauge being the rate adaptive
-	// scheduling consumes), per-chaos-scenario fault attribution, and the
-	// adaptive CI convergence trace (one gauge update per refinement
-	// round).
+	// scheduling consumes), and the adaptive CI convergence trace (one
+	// gauge update per refinement round).
 	MetricBenchmarkRuns            = "spa_benchmark_runs_total"              // {benchmark}
 	MetricDistWorkerThroughput     = "spa_dist_worker_throughput_runs_per_s" // {worker}
 	MetricDistWorkerInflight       = "spa_dist_worker_inflight"              // {worker}
 	MetricDistWorkerRunsServed     = "spa_dist_worker_runs_served"           // {worker}
 	MetricDistWorkerMeanRunSeconds = "spa_dist_worker_run_seconds_mean"      // {worker}
 	MetricDistWorkerChunks         = "spa_dist_worker_chunks_total"          // {worker}
-	MetricChaosFaultsByKind        = "spa_chaos_fault_total"                 // {kind}
 	MetricCIConvergence            = "spa_ci_convergence"                    // {entry,metric,method} current width
 	MetricCIConvergenceRuns        = "spa_ci_convergence_runs"               // {entry,metric,method}
 	MetricCIConvergenceTarget      = "spa_ci_convergence_target"             // {entry,metric,method}

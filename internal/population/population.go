@@ -92,16 +92,6 @@ func FromRuns(benchmark string, baseSeed uint64, runs []map[string]float64) *Pop
 	return pop
 }
 
-// FromValues builds a population directly from a metric vector, for
-// analyses of externally produced data (the SPA CLI path).
-func FromValues(name, metric string, values []float64) *Population {
-	return &Population{
-		Benchmark: name,
-		Runs:      len(values),
-		Metrics:   map[string][]float64{metric: append([]float64(nil), values...)},
-	}
-}
-
 // CheckRecipe reports how p differs from the population of runs seeds of
 // benchmark from baseSeed, or nil; populations read from disk pass it.
 func (p *Population) CheckRecipe(benchmark string, baseSeed uint64, runs int) error {

@@ -3,7 +3,6 @@ package population
 import (
 	"bytes"
 	"context"
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,14 +70,14 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 func TestMetricUnknown(t *testing.T) {
-	pop := FromValues("x", "m", []float64{1, 2})
+	pop := &Population{Benchmark: "x", Runs: 2, Metrics: map[string][]float64{"m": {1, 2}}}
 	if _, err := pop.Metric("other"); err == nil {
 		t.Error("unknown metric should error")
 	}
 }
 
 func TestGroundTruthMatchesQuantile(t *testing.T) {
-	pop := FromValues("x", "m", []float64{5, 1, 4, 2, 3})
+	pop := &Population{Benchmark: "x", Runs: 5, Metrics: map[string][]float64{"m": {5, 1, 4, 2, 3}}}
 	gt, err := pop.GroundTruth("m", 0.5)
 	if err != nil || gt != 3 {
 		t.Errorf("median ground truth = %g, %v", gt, err)
@@ -93,7 +92,7 @@ func TestGroundTruthMatchesQuantile(t *testing.T) {
 }
 
 func TestSample(t *testing.T) {
-	pop := FromValues("x", "m", []float64{10, 20, 30})
+	pop := &Population{Benchmark: "x", Runs: 3, Metrics: map[string][]float64{"m": {10, 20, 30}}}
 	r := randx.New(1)
 	xs, err := pop.Sample("m", 100, r)
 	if err != nil {
@@ -117,7 +116,7 @@ func TestSample(t *testing.T) {
 }
 
 func TestRounded(t *testing.T) {
-	pop := FromValues("x", "m", []float64{1.23456, 1.23499, 2.5})
+	pop := &Population{Benchmark: "x", Runs: 3, Metrics: map[string][]float64{"m": {1.23456, 1.23499, 2.5}}}
 	r3 := pop.Rounded(3)
 	vs, _ := r3.Metric("m")
 	if vs[0] != 1.235 || vs[1] != 1.235 {
@@ -152,7 +151,7 @@ func TestSpeedups(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	pop := FromValues("bench", "m", []float64{1.5, 2.5, 3.5})
+	pop := &Population{Benchmark: "bench", Runs: 3, Metrics: map[string][]float64{"m": {1.5, 2.5, 3.5}}}
 	pop.BaseSeed = 77
 	var buf bytes.Buffer
 	if err := pop.Save(&buf); err != nil {
@@ -177,18 +176,5 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"benchmark":"x"}`)); err == nil {
 		t.Error("missing metrics should error")
-	}
-}
-
-func TestFromValuesCopies(t *testing.T) {
-	src := []float64{1, 2}
-	pop := FromValues("x", "m", src)
-	src[0] = 99
-	vs, _ := pop.Metric("m")
-	if vs[0] != 1 {
-		t.Error("FromValues should copy its input")
-	}
-	if math.IsNaN(vs[0]) {
-		t.Error("unexpected NaN")
 	}
 }

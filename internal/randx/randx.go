@@ -66,10 +66,12 @@ func (r *Rand) Split(id uint64) *Rand {
 // SplitInto reinitializes child to exactly the generator Split(id) would
 // return, without allocating. Hot loops that derive one substream per work
 // item (e.g. per bootstrap resample) reuse a single stack-allocated Rand
-// this way. It only reads the parent's initial state, so concurrent
-// SplitInto calls on a shared parent are safe.
+// this way. It reads, and never advances, the parent's current state, so a
+// split taken after the parent has drawn is a different stream, and
+// concurrent splits of a shared parent are safe only while nothing draws
+// from it (the bootstrap's root never draws).
 func (r *Rand) SplitInto(id uint64, child *Rand) {
-	// Mix the parent's initial state with the id through SplitMix64.
+	// Mix the parent's current state with the id through SplitMix64.
 	sm := r.s[0] ^ (id * 0xd1342543de82ef95)
 	for i := range child.s {
 		child.s[i] = splitMix64(&sm)
@@ -177,40 +179,6 @@ func (r *Rand) Exponential(rate float64) float64 {
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
-}
-
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Pareto returns a Pareto(xm, alpha) variate (heavy-tailed, xm minimum).
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("randx: Pareto with non-positive parameter")
-	}
-	return xm / math.Pow(1-r.Float64(), 1/alpha)
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf returns integers in [0, n) following an approximate Zipf(s)

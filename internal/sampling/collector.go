@@ -109,9 +109,6 @@ func New(opts Options, full core.Collector, pilot PilotFunc) (*Collector, error)
 	return &Collector{opts: opts, full: full, pilot: pilot}, nil
 }
 
-// Design returns the collector's design.
-func (s *Collector) Design() Design { return s.opts.Design }
-
 // Stats returns a copy of the spend counters.
 func (s *Collector) Stats() Stats {
 	s.mu.Lock()

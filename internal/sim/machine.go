@@ -149,14 +149,6 @@ func Run(profile string, cfg Config, scale float64, seed uint64) (*Result, error
 	})
 }
 
-// RunVariant is Run with an explicit program-structure seed, for studies
-// that also want distinct program instances (e.g. different inputs).
-func RunVariant(profile string, cfg Config, scale float64, progSeed, seed uint64) (*Result, error) {
-	return pooledRun(func(r *Runner) (*Result, error) {
-		return r.RunVariant(profile, cfg, scale, progSeed, seed)
-	})
-}
-
 // RunProgram executes an instantiated program. The rng must be dedicated
 // to this run; all component substreams are split from it. The program is
 // only read, so it can be replayed any number of times, concurrently too.
@@ -164,17 +156,6 @@ func RunProgram(prog *workload.Program, cfg Config, rng *randx.Rand) (*Result, e
 	return pooledRun(func(r *Runner) (*Result, error) {
 		return r.RunProgram(prog, cfg, rng)
 	})
-}
-
-func newMachine(prog *workload.Program, cfg Config, rng *randx.Rand) (*machine, error) {
-	m := &machine{}
-	if err := m.build(cfg); err != nil {
-		return nil, err
-	}
-	if err := m.initRun(prog, rng); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // build allocates every structure that depends only on the configuration:
@@ -249,11 +230,11 @@ func (m *machine) build(cfg Config) error {
 	return err
 }
 
-// initRun resets the machine to the exact state newMachine used to leave it
-// in for (prog, rng): components back to post-New state, per-run RNG streams
-// re-split in the original order, per-run state rebuilt. It is the single
-// code path for both freshly built and reused machines, so reuse cannot
-// diverge from a cold construction.
+// initRun readies a built machine for one run of prog on rng: components
+// back to their freshly built state, per-run RNG streams split in a fixed
+// order, per-run state rebuilt. It is the single code path for both
+// freshly built and reused machines, so reuse cannot diverge from a cold
+// construction.
 func (m *machine) initRun(prog *workload.Program, rng *randx.Rand) error {
 	cfg := &m.cfg
 	m.prog = prog

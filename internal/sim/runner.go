@@ -35,8 +35,9 @@ func (r *Runner) Run(profile string, cfg Config, scale float64, seed uint64) (*R
 	return r.RunVariant(profile, cfg, scale, defaultProgSeed, seed)
 }
 
-// RunVariant is sim.RunVariant on this arena. It replays the program from
-// the process-wide program cache.
+// RunVariant is Run with an explicit program-structure seed, for studies
+// that also want distinct program instances (e.g. different inputs). It
+// replays the program from the process-wide program cache.
 func (r *Runner) RunVariant(profile string, cfg Config, scale float64, progSeed, seed uint64) (*Result, error) {
 	prog, err := cachedProgram(profile, scale, progSeed)
 	if err != nil {
@@ -85,10 +86,11 @@ type programKey struct {
 
 // programs holds every built profile of the process, shared read-only by
 // all arenas, and ops counts their ops. When a new program would push ops
-// past maxCachedOps the whole cache is dropped; a program larger than the
-// cap is never kept. Since a program depends only on its key, eviction
-// never changes a result. Two arenas that miss one key at once both build
-// it, and the first copy stored is kept.
+// past maxCachedOps the whole cache is dropped before it is stored, so a
+// program larger than the cap is kept alone until the next key arrives.
+// Since a program depends only on its key, eviction never changes a
+// result. Two arenas that miss one key at once both build it, and the
+// first copy stored is kept.
 var programs struct {
 	sync.Mutex
 	byKey map[programKey]*workload.Program
@@ -110,9 +112,6 @@ func cachedProgram(profile string, scale float64, progSeed uint64) (*workload.Pr
 	}
 	prog = p.Build(scale, randx.New(progSeed))
 	n := prog.Len()
-	if n > maxCachedOps {
-		return prog, nil
-	}
 	programs.Lock()
 	defer programs.Unlock()
 	if kept := programs.byKey[key]; kept != nil {

@@ -82,9 +82,10 @@ func TestRunProgramReplays(t *testing.T) {
 	}
 }
 
-// TestProgramLargerThanCacheNotKept: a program over maxCachedOps runs like
-// a freshly built one and is not cached; the cache keeps what it held.
-func TestProgramLargerThanCacheNotKept(t *testing.T) {
+// TestProgramLargerThanCacheKeptAlone: a program over maxCachedOps runs
+// like a freshly built one and is then the cache's only entry, so its next
+// run replays it instead of building it again; the next key drops it.
+func TestProgramLargerThanCacheKeptAlone(t *testing.T) {
 	const bench, scale = "swaptions", 20.0
 	p, err := workload.ByName(bench)
 	if err != nil {
@@ -108,16 +109,23 @@ func TestProgramLargerThanCacheNotKept(t *testing.T) {
 	if got.Cycles != want.Cycles || metricsDigest(got) != metricsDigest(want) {
 		t.Errorf("cache path: %d cycles, want %d", got.Cycles, want.Cycles)
 	}
+	big := programKey{bench, math.Float64bits(scale), defaultProgSeed}
+	programs.Lock()
+	kept, entries := programs.byKey[big], len(programs.byKey)
+	programs.Unlock()
+	if kept == nil || entries != 1 {
+		t.Errorf("over-cap program cached: %t, cache entries: %d; want it alone", kept != nil, entries)
+	}
+	if _, err := Run("ferret", DefaultConfig(), 0.05, 1); err != nil {
+		t.Fatal(err)
+	}
 	programs.Lock()
 	defer programs.Unlock()
-	if _, kept := programs.byKey[programKey{bench, math.Float64bits(scale), defaultProgSeed}]; kept {
-		t.Error("a program over the cap was cached")
+	if programs.byKey[big] != nil {
+		t.Error("the next key did not drop the over-cap program")
 	}
 	if programs.byKey[programKey{"ferret", math.Float64bits(0.05), defaultProgSeed}] == nil {
-		t.Error("caching nothing dropped the cache")
-	}
-	if programs.ops > maxCachedOps {
-		t.Errorf("cache holds %d ops, over the %d cap", programs.ops, maxCachedOps)
+		t.Error("the next key was not cached")
 	}
 }
 

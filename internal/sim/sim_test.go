@@ -209,13 +209,11 @@ func TestEndOfRunCoherenceInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog := p.Build(testScale, randx.New(0x0BEEF))
-		m, err := newMachine(prog, DefaultConfig(), randx.New(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.run(); err != nil {
+		r := NewRunner()
+		if _, err := r.RunProgram(prog, DefaultConfig(), randx.New(7)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		m := &r.m
 		if err := m.dir.CheckInvariants(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -272,8 +270,11 @@ func TestActivationSlots(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 64
 	prog := &workload.Program{Name: "idle", Threads: [][]workload.Op{nil}}
-	m, err := newMachine(prog, cfg, randx.New(1))
-	if err != nil {
+	var m machine
+	if err := m.build(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.initRun(prog, randx.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range []struct {
@@ -378,11 +379,12 @@ func TestMoreThreadsThanCoresCompletes(t *testing.T) {
 
 func TestRunVariantChangesProgram(t *testing.T) {
 	cfg := DefaultConfig()
-	a, err := RunVariant("swaptions", cfg, testScale, 1, 9)
+	r := NewRunner()
+	a, err := r.RunVariant("swaptions", cfg, testScale, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunVariant("swaptions", cfg, testScale, 2, 9)
+	b, err := r.RunVariant("swaptions", cfg, testScale, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +394,8 @@ func TestRunVariantChangesProgram(t *testing.T) {
 }
 
 func TestThermalSprintCycle(t *testing.T) {
-	tm := newThermalModel(DefaultConfig().Thermal, DefaultConfig().Thermal.Ambient)
+	tm := &thermalModel{}
+	tm.init(DefaultConfig().Thermal, DefaultConfig().Thermal.Ambient)
 	if tm.speed() != 1 {
 		t.Error("initial speed should be 1")
 	}
@@ -428,7 +431,8 @@ func TestThermalSprintCycle(t *testing.T) {
 }
 
 func TestThermalDisabled(t *testing.T) {
-	tm := newThermalModel(ThermalConfig{Enabled: false}, 0)
+	tm := &thermalModel{}
+	tm.init(ThermalConfig{Enabled: false}, 0)
 	for i := 0; i < 100; i++ {
 		tm.update(1)
 	}

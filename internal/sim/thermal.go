@@ -25,12 +25,6 @@ type thermalModel struct {
 	alerts        uint64
 }
 
-func newThermalModel(cfg ThermalConfig, initTemp float64) *thermalModel {
-	t := &thermalModel{}
-	t.init(cfg, initTemp)
-	return t
-}
-
 // init resets the model for a new run, as in a freshly built one.
 func (t *thermalModel) init(cfg ThermalConfig, initTemp float64) {
 	if initTemp < cfg.Ambient {

@@ -35,12 +35,6 @@ var traceSignalNames = []string{
 	"temp", "sprint", "sprint_enter", "thermal_alert",
 }
 
-func newTracer(interval uint64, m *machine) *tracer {
-	tr := &tracer{}
-	tr.init(interval, m)
-	return tr
-}
-
 // init resets the tracer for a new run, keeping the signal buffers of a
 // reused tracer (truncated to zero length) so sampling stops allocating
 // after the first run. Result traces are safe: stl.Trace.Add copies the

@@ -34,7 +34,8 @@ func traceMachine(t *testing.T, cores int) *machine {
 		t.Fatal(err)
 	}
 	m.l2 = l2
-	m.thermal = newThermalModel(cfg.Thermal, cfg.Thermal.Ambient)
+	m.thermal = &thermalModel{}
+	m.thermal.init(cfg.Thermal, cfg.Thermal.Ambient)
 	return m
 }
 
@@ -43,7 +44,8 @@ func traceMachine(t *testing.T, cores int) *machine {
 // cumulative totals.
 func TestTracerIntervalDeltas(t *testing.T) {
 	m := traceMachine(t, 2)
-	tr := newTracer(1000, m)
+	tr := &tracer{}
+	tr.init(1000, m)
 
 	// Interval 1: 500 instructions, 10 cold L1D misses, 4 L2 misses,
 	// 3 TLB misses, 60 cycles of mispredict cost, both cores half busy.
@@ -101,7 +103,8 @@ func TestTracerIntervalDeltas(t *testing.T) {
 // instructions retired in the interval (no division by zero).
 func TestTracerZeroInstructionInterval(t *testing.T) {
 	m := traceMachine(t, 1)
-	tr := newTracer(100, m)
+	tr := &tracer{}
+	tr.init(100, m)
 	m.l1d[0].Access(0, false) // a miss with zero instructions
 	tr.advance(100)
 	for _, name := range []string{"ipc", "l1d_mpki", "l2_mpki"} {
@@ -115,7 +118,8 @@ func TestTracerZeroInstructionInterval(t *testing.T) {
 // crossed, and a whole-multiple advance lands exactly on the boundary.
 func TestTracerBoundaries(t *testing.T) {
 	m := traceMachine(t, 1)
-	tr := newTracer(1000, m)
+	tr := &tracer{}
+	tr.init(1000, m)
 
 	tr.advance(999) // before the first boundary: nothing
 	if n := len(tr.signals["ipc"]); n != 0 {
@@ -141,7 +145,8 @@ func TestTracerBoundaries(t *testing.T) {
 	}
 
 	m2 := traceMachine(t, 1)
-	tr2 := newTracer(1000, m2)
+	tr2 := &tracer{}
+	tr2.init(1000, m2)
 	tr2.advance(2000)
 	tr2.finish(2500) // 500-cycle tail, exactly interval/2: dropped
 	if n := len(tr2.signals["ipc"]); n != 2 {
@@ -149,7 +154,8 @@ func TestTracerBoundaries(t *testing.T) {
 	}
 
 	m3 := traceMachine(t, 1)
-	tr3 := newTracer(1000, m3)
+	tr3 := &tracer{}
+	tr3.init(1000, m3)
 	tr3.finish(300) // run shorter than any interval still yields one sample
 	if n := len(tr3.signals["ipc"]); n != 1 {
 		t.Errorf("empty trace after finish: %d samples, want 1", n)

@@ -50,15 +50,3 @@ func ProportionInterval(m, n int, c float64) (stats.Interval, error) {
 	}
 	return stats.Interval{Lo: lo, Hi: hi}, nil
 }
-
-// ProportionIntervalFromOutcomes is ProportionInterval over a boolean
-// outcome sample.
-func ProportionIntervalFromOutcomes(outcomes []bool, c float64) (stats.Interval, error) {
-	m := 0
-	for _, ok := range outcomes {
-		if ok {
-			m++
-		}
-	}
-	return ProportionInterval(m, len(outcomes), c)
-}

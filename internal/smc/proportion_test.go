@@ -125,17 +125,3 @@ func TestProportionIntervalConsistentWithAssertions(t *testing.T) {
 		}
 	}
 }
-
-func TestProportionIntervalFromOutcomes(t *testing.T) {
-	outcomes := []bool{true, true, true, false}
-	iv, err := ProportionIntervalFromOutcomes(outcomes, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(0.75) {
-		t.Errorf("interval %+v should contain 3/4", iv)
-	}
-	if _, err := ProportionIntervalFromOutcomes(nil, 0.9); err == nil {
-		t.Error("empty outcomes should error")
-	}
-}

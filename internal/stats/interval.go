@@ -18,16 +18,6 @@ func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 // a trial" when its interval covers the population ground-truth value.
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-// NormalizedWidth returns Width divided by a reference value (the paper
-// normalizes mean CI widths by the ground truth to compare across metrics).
-// It returns NaN for a zero reference.
-func (iv Interval) NormalizedWidth(ref float64) float64 {
-	if ref == 0 {
-		return math.NaN()
-	}
-	return iv.Width() / math.Abs(ref)
-}
-
 // IsValid reports Lo ≤ Hi with both endpoints finite.
 func (iv Interval) IsValid() bool {
 	return !math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi) &&

@@ -282,6 +282,3 @@ func Summarize(xs []float64) (Summary, error) {
 	}
 	return s, nil
 }
-
-// IQR returns the interquartile range Q3 − Q1.
-func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }

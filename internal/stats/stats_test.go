@@ -241,9 +241,6 @@ func TestSummarize(t *testing.T) {
 	if s.Q1 != 3 || s.Median != 7 || s.Q3 != 11 {
 		t.Errorf("quartiles wrong: %+v", s)
 	}
-	if s.IQR() != 8 {
-		t.Errorf("IQR = %g", s.IQR())
-	}
 	if math.Abs(s.Mean-8) > 1e-12 {
 		t.Errorf("mean = %g", s.Mean)
 	}

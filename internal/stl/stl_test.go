@@ -21,6 +21,17 @@ func mkTrace(t *testing.T, step float64, signals map[string][]float64) *Trace {
 	return tr
 }
 
+// mustParse parses a formula the test states, failing the test if it
+// does not parse.
+func mustParse(t *testing.T, input string) Formula {
+	t.Helper()
+	f, err := Parse(input)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", input, err)
+	}
+	return f
+}
+
 func TestTraceConstruction(t *testing.T) {
 	if _, err := NewTrace(0); err == nil {
 		t.Error("zero step should error")
@@ -353,7 +364,7 @@ func TestRobustnessSignSoundness(t *testing.T) {
 		"(a > 3) -> (b > 3)", "!(a > 4)",
 	}
 	for _, in := range formulas {
-		f := MustParse(in)
+		f := mustParse(t, in)
 		for i := 0; i < tr.Len(); i++ {
 			sat, err := f.Sat(tr, i)
 			if err != nil {
@@ -373,17 +384,8 @@ func TestRobustnessSignSoundness(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse of bad input should panic")
-		}
-	}()
-	MustParse(">>>")
-}
-
 func TestStringRendering(t *testing.T) {
-	f := MustParse("G[0,100](x > 1) && F[0,50](y < 2)")
+	f := mustParse(t, "G[0,100](x > 1) && F[0,50](y < 2)")
 	s := f.String()
 	for _, frag := range []string{"G[0,100]", "F[0,50]", "x > 1", "y < 2", "&&"} {
 		if !strings.Contains(s, frag) {
@@ -482,17 +484,17 @@ func TestParseNextAndRelease(t *testing.T) {
 		"a": {0, 1, 0},
 		"b": {1, 1, 0},
 	})
-	f := MustParse("X(a >= 1)")
+	f := mustParse(t, "X(a >= 1)")
 	if ok, _ := f.Sat(tr, 0); !ok {
 		t.Error("parsed X should hold at 0")
 	}
-	r := MustParse("(a >= 1) R (b >= 1)")
+	r := mustParse(t, "(a >= 1) R (b >= 1)")
 	if ok, err := r.Sat(tr, 0); err != nil || !ok {
 		t.Errorf("parsed R should hold: %v %v", ok, err)
 	}
 	// Round trip.
 	for _, in := range []string{"X(a >= 1)", "(a >= 1) R[0,5] (b >= 1)"} {
-		f := MustParse(in)
+		f := mustParse(t, in)
 		if _, err := Parse(f.String()); err != nil {
 			t.Errorf("round trip of %q (%q): %v", in, f.String(), err)
 		}

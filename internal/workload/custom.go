@@ -140,6 +140,8 @@ func NewDataParallelProfile(name string, spec DataParallelSpec) (Profile, error)
 					instrsPerCycle: spec.InstrsPerCycle, memOps: spec.MemOps,
 					writeFrac: spec.WriteFraction, sharedFrac: spec.SharedFraction,
 					branches: spec.Branches, branchBias: spec.BranchBias,
+					// Split before dataParallelThread draws from tr, as
+					// the built-in profiles do (profiles.go).
 					private: spec.Private.build(t, tr.Split(1)),
 					shared:  shared, lockID: lockID, lockEvery: spec.LockEvery,
 					lockHeldOps: spec.LockHeldOps,

@@ -26,6 +26,11 @@ func RegionIndex(addr uint64) int {
 	return 1 + int((addr-PrivateBase)/PrivateStep)
 }
 
+// Each data-parallel profile below takes its thread's private-region
+// stream, tr.Split(1), inside the params literal, before dataParallelThread
+// draws from tr. A split reads the parent's current state
+// (randx.SplitInto), so this order is part of every program the golden
+// fence pins.
 var profiles = []Profile{
 	{
 		// Embarrassingly parallel option pricing: private streaming data,
