@@ -280,46 +280,6 @@ func BenchmarkAblationVariabilitySources(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSPRTVsCP compares the sample counts of the two
-// sequential SMC engines on the same clear-cut hypothesis: the
-// Clopper–Pearson loop (Algorithm 1) needs no indifference assumption;
-// Wald's SPRT trades that assumption for fewer samples on easy instances.
-func BenchmarkAblationSPRTVsCP(b *testing.B) {
-	const p, f, c = 0.98, 0.9, 0.9
-	b.Run("clopper-pearson", func(b *testing.B) {
-		var samples float64
-		for i := 0; i < b.N; i++ {
-			r := randx.New(uint64(i) + 1)
-			res, err := smc.CheckSequential(smc.SamplerFunc(func() (bool, error) {
-				return r.Bernoulli(p), nil
-			}), f, c, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples = float64(res.Samples)
-		}
-		b.ReportMetric(samples, "samples")
-	})
-	b.Run("sprt", func(b *testing.B) {
-		sprt, err := smc.NewSPRT(f, c, 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var samples float64
-		for i := 0; i < b.N; i++ {
-			r := randx.New(uint64(i) + 1)
-			res, err := sprt.Check(smc.SamplerFunc(func() (bool, error) {
-				return r.Bernoulli(p), nil
-			}), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples = float64(res.Samples)
-		}
-		b.ReportMetric(samples, "samples")
-	})
-}
-
 // BenchmarkAblationBatchParallel compares SPA's batched-parallel sample
 // collection (Sec. 4.3) against a strictly sequential loop for the same
 // 29-execution campaign.
@@ -336,7 +296,7 @@ func BenchmarkAblationBatchParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Collect(run, 1, 29, batch); err != nil {
+				if _, err := core.CollectHooks(run, 1, 29, batch, core.Hooks{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -58,45 +58,6 @@ func sortedCopy(samples []float64) []float64 {
 	return sorted
 }
 
-// BootstrapPercentile builds the plain percentile bootstrap CI for the
-// F-quantile at confidence c. It is provided as the simpler baseline; the
-// paper's comparisons use BCa.
-func BootstrapPercentile(samples []float64, f, c float64, opts BootstrapOptions) (stats.Interval, error) {
-	if err := validate(f, c); err != nil {
-		return stats.Interval{}, err
-	}
-	if len(samples) < 2 {
-		return stats.Interval{}, fmt.Errorf("%w: need at least 2 samples", ErrDegenerate)
-	}
-	return BootstrapPercentileSorted(sortedCopy(samples), f, c, opts)
-}
-
-// BootstrapPercentileSorted is BootstrapPercentile for a sample the caller
-// has already sorted ascending (callers constructing several CIs from one
-// draw sort once and share the view). The resampling stream draws from the
-// sorted order, so BootstrapPercentile(xs) equals
-// BootstrapPercentileSorted(sortedCopy(xs)) for any permutation of xs.
-func BootstrapPercentileSorted(sorted []float64, f, c float64, opts BootstrapOptions) (stats.Interval, error) {
-	if err := validate(f, c); err != nil {
-		return stats.Interval{}, err
-	}
-	if err := stats.CheckFiniteSorted(sorted); err != nil {
-		return stats.Interval{}, err
-	}
-	if len(sorted) < 2 {
-		return stats.Interval{}, fmt.Errorf("%w: need at least 2 samples", ErrDegenerate)
-	}
-	thetasp := bootstrapDistribution(sorted, f, opts.resamples(), opts.Seed, 0)
-	thetas := *thetasp
-	alpha := (1 - c) / 2
-	iv := stats.Interval{
-		Lo: stats.QuantileSorted(thetas, math.Max(alpha, 1e-12)),
-		Hi: stats.QuantileSorted(thetas, math.Min(1-alpha, 1)),
-	}
-	putFloats(thetasp)
-	return iv, nil
-}
-
 // BootstrapBCa builds the bias-corrected and accelerated bootstrap CI
 // (Efron & Tibshirani) for the F-quantile at confidence c — the method the
 // paper identifies as the strongest prior technique (Sec. 5.4).

@@ -23,7 +23,7 @@ func TestValidation(t *testing.T) {
 	if _, err := BootstrapBCa(xs, 0, 0.9, BootstrapOptions{}); err == nil {
 		t.Error("F=0 should error")
 	}
-	if _, err := BootstrapPercentile(xs, 0.5, 1, BootstrapOptions{}); err == nil {
+	if _, err := BootstrapBCa(xs, 0.5, 1, BootstrapOptions{}); err == nil {
 		t.Error("C=1 should error")
 	}
 	if _, err := RankCI(xs, 1.5, 0.9); err == nil {
@@ -38,7 +38,6 @@ func TestTooFewSamples(t *testing.T) {
 	one := []float64{1}
 	for name, err := range map[string]error{
 		"bca":   func() error { _, e := BootstrapBCa(one, 0.5, 0.9, BootstrapOptions{}); return e }(),
-		"pct":   func() error { _, e := BootstrapPercentile(one, 0.5, 0.9, BootstrapOptions{}); return e }(),
 		"rank":  func() error { _, e := RankCI(one, 0.5, 0.9); return e }(),
 		"rankx": func() error { _, e := RankCIExact(one, 0.5, 0.9); return e }(),
 		"z":     func() error { _, e := ZScoreCI(one, 0.9); return e }(),
@@ -124,21 +123,6 @@ func TestBCaFailsOnDuplicateHeavySample(t *testing.T) {
 		if len(distinct) <= 3 {
 			t.Errorf("duplicate-heavy sample (%d distinct) should often be degenerate", len(distinct))
 		}
-	}
-}
-
-func TestBootstrapPercentileOrdering(t *testing.T) {
-	xs := normalSample(4, 50, 0, 1)
-	iv, err := BootstrapPercentile(xs, 0.9, 0.9, BootstrapOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.IsValid() {
-		t.Errorf("invalid interval %+v", iv)
-	}
-	q, _ := stats.Quantile(xs, 0.9)
-	if !iv.Contains(q) {
-		t.Errorf("percentile CI %+v should contain the sample 0.9-quantile %g", iv, q)
 	}
 }
 
@@ -286,11 +270,10 @@ func TestConstructionsRefuseNonFiniteSamples(t *testing.T) {
 		xs[0], xs[30] = xs[30], xs[0]
 		opts := BootstrapOptions{Resamples: 50, Seed: 1}
 		for name, build := range map[string]func() (stats.Interval, error){
-			"BootstrapPercentile": func() (stats.Interval, error) { return BootstrapPercentile(xs, 0.5, 0.9, opts) },
-			"BootstrapBCa":        func() (stats.Interval, error) { return BootstrapBCa(xs, 0.5, 0.9, opts) },
-			"RankCI":              func() (stats.Interval, error) { return RankCI(xs, 0.5, 0.9) },
-			"RankCIExact":         func() (stats.Interval, error) { return RankCIExact(xs, 0.5, 0.9) },
-			"ZScoreCI":            func() (stats.Interval, error) { return ZScoreCI(xs, 0.9) },
+			"BootstrapBCa": func() (stats.Interval, error) { return BootstrapBCa(xs, 0.5, 0.9, opts) },
+			"RankCI":       func() (stats.Interval, error) { return RankCI(xs, 0.5, 0.9) },
+			"RankCIExact":  func() (stats.Interval, error) { return RankCIExact(xs, 0.5, 0.9) },
+			"ZScoreCI":     func() (stats.Interval, error) { return ZScoreCI(xs, 0.9) },
 		} {
 			if iv, err := build(); !errors.Is(err, stats.ErrNonFinite) {
 				t.Errorf("%s with %v = %v, %v; want ErrNonFinite", name, bad, iv, err)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/stats"
 )
 
-// WidthOptions tune AnalyzeToWidth.
+// WidthOptions tune AnalyzeToWidthWith.
 type WidthOptions struct {
 	// TargetWidth is the desired maximum CI width (absolute units of the
 	// metric). Must be positive.
@@ -27,27 +27,22 @@ type WidthOptions struct {
 	Hooks Hooks
 }
 
-// ErrWidthBudget reports that AnalyzeToWidth hit MaxSamples before the
+// ErrWidthBudget reports that AnalyzeToWidthWith hit MaxSamples before the
 // interval narrowed to the target.
 var ErrWidthBudget = errors.New("core: sample budget exhausted before reaching target width")
 
-// AnalyzeToWidth implements the refinement loop of Sec. 4.2: "if the
+// AnalyzeToWidthWith implements the refinement loop of Sec. 4.2: "if the
 // architect decides that the interval [...] is wider than desired, she can
 // decide to run more simulator executions, which may result in a narrower
 // interval." It collects the (F, C) minimum first, then adds executions in
 // rounds until the SPA interval is at most TargetWidth wide, reusing every
-// earlier execution (seeds are consecutive, so the campaign stays
-// replicable).
+// earlier execution. It runs against any collection backend (see
+// AnalyzeWith; FuncCollector wraps a local RunFunc), and refinement rounds
+// extend the same consecutive seed range whichever backend runs them, so
+// the campaign stays replicable.
 //
 // On budget exhaustion the widest-effort analysis is returned together
 // with ErrWidthBudget, so callers can still use the interval.
-func AnalyzeToWidth(run RunFunc, p Params, w WidthOptions) (*Analysis, error) {
-	return AnalyzeToWidthWith(FuncCollector(run), p, w)
-}
-
-// AnalyzeToWidthWith is AnalyzeToWidth against any collection backend;
-// see AnalyzeWith. Refinement rounds extend the same consecutive seed
-// range whichever backend runs them, so the campaign stays replicable.
 func AnalyzeToWidthWith(c Collector, p Params, w WidthOptions) (*Analysis, error) {
 	if c == nil {
 		return nil, errNilCollector

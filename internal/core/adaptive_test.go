@@ -15,7 +15,7 @@ func noisyRun(seed uint64) (float64, error) {
 
 func TestAnalyzeToWidthConverges(t *testing.T) {
 	p := Params{F: 0.5, C: 0.9}
-	a, err := AnalyzeToWidth(noisyRun, p, WidthOptions{TargetWidth: 1.5, Batch: 8, MaxSamples: 3000})
+	a, err := AnalyzeToWidthWith(FuncCollector(noisyRun), p, WidthOptions{TargetWidth: 1.5, Batch: 8, MaxSamples: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestAnalyzeToWidthBudget(t *testing.T) {
 	p := Params{F: 0.5, C: 0.9}
 	// An impossible target within a tiny budget: the partial result still
 	// comes back.
-	a, err := AnalyzeToWidth(noisyRun, p, WidthOptions{TargetWidth: 1e-9, MaxSamples: 40, Batch: 4})
+	a, err := AnalyzeToWidthWith(FuncCollector(noisyRun), p, WidthOptions{TargetWidth: 1e-9, MaxSamples: 40, Batch: 4})
 	if !errors.Is(err, ErrWidthBudget) {
 		t.Fatalf("want ErrWidthBudget, got %v", err)
 	}
@@ -45,18 +45,18 @@ func TestAnalyzeToWidthBudget(t *testing.T) {
 
 func TestAnalyzeToWidthValidation(t *testing.T) {
 	p := Params{F: 0.5, C: 0.9}
-	if _, err := AnalyzeToWidth(noisyRun, p, WidthOptions{TargetWidth: 0}); err == nil {
+	if _, err := AnalyzeToWidthWith(FuncCollector(noisyRun), p, WidthOptions{TargetWidth: 0}); err == nil {
 		t.Error("zero target should error")
 	}
-	if _, err := AnalyzeToWidth(noisyRun, Params{F: 0, C: 0.9}, WidthOptions{TargetWidth: 1}); err == nil {
+	if _, err := AnalyzeToWidthWith(FuncCollector(noisyRun), Params{F: 0, C: 0.9}, WidthOptions{TargetWidth: 1}); err == nil {
 		t.Error("bad params should error")
 	}
-	if _, err := AnalyzeToWidth(noisyRun, p, WidthOptions{TargetWidth: 1, MaxSamples: 2}); err == nil {
+	if _, err := AnalyzeToWidthWith(FuncCollector(noisyRun), p, WidthOptions{TargetWidth: 1, MaxSamples: 2}); err == nil {
 		t.Error("MaxSamples below minimum should error")
 	}
 	boom := errors.New("boom")
 	bad := func(uint64) (float64, error) { return 0, boom }
-	if _, err := AnalyzeToWidth(bad, p, WidthOptions{TargetWidth: 1}); !errors.Is(err, boom) {
+	if _, err := AnalyzeToWidthWith(FuncCollector(bad), p, WidthOptions{TargetWidth: 1}); !errors.Is(err, boom) {
 		t.Errorf("run error not propagated: %v", err)
 	}
 }
@@ -64,12 +64,12 @@ func TestAnalyzeToWidthValidation(t *testing.T) {
 func TestAnalyzeToWidthReplicable(t *testing.T) {
 	p := Params{F: 0.8, C: 0.9}
 	opts := WidthOptions{TargetWidth: 2.5, Batch: 3, BaseSeed: 5, MaxSamples: 2000}
-	a, err := AnalyzeToWidth(noisyRun, p, opts)
+	a, err := AnalyzeToWidthWith(FuncCollector(noisyRun), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Batch = 7 // different parallelism must not change the outcome
-	b, err := AnalyzeToWidth(noisyRun, p, opts)
+	b, err := AnalyzeToWidthWith(FuncCollector(noisyRun), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,14 @@ import (
 // yield the same metric — which is what makes SPA campaigns replicable.
 type RunFunc func(seed uint64) (float64, error)
 
-// Collect runs n executions with seeds baseSeed+0 … baseSeed+n−1, at most
-// batch at a time in parallel (batch ≤ 0 means fully parallel), and returns
-// the metrics ordered by seed offset. The ordering guarantee means the
-// result is independent of goroutine scheduling, preserving replicability.
-// Execution errors are aggregated with errors.Join after the batch drains,
-// so a multi-seed failure surfaces every failing seed in one pass.
-func Collect(run RunFunc, baseSeed uint64, n, batch int) ([]float64, error) {
-	return CollectHooks(run, baseSeed, n, batch, Hooks{})
-}
-
-// CollectHooks is Collect with per-execution observability callbacks; see
-// Hooks. Zero hooks take the exact Collect fast path.
+// CollectHooks runs n executions with seeds baseSeed+0 … baseSeed+n−1, at
+// most batch at a time in parallel (batch ≤ 0 means fully parallel), and
+// returns the metrics ordered by seed offset. The ordering guarantee means
+// the result is independent of goroutine scheduling, preserving
+// replicability. Execution errors are aggregated with errors.Join after the
+// batch drains, so a multi-seed failure surfaces every failing seed in one
+// pass. h receives per-execution callbacks (see Hooks); zero hooks take a
+// path with no timing calls.
 //
 // Concurrency is a fixed pool of batch goroutines pulling seed offsets
 // from a channel — not one goroutine per sample — so a campaign of

@@ -14,11 +14,11 @@ func metricRun(seed uint64) (float64, error) {
 }
 
 func TestCollectDeterministicOrdering(t *testing.T) {
-	a, err := Collect(metricRun, 10, 50, 4)
+	a, err := CollectHooks(metricRun, 10, 50, 4, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Collect(metricRun, 10, 50, 13) // different batch size
+	b, err := CollectHooks(metricRun, 10, 50, 13, Hooks{}) // different batch size
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCollectRespectsBatchLimit(t *testing.T) {
 		defer atomic.AddInt64(&inFlight, -1)
 		return float64(seed), nil
 	}
-	if _, err := Collect(run, 0, 64, 4); err != nil {
+	if _, err := CollectHooks(run, 0, 64, 4, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if peak > 4 {
@@ -58,16 +58,16 @@ func TestCollectPropagatesError(t *testing.T) {
 		}
 		return 1, nil
 	}
-	if _, err := Collect(run, 0, 20, 5); !errors.Is(err, boom) {
+	if _, err := CollectHooks(run, 0, 20, 5, Hooks{}); !errors.Is(err, boom) {
 		t.Errorf("want boom, got %v", err)
 	}
 }
 
 func TestCollectValidation(t *testing.T) {
-	if _, err := Collect(nil, 0, 5, 1); err == nil {
+	if _, err := CollectHooks(nil, 0, 5, 1, Hooks{}); err == nil {
 		t.Error("nil RunFunc should error")
 	}
-	if _, err := Collect(metricRun, 0, 0, 1); err == nil {
+	if _, err := CollectHooks(metricRun, 0, 0, 1, Hooks{}); err == nil {
 		t.Error("zero samples should error")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Collector abstracts where samples come from: a local RunFunc driven in
 // parallel batches (FuncCollector), or a remote backend like
 // internal/dist's coordinator, which shards the seed range across worker
-// processes. The contract is Collect's: exactly n samples for the seed
+// processes. The contract is CollectHooks's: exactly n samples for the seed
 // range rooted at baseSeed, ordered by seed offset, with at most batch
 // in flight where the backend honours it (remote backends may govern
 // parallelism themselves — the bound can shift wall-clock time but never

@@ -74,10 +74,6 @@ func TestAnalyzeWithNilCollector(t *testing.T) {
 	if _, err := AnalyzeToWidthWith(nil, Params{F: 0.5, C: 0.9}, WidthOptions{TargetWidth: 1}); !errors.Is(err, errNilCollector) {
 		t.Errorf("AnalyzeToWidthWith: want errNilCollector, got %v", err)
 	}
-	pred := func(v float64) bool { return v < 1 }
-	if _, err := CheckBatchedWith(nil, pred, Params{F: 0.5, C: 0.9}, Options{}); !errors.Is(err, errNilCollector) {
-		t.Errorf("CheckBatchedWith: want errNilCollector, got %v", err)
-	}
 }
 
 func TestAnalyzeWithCustomCollectorMatchesAnalyze(t *testing.T) {
@@ -111,7 +107,7 @@ func TestAnalyzeToWidthWithRequestsAbsoluteSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := AnalyzeToWidth(seedFn, p, w)
+	want, err := AnalyzeToWidthWith(FuncCollector(seedFn), p, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,31 +118,6 @@ func TestAnalyzeToWidthWithRequestsAbsoluteSeeds(t *testing.T) {
 	for i, c := range rc.calls {
 		if c.base != next {
 			t.Fatalf("call %d asked for base %d, want %d (absolute, contiguous)", i, c.base, next)
-		}
-		next += uint64(c.n)
-	}
-}
-
-func TestCheckBatchedWithMatchesCheckBatched(t *testing.T) {
-	p := Params{F: 0.9, C: 0.9}
-	pred := func(v float64) bool { return v < 95 }
-	opts := Options{Batch: 32, Samples: 512, BaseSeed: 3}
-	want, err := CheckBatched(seedFn, pred, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := &recordingCollector{inner: FuncCollector(seedFn)}
-	got, err := CheckBatchedWith(rc, pred, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Assertion != want.Assertion || got.Samples != want.Samples || got.Launched != want.Launched {
-		t.Errorf("collector-backed check differs: %+v vs %+v", got, want)
-	}
-	next := uint64(3)
-	for i, c := range rc.calls {
-		if c.base != next {
-			t.Fatalf("batch %d asked for base %d, want %d", i, c.base, next)
 		}
 		next += uint64(c.n)
 	}

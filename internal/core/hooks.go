@@ -2,8 +2,8 @@ package core
 
 import "time"
 
-// Hooks are optional per-execution callbacks threaded through Collect,
-// CheckBatched and the adaptive loops, the attachment points for the
+// Hooks are optional per-execution callbacks threaded through CollectHooks,
+// the collectors and the adaptive loop, the attachment points for the
 // observability layer (internal/obs). The zero value disables everything;
 // a nil field is skipped with a single pointer check, so the hot RunFunc
 // path pays no measurable cost when telemetry is off (see
@@ -20,7 +20,7 @@ type Hooks struct {
 	// collected value (undefined on error), the error, and the wall time.
 	// It may be called from many goroutines concurrently.
 	OnRunDone func(seed uint64, value float64, err error, elapsed time.Duration)
-	// OnRound fires once per adaptive refinement round (AnalyzeToWidth)
+	// OnRound fires once per adaptive refinement round (AnalyzeToWidthWith)
 	// with the cumulative sample count and the current interval width.
 	OnRound func(samples int, width float64)
 }

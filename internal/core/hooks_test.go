@@ -51,7 +51,7 @@ func TestCollectJoinsAllErrors(t *testing.T) {
 		}
 		return float64(seed), nil
 	}
-	_, err := Collect(run, 0, 10, 2)
+	_, err := CollectHooks(run, 0, 10, 2, Hooks{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("joined error must preserve Is: %v", err)
 	}
@@ -60,26 +60,6 @@ func TestCollectJoinsAllErrors(t *testing.T) {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("aggregate error missing %q: %v", frag, msg)
 		}
-	}
-}
-
-func TestCheckBatchedHooks(t *testing.T) {
-	var done atomic.Int64
-	opts := Options{
-		Batch: 4, BaseSeed: 50,
-		Hooks: Hooks{OnRunDone: func(seed uint64, v float64, err error, _ time.Duration) {
-			if seed < 50 {
-				t.Errorf("hook saw seed %d below BaseSeed", seed)
-			}
-			done.Add(1)
-		}},
-	}
-	res, err := CheckBatched(metricRun, func(v float64) bool { return v >= 0 }, Params{F: 0.8, C: 0.9}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(done.Load()) != res.Launched {
-		t.Errorf("hook fired %d times, launched %d", done.Load(), res.Launched)
 	}
 }
 
@@ -104,7 +84,7 @@ func TestAnalyzeToWidthHooks(t *testing.T) {
 			},
 		},
 	}
-	a, err := AnalyzeToWidth(metricRun, Params{F: 0.5, C: 0.9}, w)
+	a, err := AnalyzeToWidthWith(FuncCollector(metricRun), Params{F: 0.5, C: 0.9}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +96,9 @@ func TestAnalyzeToWidthHooks(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectHooksOverhead guards the tentpole constraint: disabled
-// hooks must add no measurable overhead to the hot RunFunc path. Compare
-// the disabled case against baseline; they should be within noise.
+// BenchmarkCollectHooksOverhead measures the hot RunFunc path with hooks
+// disabled, the path every uninstrumented campaign takes, and with one
+// enabled, which adds a time.Now pair and a callback per run.
 func BenchmarkCollectHooksOverhead(b *testing.B) {
 	run := func(seed uint64) (float64, error) {
 		// A cheap deterministic stand-in for a simulation.
@@ -128,13 +108,6 @@ func BenchmarkCollectHooksOverhead(b *testing.B) {
 		}
 		return float64(x % 1000), nil
 	}
-	b.Run("baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Collect(run, 1, 64, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("hooks-disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := CollectHooks(run, 1, 64, 8, Hooks{}); err != nil {

@@ -27,7 +27,7 @@ func (c *Coordinator) GeneratePopulationCtx(ctx context.Context, benchmark strin
 }
 
 // CollectorCtx binds the coordinator to one (job, metric) pair as a
-// core.Collector, so Analyze/AnalyzeToWidth/CheckBatched can consume a
+// core.Collector, so AnalyzeWith and AnalyzeToWidthWith can consume a
 // remote backend unchanged; every Collect is cancelled with ctx.
 func (c *Coordinator) CollectorCtx(ctx context.Context, job Job, metric string) core.Collector {
 	return &metricCollector{c: c, ctx: ctx, job: job, metric: metric}

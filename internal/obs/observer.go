@@ -125,7 +125,7 @@ func (o *Observer) CIBuilt(method string, width float64, err error) {
 }
 
 // ConvergenceRound records one adaptive refinement round of the
-// AnalyzeToWidth loop: a "ci.round" trace event plus the labeled
+// AnalyzeToWidthWith loop: a "ci.round" trace event plus the labeled
 // spa_ci_convergence gauges (current width, runs so far, target width),
 // so the stopping rule's trajectory is visible at /metrics instead of
 // being a black box.

@@ -383,47 +383,3 @@ func ParseSTL(input string) (Property, error) {
 	}
 	return FromSTL(f), nil
 }
-
-// FromSTLRobust returns a property that holds when the formula's
-// quantitative robustness at the start of the trace is at least margin —
-// "satisfied with headroom". A margin of 0 accepts boundary satisfaction;
-// positive margins demand slack, the quantitative-verification upgrade on
-// boolean STL checking.
-func FromSTLRobust(f stl.Formula, margin float64) Property {
-	return Property{
-		Name: fmt.Sprintf("ρ(%s) >= %g", f.String(), margin),
-		Eval: func(e Execution) (bool, error) {
-			rho, err := robustnessAt(e, f)
-			if err != nil {
-				return false, err
-			}
-			return rho >= margin, nil
-		},
-	}
-}
-
-// RobustnessValues evaluates the formula's robustness on each execution,
-// producing a scalar sample that SPA can build confidence intervals over:
-// "with confidence C, at least F of executions satisfy φ with margin in
-// [lo, hi]".
-func RobustnessValues(f stl.Formula, execs []Execution) ([]float64, error) {
-	out := make([]float64, len(execs))
-	for i, e := range execs {
-		rho, err := robustnessAt(e, f)
-		if err != nil {
-			return nil, fmt.Errorf("property: robustness on execution %d: %w", i, err)
-		}
-		out[i] = rho
-	}
-	return out, nil
-}
-
-func robustnessAt(e Execution, f stl.Formula) (float64, error) {
-	if e.Trace == nil {
-		return 0, errors.New("property: execution has no trace")
-	}
-	if e.Trace.Len() == 0 {
-		return 0, errors.New("property: empty trace")
-	}
-	return f.Robustness(e.Trace, 0)
-}

@@ -252,43 +252,3 @@ func TestNilEvaluator(t *testing.T) {
 		t.Error("zero-value Property should error, not panic")
 	}
 }
-
-func TestFromSTLRobust(t *testing.T) {
-	e := Execution{Trace: trace(t, 1, map[string][]float64{
-		"temp": {60, 70, 74},
-	})}
-	f := stl.Globally{I: stl.Whole, F: stl.Atom{Signal: "temp", Op: stl.LT, Threshold: 78}}
-	// Minimum headroom is 78-74 = 4 degrees.
-	if !mustCheck(t, FromSTLRobust(f, 3), e) {
-		t.Error("margin 3 should hold with 4 degrees of headroom")
-	}
-	if mustCheck(t, FromSTLRobust(f, 5), e) {
-		t.Error("margin 5 should fail with 4 degrees of headroom")
-	}
-	if _, err := FromSTLRobust(f, 0).Check(Execution{}); err == nil {
-		t.Error("missing trace should error")
-	}
-}
-
-func TestRobustnessValues(t *testing.T) {
-	f := stl.Globally{I: stl.Whole, F: stl.Atom{Signal: "temp", Op: stl.LT, Threshold: 78}}
-	execs := []Execution{
-		{Trace: trace(t, 1, map[string][]float64{"temp": {60, 74}})}, // headroom 4
-		{Trace: trace(t, 1, map[string][]float64{"temp": {60, 70}})}, // headroom 8
-		{Trace: trace(t, 1, map[string][]float64{"temp": {60, 80}})}, // violated by 2
-	}
-	rhos, err := RobustnessValues(f, execs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{4, 8, -2}
-	for i := range want {
-		if rhos[i] != want[i] {
-			t.Errorf("rho[%d] = %g, want %g", i, rhos[i], want[i])
-		}
-	}
-	execs = append(execs, Execution{})
-	if _, err := RobustnessValues(f, execs); err == nil {
-		t.Error("missing trace should error")
-	}
-}

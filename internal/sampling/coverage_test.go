@@ -114,7 +114,7 @@ func coverageInterval(bench string, cfg sim.Config, d Design, base uint64) (stat
 	p := core.Params{F: covF, C: covC}
 	full := core.FuncCollector(simRunFunc(bench, cfg, covScale))
 	if d == Plain {
-		samples, err := core.Collect(core.RunFunc(full), base, covUnits, 0)
+		samples, err := full.Collect(base, covUnits, 0, core.Hooks{})
 		if err != nil {
 			return stats.Interval{}, err
 		}

@@ -2,7 +2,7 @@ package sampling
 
 // BenchmarkRunsToWidth measures the economic claim behind the
 // variance-reduction designs: how many simulator executions each design
-// needs before AnalyzeToWidth's interval narrows to a fixed target. The
+// needs before AnalyzeToWidthWith's interval narrows to a fixed target. The
 // target per profile is what the plain construction achieves at 400
 // samples, so "plain" converges near 400 full runs by construction and
 // the design rows show the savings. Three custom metrics feed

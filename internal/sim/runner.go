@@ -127,7 +127,7 @@ func cachedProgram(profile string, scale float64, progSeed uint64) (*workload.Pr
 
 // idleRunners holds idle arenas for the package-level Run/RunProgram
 // calls, so callers that simulate seed by seed — exp's ablation tables,
-// the examples, run functions handed to core.Collect — benefit from
+// the examples, run functions handed to core.CollectHooks — benefit from
 // machine reuse without holding a Runner explicitly. Unlike a sync.Pool,
 // a garbage collection does not empty it. It keeps at most GOMAXPROCS
 // arenas, as many as can execute at once, which bounds the memory idle

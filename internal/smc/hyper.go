@@ -37,22 +37,6 @@ func CheckHyperFixed(values []float64, k int, hp HyperProperty, f, c float64) (R
 	return CheckFixed(outcomes, f, c)
 }
 
-// HyperSampler adapts a per-execution metric sampler into a boolean Sampler
-// over k-tuples, for use with the sequential Algorithm 1.
-func HyperSampler(draw func() (float64, error), k int, hp HyperProperty) Sampler {
-	return SamplerFunc(func() (bool, error) {
-		tuple := make([]float64, k)
-		for i := range tuple {
-			v, err := draw()
-			if err != nil {
-				return false, err
-			}
-			tuple[i] = v
-		}
-		return hp(tuple), nil
-	})
-}
-
 // MaxPairwiseGapWithin returns a 2-ary hyperproperty that holds when the
 // absolute difference of the two executions' metrics is at most eps — the
 // paper's motivating example of studying "whether the performance of

@@ -57,34 +57,6 @@ func TestCheckHyperFixedDiscardsLeftover(t *testing.T) {
 	}
 }
 
-func TestHyperSamplerSequential(t *testing.T) {
-	r := randx.New(9)
-	draw := func() (float64, error) { return 50 + r.Normal(0, 0.01), nil }
-	s := HyperSampler(draw, 2, MaxPairwiseGapWithin(1))
-	res, err := CheckSequential(s, 0.9, 0.9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assertion != Positive {
-		t.Errorf("tight distribution should satisfy gap hyperproperty: %+v", res)
-	}
-}
-
-func TestHyperSamplerPropagatesError(t *testing.T) {
-	calls := 0
-	draw := func() (float64, error) {
-		calls++
-		if calls >= 2 {
-			return 0, ErrSampleBudget // any sentinel
-		}
-		return 1, nil
-	}
-	s := HyperSampler(draw, 2, MaxPairwiseGapWithin(1))
-	if _, err := s.Sample(); err == nil {
-		t.Error("draw error should propagate through HyperSampler")
-	}
-}
-
 func TestMaxPairwiseGapWithinEdge(t *testing.T) {
 	hp := MaxPairwiseGapWithin(2)
 	if !hp([]float64{1, 3}) {

@@ -16,10 +16,6 @@ import (
 type Formula interface {
 	// Sat reports boolean satisfaction at sample index i.
 	Sat(t *Trace, i int) (bool, error)
-	// Robustness returns the quantitative satisfaction margin at sample
-	// index i: positive values imply satisfaction, negative values imply
-	// violation (sign-soundness of STL robustness).
-	Robustness(t *Trace, i int) (float64, error)
 	// String renders the formula in the concrete syntax accepted by Parse.
 	String() string
 }
@@ -72,22 +68,6 @@ func (op CmpOp) eval(v, c float64) bool {
 	}
 }
 
-// robust returns the signed margin of v ⋈ c: positive iff satisfied (except
-// EQ/NE, which use −|v−c| and |v−c| respectively — sign-sound but never
-// strictly positive/negative at the boundary).
-func (op CmpOp) robust(v, c float64) float64 {
-	switch op {
-	case LT, LE:
-		return c - v
-	case GT, GE:
-		return v - c
-	case EQ:
-		return -math.Abs(v - c)
-	default:
-		return math.Abs(v - c)
-	}
-}
-
 // Atom is the predicate "signal ⋈ threshold".
 type Atom struct {
 	Signal    string
@@ -104,15 +84,6 @@ func (a Atom) Sat(t *Trace, i int) (bool, error) {
 	return a.Op.eval(v, a.Threshold), nil
 }
 
-// Robustness implements Formula.
-func (a Atom) Robustness(t *Trace, i int) (float64, error) {
-	v, err := t.Value(a.Signal, i)
-	if err != nil {
-		return 0, err
-	}
-	return a.Op.robust(v, a.Threshold), nil
-}
-
 // String implements Formula.
 func (a Atom) String() string {
 	return fmt.Sprintf("%s %s %g", a.Signal, a.Op, a.Threshold)
@@ -123,14 +94,6 @@ type Const bool
 
 // Sat implements Formula.
 func (c Const) Sat(*Trace, int) (bool, error) { return bool(c), nil }
-
-// Robustness implements Formula.
-func (c Const) Robustness(*Trace, int) (float64, error) {
-	if c {
-		return math.Inf(1), nil
-	}
-	return math.Inf(-1), nil
-}
 
 // String implements Formula.
 func (c Const) String() string {
@@ -147,12 +110,6 @@ type Not struct{ F Formula }
 func (n Not) Sat(t *Trace, i int) (bool, error) {
 	v, err := n.F.Sat(t, i)
 	return !v, err
-}
-
-// Robustness implements Formula.
-func (n Not) Robustness(t *Trace, i int) (float64, error) {
-	r, err := n.F.Robustness(t, i)
-	return -r, err
 }
 
 // String implements Formula.
@@ -175,19 +132,6 @@ func (a And) Sat(t *Trace, i int) (bool, error) {
 	return true, nil
 }
 
-// Robustness implements Formula.
-func (a And) Robustness(t *Trace, i int) (float64, error) {
-	rho := math.Inf(1)
-	for _, f := range a.Fs {
-		r, err := f.Robustness(t, i)
-		if err != nil {
-			return 0, err
-		}
-		rho = math.Min(rho, r)
-	}
-	return rho, nil
-}
-
 // String implements Formula.
 func (a And) String() string { return joinFormulas(a.Fs, " && ") }
 
@@ -208,19 +152,6 @@ func (o Or) Sat(t *Trace, i int) (bool, error) {
 	return false, nil
 }
 
-// Robustness implements Formula.
-func (o Or) Robustness(t *Trace, i int) (float64, error) {
-	rho := math.Inf(-1)
-	for _, f := range o.Fs {
-		r, err := f.Robustness(t, i)
-		if err != nil {
-			return 0, err
-		}
-		rho = math.Max(rho, r)
-	}
-	return rho, nil
-}
-
 // String implements Formula.
 func (o Or) String() string { return joinFormulas(o.Fs, " || ") }
 
@@ -237,19 +168,6 @@ func (im Implies) Sat(t *Trace, i int) (bool, error) {
 		return true, nil
 	}
 	return im.B.Sat(t, i)
-}
-
-// Robustness implements Formula.
-func (im Implies) Robustness(t *Trace, i int) (float64, error) {
-	ra, err := im.A.Robustness(t, i)
-	if err != nil {
-		return 0, err
-	}
-	rb, err := im.B.Robustness(t, i)
-	if err != nil {
-		return 0, err
-	}
-	return math.Max(-ra, rb), nil
 }
 
 // String implements Formula.
@@ -300,23 +218,6 @@ func (g Globally) Sat(t *Trace, i int) (bool, error) {
 	return true, nil
 }
 
-// Robustness implements Formula.
-func (g Globally) Robustness(t *Trace, i int) (float64, error) {
-	jLo, jHi, ok := t.window(i, g.I.Lo, g.I.Hi)
-	if !ok {
-		return math.Inf(1), nil
-	}
-	rho := math.Inf(1)
-	for j := jLo; j <= jHi; j++ {
-		r, err := g.F.Robustness(t, j)
-		if err != nil {
-			return 0, err
-		}
-		rho = math.Min(rho, r)
-	}
-	return rho, nil
-}
-
 // String implements Formula.
 func (g Globally) String() string { return "G" + g.I.String() + "(" + g.F.String() + ")" }
 
@@ -343,23 +244,6 @@ func (e Eventually) Sat(t *Trace, i int) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// Robustness implements Formula.
-func (e Eventually) Robustness(t *Trace, i int) (float64, error) {
-	jLo, jHi, ok := t.window(i, e.I.Lo, e.I.Hi)
-	if !ok {
-		return math.Inf(-1), nil
-	}
-	rho := math.Inf(-1)
-	for j := jLo; j <= jHi; j++ {
-		r, err := e.F.Robustness(t, j)
-		if err != nil {
-			return 0, err
-		}
-		rho = math.Max(rho, r)
-	}
-	return rho, nil
 }
 
 // String implements Formula.
@@ -404,31 +288,6 @@ func (u Until) Sat(t *Trace, i int) (bool, error) {
 	return false, nil
 }
 
-// Robustness implements Formula.
-func (u Until) Robustness(t *Trace, i int) (float64, error) {
-	jLo, jHi, ok := t.window(i, u.I.Lo, u.I.Hi)
-	if !ok {
-		return math.Inf(-1), nil
-	}
-	rho := math.Inf(-1)
-	for j := jLo; j <= jHi; j++ {
-		rb, err := u.B.Robustness(t, j)
-		if err != nil {
-			return 0, err
-		}
-		inner := rb
-		for k := i; k < j; k++ {
-			ra, err := u.A.Robustness(t, k)
-			if err != nil {
-				return 0, err
-			}
-			inner = math.Min(inner, ra)
-		}
-		rho = math.Max(rho, inner)
-	}
-	return rho, nil
-}
-
 // String implements Formula.
 func (u Until) String() string {
 	return "(" + u.A.String() + ") U" + u.I.String() + " (" + u.B.String() + ")"
@@ -453,14 +312,6 @@ func (x Next) Sat(t *Trace, i int) (bool, error) {
 		return false, nil
 	}
 	return x.F.Sat(t, i+1)
-}
-
-// Robustness implements Formula.
-func (x Next) Robustness(t *Trace, i int) (float64, error) {
-	if i+1 >= t.Len() {
-		return math.Inf(-1), nil
-	}
-	return x.F.Robustness(t, i+1)
 }
 
 // String implements Formula.
@@ -509,17 +360,6 @@ func (rl Release) Sat(t *Trace, i int) (bool, error) {
 		}
 	}
 	return true, nil // B held throughout the window
-}
-
-// Robustness implements Formula.
-func (rl Release) Robustness(t *Trace, i int) (float64, error) {
-	// Duality: ρ(A R B) = −ρ(!A U !B).
-	dual := Until{I: rl.I, A: Not{F: rl.A}, B: Not{F: rl.B}}
-	r, err := dual.Robustness(t, i)
-	if err != nil {
-		return 0, err
-	}
-	return -r, nil
 }
 
 // String implements Formula.

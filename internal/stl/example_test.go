@@ -20,13 +20,3 @@ func ExampleParse() {
 	fmt.Println(ok)
 	// Output: true
 }
-
-// Robustness gives the satisfaction margin, not just the verdict.
-func ExampleFormula() {
-	tr, _ := stl.NewTrace(1)
-	_ = tr.Add("temp", []float64{60, 70, 76})
-	f := stl.Globally{I: stl.Whole, F: stl.Atom{Signal: "temp", Op: stl.LT, Threshold: 78}}
-	rho, _ := f.Robustness(tr, 0)
-	fmt.Println(rho) // 2 degrees of headroom before the property breaks
-	// Output: 2
-}

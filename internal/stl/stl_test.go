@@ -80,35 +80,30 @@ func TestAtomSatAndRobustness(t *testing.T) {
 		f    Formula
 		i    int
 		want bool
-		rho  float64
 	}{
-		{Atom{"x", LT, 3}, 0, true, 2},
-		{Atom{"x", LT, 3}, 1, false, -2},
-		{Atom{"x", LE, 5}, 1, true, 0},
-		{Atom{"x", GT, 4}, 1, true, 1},
-		{Atom{"x", GE, 10}, 2, true, 0},
-		{Atom{"x", EQ, 5}, 1, true, 0},
-		{Atom{"x", EQ, 5}, 0, false, -4},
-		{Atom{"x", NE, 5}, 0, true, 4},
-		{Atom{"x", NE, 5}, 1, false, 0},
+		{Atom{"x", LT, 3}, 0, true},
+		{Atom{"x", LT, 3}, 1, false},
+		{Atom{"x", LE, 5}, 1, true},
+		{Atom{"x", GT, 4}, 1, true},
+		{Atom{"x", GE, 10}, 2, true},
+		{Atom{"x", EQ, 5}, 1, true},
+		{Atom{"x", EQ, 5}, 0, false},
+		{Atom{"x", NE, 5}, 0, true},
+		{Atom{"x", NE, 5}, 1, false},
 	}
 	for _, c := range cases {
 		got, err := c.f.Sat(tr, c.i)
 		if err != nil || got != c.want {
 			t.Errorf("%v@%d = %v,%v want %v", c.f, c.i, got, err, c.want)
 		}
-		rho, err := c.f.Robustness(tr, c.i)
-		if err != nil || rho != c.rho {
-			t.Errorf("ρ(%v@%d) = %g,%v want %g", c.f, c.i, rho, err, c.rho)
-		}
 	}
 }
 
 func TestBooleanConnectives(t *testing.T) {
 	tr := mkTrace(t, 1, map[string][]float64{"x": {2}, "y": {8}})
-	xLow := Atom{"x", LT, 5}  // true, ρ=3
-	yLow := Atom{"y", LT, 5}  // false, ρ=-3
-	yHigh := Atom{"y", GT, 5} // true, ρ=3
+	xLow := Atom{"x", LT, 5}  // true
+	yLow := Atom{"y", LT, 5}  // false
+	yHigh := Atom{"y", GT, 5} // true
 
 	if ok, _ := (And{Fs: []Formula{xLow, yHigh}}).Sat(tr, 0); !ok {
 		t.Error("And of trues should hold")
@@ -128,19 +123,6 @@ func TestBooleanConnectives(t *testing.T) {
 	if ok, _ := (Implies{A: xLow, B: yLow}).Sat(tr, 0); ok {
 		t.Error("true -> false should fail")
 	}
-	// Robustness: min for and, max for or, negation flips.
-	if rho, _ := (And{Fs: []Formula{xLow, yLow}}).Robustness(tr, 0); rho != -3 {
-		t.Errorf("And robustness = %g, want -3", rho)
-	}
-	if rho, _ := (Or{Fs: []Formula{xLow, yLow}}).Robustness(tr, 0); rho != 3 {
-		t.Errorf("Or robustness = %g, want 3", rho)
-	}
-	if rho, _ := (Not{F: xLow}).Robustness(tr, 0); rho != -3 {
-		t.Errorf("Not robustness = %g, want -3", rho)
-	}
-	if rho, _ := (Implies{A: xLow, B: yLow}).Robustness(tr, 0); rho != -3 {
-		t.Errorf("Implies robustness = %g, want -3", rho)
-	}
 }
 
 func TestConst(t *testing.T) {
@@ -148,8 +130,8 @@ func TestConst(t *testing.T) {
 	if ok, _ := Const(true).Sat(tr, 0); !ok {
 		t.Error("true const")
 	}
-	if rho, _ := Const(false).Robustness(tr, 0); !math.IsInf(rho, -1) {
-		t.Error("false const robustness should be -Inf")
+	if ok, _ := Const(false).Sat(tr, 0); ok {
+		t.Error("false const")
 	}
 }
 
@@ -169,13 +151,6 @@ func TestGloballyBounded(t *testing.T) {
 	if ok, _ := gBeyond.Sat(tr, 0); !ok {
 		t.Error("empty clipped window should be vacuously true")
 	}
-	if rho, _ := gBeyond.Robustness(tr, 0); !math.IsInf(rho, 1) {
-		t.Error("vacuous Globally robustness should be +Inf")
-	}
-	// Robustness is the min margin over the window.
-	if rho, _ := g05.Robustness(tr, 0); rho != -4 {
-		t.Errorf("G robustness = %g, want -4", rho)
-	}
 }
 
 func TestEventuallyBounded(t *testing.T) {
@@ -190,13 +165,10 @@ func TestEventuallyBounded(t *testing.T) {
 	if ok, _ := (Eventually{I: Interval{0, 10}, F: Atom{"e", GE, 1}}).Sat(tr, 3); !ok {
 		t.Error("event at own instant should be found")
 	}
-	// Empty window is false with -Inf robustness.
+	// Empty window is false.
 	e := Eventually{I: Interval{1000, 2000}, F: Atom{"e", GE, 1}}
 	if ok, _ := e.Sat(tr, 0); ok {
 		t.Error("empty window Eventually should be false")
-	}
-	if rho, _ := e.Robustness(tr, 0); !math.IsInf(rho, -1) {
-		t.Error("empty window Eventually robustness should be -Inf")
 	}
 }
 
@@ -225,15 +197,6 @@ func TestUntil(t *testing.T) {
 	})
 	if ok, _ := u.Sat(tr3, 0); ok {
 		t.Error("Until without the event should fail")
-	}
-	// Robustness sign-soundness (use thresholds with margin: at "≥ 1" the
-	// margin of a value of exactly 1 is 0).
-	uMargin := Until{I: Whole, A: Atom{"state", GE, 0.5}, B: Atom{"event", GE, 0.5}}
-	if rho, _ := uMargin.Robustness(tr, 0); rho != 0.5 {
-		t.Errorf("satisfied Until robustness = %g, want 0.5", rho)
-	}
-	if rho, _ := uMargin.Robustness(tr3, 0); rho >= 0 {
-		t.Errorf("violated Until robustness = %g, want < 0", rho)
 	}
 }
 
@@ -346,41 +309,6 @@ func TestUnknownSignalErrors(t *testing.T) {
 		if _, err := f.Sat(tr, 0); err == nil {
 			t.Errorf("%v should error on unknown signal", f)
 		}
-		if _, err := f.Robustness(tr, 0); err == nil {
-			t.Errorf("%v robustness should error on unknown signal", f)
-		}
-	}
-}
-
-// Sign-soundness of robustness: ρ > 0 ⇒ satisfied, ρ < 0 ⇒ violated.
-func TestRobustnessSignSoundness(t *testing.T) {
-	tr := mkTrace(t, 1, map[string][]float64{
-		"a": {3, 1, 4, 1, 5, 9, 2, 6},
-		"b": {2, 7, 1, 8, 2, 8, 1, 8},
-	})
-	formulas := []string{
-		"a > 2", "b < 5", "a > 2 && b < 5", "a > 8 || b > 6",
-		"G[0,3](a > 0)", "F[0,7](a > 8)", "(a > 0) U[0,7] (b > 7)",
-		"(a > 3) -> (b > 3)", "!(a > 4)",
-	}
-	for _, in := range formulas {
-		f := mustParse(t, in)
-		for i := 0; i < tr.Len(); i++ {
-			sat, err := f.Sat(tr, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rho, err := f.Robustness(tr, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rho > 0 && !sat {
-				t.Errorf("%q@%d: ρ=%g but not satisfied", in, i, rho)
-			}
-			if rho < 0 && sat {
-				t.Errorf("%q@%d: ρ=%g but satisfied", in, i, rho)
-			}
-		}
 	}
 }
 
@@ -407,15 +335,9 @@ func TestNextOperator(t *testing.T) {
 	if ok, _ := x5.Sat(tr, 1); ok {
 		t.Error("X(x>4) at 1 should see x=2 at 2")
 	}
-	// Final sample has no successor: false, -Inf robustness.
+	// Final sample has no successor: false.
 	if ok, _ := x5.Sat(tr, 2); ok {
 		t.Error("X at the last sample should be false")
-	}
-	if rho, _ := x5.Robustness(tr, 2); !math.IsInf(rho, -1) {
-		t.Error("X at the last sample should have -Inf robustness")
-	}
-	if rho, _ := x5.Robustness(tr, 0); rho != 1 {
-		t.Errorf("X robustness = %g, want 1", rho)
 	}
 }
 

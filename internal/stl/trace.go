@@ -4,8 +4,8 @@
 //
 //   - Trace: a uniformly sampled multi-signal execution record, produced by
 //     the simulator;
-//   - Formula: an STL syntax tree with boolean satisfaction and
-//     quantitative robustness semantics over finite traces;
+//   - Formula: an STL syntax tree with boolean satisfaction semantics
+//     over finite traces;
 //   - Parse: a text syntax for formulas, e.g.
 //     "G[0,5000](ipc > 0.4) && F[0,1000](l2_mpki < 3)".
 //

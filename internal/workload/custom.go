@@ -52,112 +52,6 @@ func (rs RegionSpec) build(tid int, r *randx.Rand) *region {
 	return reg
 }
 
-// DataParallelSpec declares one data-parallel thread group: every thread
-// runs the same iteration structure over its own private region plus the
-// shared region.
-type DataParallelSpec struct {
-	Threads        int
-	Iterations     int
-	ComputeMean    int     // cycles per iteration burst
-	ComputeJitter  int     // ± uniform jitter on the burst
-	InstrsPerCycle float64 // instructions represented per compute cycle
-	MemOps         int     // memory accesses per iteration
-	WriteFraction  float64
-	SharedFraction float64 // fraction of accesses to the shared region
-	Branches       int
-	BranchBias     float64
-	Private        RegionSpec // Shared flag ignored (always private)
-	Shared         *RegionSpec
-	// LockID < 0 disables the critical section; LockEvery iterations take
-	// the lock around LockHeldOps shared accesses.
-	LockID      int
-	LockEvery   int
-	LockHeldOps int
-	// BarrierEvery iterations joins barrier 0 (0 disables).
-	BarrierEvery int
-}
-
-func (spec DataParallelSpec) validate() error {
-	switch {
-	case spec.Threads < 1:
-		return errors.New("workload: need at least one thread")
-	case spec.Iterations < 1:
-		return errors.New("workload: need at least one iteration")
-	case spec.ComputeMean < 1:
-		return errors.New("workload: non-positive compute burst")
-	case spec.MemOps < 0 || spec.Branches < 0:
-		return errors.New("workload: negative op counts")
-	case spec.WriteFraction < 0 || spec.WriteFraction > 1,
-		spec.SharedFraction < 0 || spec.SharedFraction > 1,
-		spec.BranchBias < 0 || spec.BranchBias > 1:
-		return errors.New("workload: fractions must be in [0,1]")
-	case spec.LockID >= 0 && spec.Shared == nil && spec.LockHeldOps > 0:
-		return errors.New("workload: critical sections need a shared region")
-	case spec.SharedFraction > 0 && spec.Shared == nil:
-		return errors.New("workload: shared fraction set without a shared region")
-	}
-	if err := spec.Private.validate(); err != nil {
-		return err
-	}
-	if spec.Shared != nil {
-		if err := spec.Shared.validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NewDataParallelProfile builds a custom data-parallel workload profile.
-// The returned profile behaves exactly like the built-ins: Build
-// instantiates deterministic per-thread op streams for a run.
-func NewDataParallelProfile(name string, spec DataParallelSpec) (Profile, error) {
-	if name == "" {
-		return Profile{}, errors.New("workload: empty profile name")
-	}
-	if err := spec.validate(); err != nil {
-		return Profile{}, err
-	}
-	return Profile{
-		Name: name,
-		Build: func(scale float64, r *randx.Rand) *Program {
-			prog := &Program{Name: name}
-			iters := scaleCount(spec.Iterations, scale)
-			var shared *region
-			if spec.Shared != nil {
-				sh := *spec.Shared
-				sh.Shared = true
-				shared = sh.build(0, r.Split(1000))
-			}
-			for t := 0; t < spec.Threads; t++ {
-				tr := r.Split(uint64(t))
-				lockID := spec.LockID
-				barrierID := -1
-				if spec.BarrierEvery > 0 {
-					barrierID = 0
-				}
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: spec.ComputeMean, computeJitter: spec.ComputeJitter,
-					instrsPerCycle: spec.InstrsPerCycle, memOps: spec.MemOps,
-					writeFrac: spec.WriteFraction, sharedFrac: spec.SharedFraction,
-					branches: spec.Branches, branchBias: spec.BranchBias,
-					// Split before dataParallelThread draws from tr, as
-					// the built-in profiles do (profiles.go).
-					private: spec.Private.build(t, tr.Split(1)),
-					shared:  shared, lockID: lockID, lockEvery: spec.LockEvery,
-					lockHeldOps: spec.LockHeldOps,
-					barrierID:   barrierID, barrierEvery: spec.BarrierEvery,
-					pcBase: 0xC000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			if spec.BarrierEvery > 0 {
-				prog.Barriers = []BarrierSpec{{ID: 0, Participants: spec.Threads}}
-			}
-			return prog.drawShared(shared)
-		},
-	}, nil
-}
-
 // PipelineStageSpec declares one stage of a custom pipeline profile.
 type PipelineStageSpec struct {
 	// Threads run this stage in parallel, splitting its items evenly

@@ -6,68 +6,6 @@ import (
 	"repro/internal/randx"
 )
 
-func validDataParallel() DataParallelSpec {
-	return DataParallelSpec{
-		Threads: 4, Iterations: 50,
-		ComputeMean: 100, ComputeJitter: 10, InstrsPerCycle: 1.2,
-		MemOps: 20, WriteFraction: 0.3, SharedFraction: 0.2,
-		Branches: 3, BranchBias: 0.8,
-		Private: RegionSpec{SizeBytes: 1 << 20, HotFraction: 0.9, HotBlocks: 32, AdvanceEvery: 100},
-		Shared:  &RegionSpec{SizeBytes: 2 << 20, ZipfSkew: 0.8},
-		LockID:  0, LockEvery: 10, LockHeldOps: 2,
-		BarrierEvery: 25,
-	}
-}
-
-func TestNewDataParallelProfile(t *testing.T) {
-	p, err := NewDataParallelProfile("mybench", validDataParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := p.Build(1.0, randx.New(3))
-	if len(prog.Threads) != 4 || len(prog.Barriers) != 1 {
-		t.Fatalf("program shape wrong: %d threads, %d barriers", len(prog.Threads), len(prog.Barriers))
-	}
-	kinds := map[OpKind]int{}
-	for _, ops := range prog.Threads {
-		for _, op := range ops {
-			kinds[op.Kind()]++
-		}
-	}
-	for _, k := range []OpKind{OpCompute, OpLoad, OpStore, OpBranch, OpLock, OpUnlock, OpBarrier} {
-		if kinds[k] == 0 {
-			t.Errorf("custom profile emitted no ops of kind %d", k)
-		}
-	}
-	if kinds[OpLock] != kinds[OpUnlock] {
-		t.Errorf("lock/unlock imbalance: %d vs %d", kinds[OpLock], kinds[OpUnlock])
-	}
-}
-
-func TestNewDataParallelProfileValidation(t *testing.T) {
-	if _, err := NewDataParallelProfile("", validDataParallel()); err == nil {
-		t.Error("empty name should error")
-	}
-	muts := []func(*DataParallelSpec){
-		func(s *DataParallelSpec) { s.Threads = 0 },
-		func(s *DataParallelSpec) { s.Iterations = 0 },
-		func(s *DataParallelSpec) { s.ComputeMean = 0 },
-		func(s *DataParallelSpec) { s.MemOps = -1 },
-		func(s *DataParallelSpec) { s.WriteFraction = 2 },
-		func(s *DataParallelSpec) { s.SharedFraction = -0.1 },
-		func(s *DataParallelSpec) { s.Shared = nil }, // shared frac still 0.2
-		func(s *DataParallelSpec) { s.Private.SizeBytes = 1 },
-		func(s *DataParallelSpec) { s.Shared.ZipfSkew = -1 },
-	}
-	for i, mut := range muts {
-		spec := validDataParallel()
-		mut(&spec)
-		if _, err := NewDataParallelProfile("x", spec); err == nil {
-			t.Errorf("mutation %d should be invalid", i)
-		}
-	}
-}
-
 func validPipeline() PipelineSpec {
 	return PipelineSpec{
 		Items: 24, QueueCapacity: 2,
@@ -148,6 +86,8 @@ func TestNewPipelineProfileValidation(t *testing.T) {
 		func(s *PipelineSpec) { s.Stages[0].Threads = 5 }, // 24 % 5 != 0
 		func(s *PipelineSpec) { s.Stages[1].ComputeMean = 0 },
 		func(s *PipelineSpec) { s.Shared.SizeBytes = 1 },
+		func(s *PipelineSpec) { s.Private.SizeBytes = 1 },
+		func(s *PipelineSpec) { s.Shared.ZipfSkew = -1 },
 	}
 	for i, mut := range muts {
 		spec := validPipeline()
