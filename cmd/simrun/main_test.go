@@ -117,6 +117,13 @@ func TestBadBenchAndFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(population.MaxRuns)) {
 		t.Errorf("-runs 2^62: err = %v, want one naming the bound %d", err, population.MaxRuns)
 	}
+	// A scale that is not finite or over workload.MaxScale is refused, not
+	// a panic hashing the cache key or a huge program build.
+	for _, scale := range []string{"NaN", "+Inf", "5"} {
+		if err := run([]string{"-bench", "swaptions", "-runs", "2", "-scale", scale}, &buf); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("-scale %s: err = %v, want a scale error", scale, err)
+		}
+	}
 	if err := run([]string{"-notaflag"}, &buf); err == nil {
 		t.Error("bad flag should error")
 	}

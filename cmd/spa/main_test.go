@@ -373,6 +373,16 @@ func TestCISim(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(population.MaxRuns)) {
 		t.Errorf("-runs 2^62: err = %v, want one naming the bound %d", err, population.MaxRuns)
 	}
+	// So is a NaN scale or pilot scale, which used to panic hashing the
+	// population cache key.
+	for _, args := range [][]string{
+		{"ci", "-sim", "swaptions", "-runs", "40", "-scale", "NaN", "-f", "0.5", "-c", "0.9"},
+		adaptiveArgs("stratified", "-pilot-scale", "NaN"),
+	} {
+		if _, err := runOut(t, args...); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("spa %v: err = %v, want a scale error", args, err)
+		}
+	}
 }
 
 // adaptiveArgs is an adaptive -sim CI under design ("" for plain).

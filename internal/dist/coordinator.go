@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Job names the deterministic work a campaign farms out: which workload
@@ -296,6 +297,9 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 	}
 	if job.Benchmark == "" {
 		return nil, errors.New("dist: job has no benchmark")
+	}
+	if err := workload.CheckScale(job.Scale); err != nil {
+		return nil, fmt.Errorf("dist: job: %w", err)
 	}
 	if err := job.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("dist: job config: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // startWorker boots a real worker on a loopback port and tears it down
@@ -166,6 +168,13 @@ func TestRunRejectsBadJobs(t *testing.T) {
 	bad.Config.Cores = -1
 	if _, err := c.RunCtx(context.Background(), bad, testSeed, 4, population.RunHooks{}); err == nil {
 		t.Error("invalid config should error")
+	}
+	for _, scale := range []float64{0, -1, workload.MaxScale + 1, math.NaN(), math.Inf(1)} {
+		job := testJob()
+		job.Scale = scale
+		if _, err := c.RunCtx(context.Background(), job, testSeed, 4, population.RunHooks{}); err == nil {
+			t.Errorf("scale %v should error", scale)
+		}
 	}
 }
 

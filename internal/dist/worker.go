@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Worker serves seed chunks to coordinators: it listens on a TCP
@@ -279,8 +280,10 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 		obs.Int("start", req.Start), obs.Int("count", req.Count))
 	w.activeChunks.Add(1)
 	defer w.activeChunks.Add(-1)
-	// The count is peer input: bound it before anything is sized by it.
-	if req.Count < 1 || req.Count > maxChunk || req.Start < 0 || req.Config == nil || req.Benchmark == "" {
+	// The count and scale are peer input: bound them before anything is
+	// sized by them.
+	if req.Count < 1 || req.Count > maxChunk || req.Start < 0 || req.Config == nil || req.Benchmark == "" ||
+		workload.CheckScale(req.Scale) != nil {
 		span.End(obs.Str("error", "malformed chunk"))
 		return c.send(frame{Type: frameError, ID: req.ID, Error: "malformed run_chunk frame"})
 	}

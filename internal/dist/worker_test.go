@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // dialRaw opens a raw protocol connection to a worker, without the
@@ -210,17 +212,25 @@ func TestWorkerRejectsOversizedChunk(t *testing.T) {
 		return frame{Type: frameRunChunk, ID: id, Benchmark: testBench, Config: &cfg,
 			Scale: testScale, BaseSeed: testSeed, Start: start, Count: count}
 	}
+	scaled := func(id uint64, scale float64) frame {
+		f := chunk(id, 0, 2)
+		f.Scale = scale
+		return f
+	}
 	for i, bad := range []frame{
 		chunk(10, 0, 1<<60),
 		chunk(11, 0, 100_000_000_000),
 		chunk(12, 0, maxChunk+1),
 		chunk(13, -1, 2),
+		scaled(14, workload.MaxScale+1),
+		scaled(15, 0),
+		scaled(16, -1),
 	} {
 		if err := c.send(bad); err != nil {
 			t.Fatalf("bad chunk %d: %v", i, err)
 		}
 		if f := recvT(t, c); f.Type != frameError || f.ID != bad.ID || f.Error != "malformed run_chunk frame" {
-			t.Fatalf("chunk of start %d, count %d answered with %+v, want a malformed run_chunk error", bad.Start, bad.Count, f)
+			t.Fatalf("chunk of start %d, count %d, scale %v answered with %+v, want a malformed run_chunk error", bad.Start, bad.Count, bad.Scale, f)
 		}
 	}
 	if err := c.send(chunk(20, 0, 2)); err != nil {
@@ -235,7 +245,40 @@ func TestWorkerRejectsOversizedChunk(t *testing.T) {
 	}
 	// Only the executed chunk counts as served.
 	if n := w.Status().ChunksServed; n != 1 {
-		t.Errorf("worker counts %d chunks served after 4 refusals and 1 executed chunk, want 1", n)
+		t.Errorf("worker counts %d chunks served after 7 refusals and 1 executed chunk, want 1", n)
+	}
+}
+
+// TestWorkerRefusesUnboundedConfig: a chunk whose config asks for a
+// predictor of math.MaxInt entries, whose table doubling would never end,
+// is answered with an error frame within a deadline, and the connection
+// then serves a valid chunk.
+func TestWorkerRefusesUnboundedConfig(t *testing.T) {
+	w := startWorker(t)
+	c := dialRaw(t, w.Addr())
+	if err := c.handshake(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	bad, good := sim.DefaultConfig(), sim.DefaultConfig()
+	bad.BPEntries = math.MaxInt
+	for _, ch := range []struct {
+		id   uint64
+		cfg  *sim.Config
+		want string
+	}{{1, &bad, frameError}, {2, &good, frameChunkDone}} {
+		if err := c.send(frame{Type: frameRunChunk, ID: ch.id, Benchmark: testBench, Config: ch.cfg,
+			Scale: testScale, BaseSeed: testSeed, Count: 2}); err != nil {
+			t.Fatal(err)
+		}
+		// Heartbeats arrive while the chunk runs; the deadline spans them all.
+		deadline := time.Now().Add(5 * time.Second)
+		f, err := c.recv(deadline)
+		for err == nil && f.Type == frameHeartbeat {
+			f, err = c.recv(deadline)
+		}
+		if err != nil || f.Type != ch.want || f.ID != ch.id {
+			t.Fatalf("chunk %d answered with %+v, %v; want %s", ch.id, f, err, ch.want)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package manifest
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/population"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestTemplateIsValid(t *testing.T) {
@@ -49,6 +51,16 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"no entries", func(m *Manifest) { m.Entries = nil }},
 		{"no analyses", func(m *Manifest) { m.Analyses = nil }},
 		{"negative scale", func(m *Manifest) { m.Scale = -1 }},
+		{"scale over the bound", func(m *Manifest) { m.Scale = workload.MaxScale + 0.5 }},
+		{"NaN scale", func(m *Manifest) { m.Scale = math.NaN() }},
+		{"infinite scale", func(m *Manifest) { m.Scale = math.Inf(1) }},
+		// NaN would reach popcache's key hash, which JSON cannot encode.
+		{"NaN pilot_scale", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].PilotScale = 0.01, "stratified", math.NaN()
+		}},
+		{"NaN fidelity", func(m *Manifest) {
+			m.Analyses[0].TargetWidth, m.Analyses[0].Sampling, m.Analyses[0].Fidelity = 0.01, "stratified", math.NaN()
+		}},
 		{"negative runs", func(m *Manifest) { m.Runs = -1 }},
 		{"unknown benchmark", func(m *Manifest) { m.Entries[0].Benchmark = "nope" }},
 		{"unknown variant", func(m *Manifest) { m.Entries[0].Variant = "warp" }},

@@ -85,7 +85,9 @@ const keyVersion = 1
 func (k Key) Hash() string {
 	data, err := json.Marshal(keyEnvelope{Version: keyVersion, Key: k})
 	if err != nil {
-		// Key contains only scalars and strings; Marshal cannot fail.
+		// Marshal fails only on a NaN or infinite float. Source refuses
+		// such a scale before hashing, manifests and sampling options
+		// such a pilot scale or fidelity, and no input sets a Config float.
 		panic(fmt.Sprintf("popcache: marshaling key: %v", err))
 	}
 	sum := sha256.Sum256(data)

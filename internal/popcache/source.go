@@ -2,11 +2,13 @@ package popcache
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/population"
+	"repro/internal/workload"
 )
 
 // Source is the one way to get a population. A request looks its recipe
@@ -61,6 +63,10 @@ func (s *Source) Pilot(ctx context.Context, recipe Key, metric string) func(base
 }
 
 func (s *Source) get(ctx context.Context, k Key, pilot bool) (*population.Population, bool, error) {
+	// Refused before the key is hashed: JSON has no NaN or ±Inf.
+	if err := workload.CheckScale(k.Scale); err != nil {
+		return nil, false, fmt.Errorf("popcache: %w", err)
+	}
 	if pop := s.Cache.Get(k); pop != nil {
 		return pop, true, nil
 	}

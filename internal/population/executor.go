@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // MaxRuns bounds every run count a population is built from: a manifest's
@@ -51,6 +52,9 @@ func (e *Executor) Parallelism() int { return cap(e.arenas) }
 // flight, and then returns the error of the lowest failing run, or
 // context.Cause(ctx) if the context stopped it first.
 func (e *Executor) Run(ctx context.Context, benchmark string, cfg sim.Config, scale float64, baseSeed uint64, start, count int, h RunHooks) ([]map[string]float64, error) {
+	if err := workload.CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("population: %w", err)
+	}
 	metrics := make([]map[string]float64, count)
 	errs := make([]error, count)
 	var failed atomic.Bool

@@ -3,12 +3,14 @@ package population
 import (
 	"bytes"
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/randx"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func smallPop(t *testing.T, runs int) *Population {
@@ -66,6 +68,11 @@ func TestGenerateErrors(t *testing.T) {
 	bad.Cores = 0
 	if _, err := Generate("swaptions", bad, 0.05, 2, 0, 1); err == nil {
 		t.Error("bad config should error")
+	}
+	for _, scale := range []float64{0, -1, workload.MaxScale + 1, math.NaN(), math.Inf(1)} {
+		if _, err := Generate("swaptions", sim.DefaultConfig(), scale, 2, 0, 1); err == nil {
+			t.Errorf("scale %v should error", scale)
+		}
 	}
 }
 

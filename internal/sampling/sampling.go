@@ -215,7 +215,7 @@ func (o Options) normalize() (Options, error) {
 	if r := o.PilotBlock % o.Strata; r != 0 {
 		o.PilotBlock += o.Strata - r
 	}
-	if o.Fidelity < 0 || o.Fidelity > maxFidelity {
+	if !(o.Fidelity >= 0 && o.Fidelity <= maxFidelity) { // NaN fails both compares
 		return o, fmt.Errorf("sampling: fidelity %v outside [0, %v]", o.Fidelity, maxFidelity)
 	}
 	if o.Metric == "" {

@@ -14,7 +14,10 @@
 // require (Sec. 5.2).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes the simulated system. DefaultConfig reproduces Table 2.
 type Config struct {
@@ -237,27 +240,75 @@ func VariantConfig(name string) (Config, error) {
 	return cfg, nil
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency. A Config also arrives in a
+// worker's run_chunk frame and from simrun's flags, so Validate bounds
+// every field that sizes an allocation or a per-run loop, far above
+// Table 2's values, and refuses non-finite floats.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name     string
+		v        float64
+		fraction bool
+	}{
+		{"frequency", c.FreqGHz, false}, {"migration flush", c.MigrationFlush, true},
+		{"OS noise rate", c.OSNoiseRate, true}, {"colocation probability", c.ColocationProb, true},
+		{"colocation factor", c.ColocationFactor, false}, {"ambient", c.Thermal.Ambient, false},
+		{"heat rate", c.Thermal.HeatRate, false}, {"cool rate", c.Thermal.CoolRate, true},
+		{"sprint enter", c.Thermal.SprintEnter, false}, {"alert temperature", c.Thermal.AlertTemp, false},
+		{"sprint boost", c.Thermal.SprintBoost, false}, {"throttle dip", c.Thermal.ThrottleDip, false},
+		{"initial spread", c.Thermal.InitSpread, false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.fraction && (f.v < 0 || f.v > 1) {
+			return fmt.Errorf("sim: %s %v not finite or, for a fraction, outside [0,1]", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Cores <= 0 || c.Cores > 64:
 		return fmt.Errorf("sim: cores %d outside 1..64", c.Cores)
 	case c.FreqGHz <= 0:
 		return fmt.Errorf("sim: non-positive frequency")
-	case c.BlockSize <= 0 || c.BlockSize&(c.BlockSize-1) != 0:
-		return fmt.Errorf("sim: block size %d not a power of two", c.BlockSize)
-	case c.L2Banks <= 0:
-		return fmt.Errorf("sim: non-positive L2 bank count")
-	case c.SampleInterval == 0:
-		return fmt.Errorf("sim: zero sample interval")
+	// Each cache holds 16 bytes of tag and stamp per block, and every
+	// access scans one set's ways. With blocks of 16 bytes or more, the
+	// caches of 64 cores take at most 192 MiB.
+	case c.BlockSize < 16 || c.BlockSize > 4096 || c.BlockSize&(c.BlockSize-1) != 0:
+		return fmt.Errorf("sim: block size %d not a power of two in [16, 4096]", c.BlockSize)
+	case c.L1ISize <= 0 || c.L1ISize > 1<<20 || c.L1DSize <= 0 || c.L1DSize > 1<<20:
+		return fmt.Errorf("sim: L1 sizes %d/%d outside (0, 1 MiB]", c.L1ISize, c.L1DSize)
+	case c.L2Size <= 0 || c.L2Size > 1<<26:
+		return fmt.Errorf("sim: L2 size %d outside (0, 64 MiB]", c.L2Size)
+	case c.L1IWays < 1 || c.L1IWays > 64 || c.L1DWays < 1 || c.L1DWays > 64 || c.L2Ways < 1 || c.L2Ways > 64:
+		return fmt.Errorf("sim: ways %d/%d/%d outside 1..64", c.L1IWays, c.L1DWays, c.L2Ways)
+	// A page holds whole blocks; 1 GiB is the largest x86 page.
+	case c.PageSize < c.BlockSize || c.PageSize > 1<<30 || c.PageSize&(c.PageSize-1) != 0:
+		return fmt.Errorf("sim: page size %d not a power of two in [block size, 1 GiB]", c.PageSize)
+	// The predictor's table doubles up to BPEntries one byte each (past
+	// 2^62 the doubling overflows and never ends), and a gshare history
+	// needs no more bits than the largest table's index.
+	case c.BPEntries < 1 || c.BPEntries > 1<<20 || c.BPHistoryBits > 20:
+		return fmt.Errorf("sim: predictor of %d entries, %d history bits outside 1..2^20, 0..20", c.BPEntries, c.BPHistoryBits)
+	// Each core's TLB takes about 40 bytes per entry.
+	case c.TLBEntries < 1 || c.TLBEntries > 1<<14:
+		return fmt.Errorf("sim: TLB entries %d outside 1..16384", c.TLBEntries)
+	// The crossbar keeps one output port per bank, and a block crosses a
+	// link in BlockSize/LinkBytes flits.
+	case c.L2Banks <= 0 || c.L2Banks > 64:
+		return fmt.Errorf("sim: L2 banks %d outside 1..64", c.L2Banks)
+	case c.LinkBytes < 1 || c.LinkBytes > c.BlockSize:
+		return fmt.Errorf("sim: link width %d outside [1, block size]", c.LinkBytes)
+	// A full window is scanned on every access, and each context switch
+	// streams CtxSwitchKernelBlocks blocks through the L2.
+	case c.MSHRs < 1 || c.MSHRs > 256:
+		return fmt.Errorf("sim: MSHRs %d outside 1..256", c.MSHRs)
+	case c.CtxSwitchKernelBlocks < 0 || c.CtxSwitchKernelBlocks > 1<<16:
+		return fmt.Errorf("sim: kernel blocks per context switch %d outside 0..65536", c.CtxSwitchKernelBlocks)
+	// The trace grows by one value per signal every SampleInterval cycles
+	// until MaxCycles: at most 2^20 samples, 72 MiB.
+	case c.SampleInterval == 0 || c.MaxCycles/c.SampleInterval > 1<<20:
+		return fmt.Errorf("sim: %d cycles sampled every %d exceed 2^20 trace samples", c.MaxCycles, c.SampleInterval)
 	case c.MaxCycles == 0:
 		return fmt.Errorf("sim: zero cycle budget")
-	case c.ColocationProb < 0 || c.ColocationProb > 1:
-		return fmt.Errorf("sim: colocation probability %g outside [0,1]", c.ColocationProb)
 	case c.BPKind != "" && c.BPKind != "bimodal" && c.BPKind != "gshare":
 		return fmt.Errorf("sim: unknown branch predictor %q", c.BPKind)
-	case c.MSHRs < 1:
-		return fmt.Errorf("sim: MSHRs %d must be at least 1", c.MSHRs)
 	case c.CoherenceProtocol != "" && c.CoherenceProtocol != "mesi" && c.CoherenceProtocol != "msi":
 		return fmt.Errorf("sim: unknown coherence protocol %q", c.CoherenceProtocol)
 	case c.ReplacementPolicy != "" && c.ReplacementPolicy != "lru" &&

@@ -82,6 +82,27 @@ func TestRunProgramReplays(t *testing.T) {
 	}
 }
 
+// TestMaxScaleFitsProgramCache pins workload.MaxScale's reason: at the
+// bound every built-in program fits maxCachedOps, and a little past it the
+// largest one, canneal, does not.
+func TestMaxScaleFitsProgramCache(t *testing.T) {
+	ops := func(name string, scale float64) int {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Build(scale, randx.New(defaultProgSeed)).Len()
+	}
+	for _, name := range workload.Names() {
+		if n := ops(name, workload.MaxScale); n > maxCachedOps {
+			t.Errorf("%s at scale %v has %d ops, over the %d cap", name, workload.MaxScale, n, maxCachedOps)
+		}
+	}
+	if n := ops("canneal", 4.3); n <= maxCachedOps {
+		t.Errorf("canneal at scale 4.3 has %d ops, within the %d cap: MaxScale can rise", n, maxCachedOps)
+	}
+}
+
 // TestProgramLargerThanCacheKeptAlone: a program over maxCachedOps runs
 // like a freshly built one and is then the cache's only entry, so its next
 // run replays it instead of building it again; the next key drops it.

@@ -244,6 +244,20 @@ type Profile struct {
 	Build func(scale float64, r *randx.Rand) *Program
 }
 
+// MaxScale bounds the scale a run may ask for. Build materializes the
+// whole program, which grows linearly with scale, and at MaxScale the
+// largest built-in program (canneal) still fits the simulator's program
+// cache (internal/sim pins this).
+const MaxScale = 4
+
+// CheckScale refuses a scale that is not finite or not in (0, MaxScale].
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= MaxScale) { // NaN fails both compares
+		return fmt.Errorf("workload: scale %v outside (0, %d]", scale, MaxScale)
+	}
+	return nil
+}
+
 // Names lists the built-in profiles in the paper's benchmark order.
 func Names() []string {
 	return []string{
