@@ -233,6 +233,55 @@ func TestCorruptAndMismatchedEntriesMiss(t *testing.T) {
 	}
 }
 
+// TestKilledWriteReadsAsMiss models a write killed midway. For every
+// prefix of a stored entry's file, a fresh cache serves nil or the stored
+// population, and nil whenever the prefix cuts the JSON. A leftover
+// pop-*.tmp beside a missing entry, what a write killed before its rename
+// leaves, is never served and does not block a later Put.
+func TestKilledWriteReadsAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey()
+	stored := generate(t, k)
+	if err := New(dir, 0).Put(k, stored); err != nil {
+		t.Fatal(err)
+	}
+	want := popBytes(t, stored)
+	path := New(dir, 0).path(k.Hash())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= len(data); n++ {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := New(dir, 0).Get(k)
+		switch {
+		case got == nil:
+		case !json.Valid(data[:n]):
+			t.Fatalf("a %d-byte prefix of the %d-byte entry cuts the JSON but was served", n, len(data))
+		case !bytes.Equal(popBytes(t, got), want):
+			t.Fatalf("a %d-byte prefix served another population", n)
+		}
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "pop-1234567.tmp"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if New(dir, 0).Get(k) != nil {
+		t.Fatal("a leftover temp file was served")
+	}
+	if err := New(dir, 0).Put(k, stored); err != nil {
+		t.Fatalf("Put beside a leftover temp file: %v", err)
+	}
+	if got := New(dir, 0).Get(k); got == nil || !bytes.Equal(popBytes(t, got), want) {
+		t.Fatal("the entry Put beside a leftover temp file is not served")
+	}
+}
+
 // writeEntry writes an on-disk entry for key k holding pop, bypassing Put.
 func writeEntry(t testing.TB, path string, k Key, pop *population.Population) {
 	t.Helper()
