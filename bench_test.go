@@ -307,12 +307,15 @@ func BenchmarkAblationBatchParallel(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw simulator speed per benchmark
 // (supporting data for the substitution argument in DESIGN.md). Each case
 // holds one sim.Runner, as a population.Executor arena does, and replays
-// the cached program of each profile. The suite-cold-shape case
-// is one op of spabench's suite-cold work: its 11 entries (the nine
-// profiles, canneal on l2half, ferret on l2double) × 10 seeds at scale 0.05,
-// the shape the simulator hot path is tuned on. Every case runs one op
-// before the timer starts, so the machine and program builds of a cold
-// arena stay out of the measured steady state.
+// the cached program of each profile. Two cases are one op of a spabench
+// workload's simulation at scale 0.05. suite-cold-shape is suite-cold's
+// 11 entries (the nine profiles, canneal on l2half, ferret on l2double)
+// × 10 seeds, the shape the simulator hot path is tuned on.
+// spad-sweep-shape is dedup on the default, l2half and l2double configs
+// in turn for 10 seeds, so the arena switches Config on every run, as
+// spad-sweep's arenas do. Every case runs one op before the timer starts,
+// so the machine and program builds of a cold arena stay out of the
+// measured steady state.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, bench := range []string{"ferret", "canneal", "swaptions"} {
 		b.Run(bench, func(b *testing.B) {
@@ -332,39 +335,68 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.ReportMetric(float64(cycles), "sim-cycles")
 		})
 	}
+	variant := make(map[string]sim.Config)
+	for _, name := range []string{"default", "l2half", "l2double"} {
+		cfg, err := sim.VariantConfig(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		variant[name] = cfg
+	}
 	b.Run("suite-cold-shape", func(b *testing.B) {
-		type entry struct{ bench, variant string }
-		var entries []entry
-		for _, bench := range workload.Names() {
-			entries = append(entries, entry{bench, "default"})
-		}
-		entries = append(entries, entry{"canneal", "l2half"}, entry{"ferret", "l2double"})
-		r := sim.NewRunner()
-		pass := func() uint64 {
-			var cycles uint64
-			for _, e := range entries {
-				cfg, err := sim.VariantConfig(e.variant)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for seed := uint64(1); seed <= 10; seed++ {
-					res, err := r.Run(e.bench, cfg, 0.05, seed)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.Cycles
-				}
+		var runs []shapeRun
+		add := func(bench, v string) {
+			for seed := uint64(1); seed <= 10; seed++ {
+				runs = append(runs, shapeRun{bench, variant[v], seed})
 			}
-			return cycles
 		}
-		cycles := pass()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cycles = pass()
+		for _, bench := range workload.Names() {
+			add(bench, "default")
 		}
-		b.ReportMetric(float64(cycles), "sim-cycles")
+		add("canneal", "l2half")
+		add("ferret", "l2double")
+		benchShape(b, runs)
 	})
+	b.Run("spad-sweep-shape", func(b *testing.B) {
+		var runs []shapeRun
+		for seed := uint64(1); seed <= 10; seed++ {
+			for _, v := range []string{"default", "l2half", "l2double"} {
+				runs = append(runs, shapeRun{"dedup", variant[v], seed})
+			}
+		}
+		benchShape(b, runs)
+	})
+}
+
+// shapeRun is one run of a workload-shaped benchmark case.
+type shapeRun struct {
+	bench string
+	cfg   sim.Config
+	seed  uint64
+}
+
+// benchShape times runs, in order on one sim.Runner at scale 0.05, as one
+// op, after one untimed op.
+func benchShape(b *testing.B, runs []shapeRun) {
+	r := sim.NewRunner()
+	pass := func() uint64 {
+		var cycles uint64
+		for _, run := range runs {
+			res, err := r.Run(run.bench, run.cfg, 0.05, run.seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cycles += res.Cycles
+		}
+		return cycles
+	}
+	cycles := pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles = pass()
+	}
+	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
 // BenchmarkPopulationGeneration measures parallel campaign throughput.

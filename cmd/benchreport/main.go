@@ -15,6 +15,14 @@
 //
 // -in - reads the benchmark text from stdin instead.
 //
+// With -paired, -in and -baseline hold the same benchmarks run in
+// alternating order, and instead of JSON each benchmark's i-th lines on
+// the two sides form a pair: for ns/op and every metric, benchreport
+// prints the median change/baseline ratio, its SPA interval (F = 0.5,
+// C = 0.9) and a verdict, lower, higher or unresolved:
+//
+//	benchreport -paired -in new.txt -baseline base.txt
+//
 // A second mode renders convergence traces: point -telemetry at the
 // <name>-report.json of a campaign with adaptive (target_width)
 // analyses, and each adaptive result's runs-vs-width trajectory is
@@ -74,6 +82,8 @@ type Report struct {
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+	// lines are the benchmark lines before folding, in input order.
+	lines []Benchmark
 }
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
@@ -81,6 +91,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	in := fs.String("in", "-", "benchmark text ('go test -bench' output); - for stdin")
 	baseline := fs.String("baseline", "", "optional baseline benchmark text to compute ns/op improvements against")
 	out := fs.String("out", "", "output JSON file (default stdout)")
+	paired := fs.Bool("paired", false, "with -baseline, judge alternating runs pair by pair: print each benchmark's median change/baseline ratio, its SPA interval and a verdict instead of JSON")
 	telemetry := fs.String("telemetry", "", "render a campaign report's adaptive analyses (<name>-report.json) as runs-vs-width tables instead of parsing benchmarks")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,12 +106,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark results in %s", *in)
 	}
+	if *paired && *baseline == "" {
+		return fmt.Errorf("-paired needs -baseline")
+	}
+	var base *Report
 	if *baseline != "" {
-		base, err := parseSource(*baseline, nil)
-		if err != nil {
+		if base, err = parseSource(*baseline, nil); err != nil {
 			return err
 		}
-		applyBaseline(rep, base)
 	}
 	w := stdout
 	if *out != "" {
@@ -110,6 +123,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		defer f.Close()
 		w = f
+	}
+	if *paired {
+		return renderPaired(rep, base, w)
+	}
+	if base != nil {
+		applyBaseline(rep, base)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -164,7 +183,7 @@ func Parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	rep.Benchmarks = fold(lines)
+	rep.Benchmarks, rep.lines = fold(lines), lines
 	return rep, nil
 }
 

@@ -13,10 +13,7 @@
 // sibling streams.
 package randx
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used for seeding and for stream derivation.
@@ -196,36 +193,23 @@ func (r *Rand) Bernoulli(p float64) bool {
 // n/m ≤ 8 entries on average, whatever the skew, and the guide is at most
 // an eighth of the CDF's size.
 type Zipf struct {
-	t *zipfTable
+	t zipfTable
 	r *Rand
 }
 
+// zipfTable is a sampler's CDF and guide table. A sampler builds its own
+// and nothing else holds it, so the tables are freed with the sampler:
+// the workload profiles keep theirs for one Profile.Build.
 type zipfTable struct {
 	cdf   []float64
 	guide []int32
 }
 
-// zipfCDFCache memoizes CDF tables and their guide tables by (n, s). Both
-// are a pure function of the key — no randomness is drawn while building
-// them — and are read-only after construction, so sharing one copy across
-// samplers (and goroutines) yields bit-identical draws while skipping the
-// O(n) math.Pow loop that would otherwise run on every workload build.
-var zipfCDFCache sync.Map // zipfCDFKey → *zipfTable
-
-type zipfCDFKey struct {
-	n int
-	s float64
-}
-
 // NewZipf builds a Zipf sampler over [0, n) with exponent s > 0 drawing
-// randomness from r.
+// randomness from r. Building the tables draws nothing from r.
 func NewZipf(r *Rand, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("randx: NewZipf with non-positive n")
-	}
-	key := zipfCDFKey{n: n, s: s}
-	if cached, ok := zipfCDFCache.Load(key); ok {
-		return &Zipf{t: cached.(*zipfTable), r: r}
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -248,9 +232,7 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 		}
 		guide[j] = int32(i)
 	}
-	t := &zipfTable{cdf: cdf, guide: guide}
-	zipfCDFCache.Store(key, t)
-	return &Zipf{t: t, r: r}
+	return &Zipf{t: zipfTable{cdf: cdf, guide: guide}, r: r}
 }
 
 // Next returns the next Zipf-distributed integer.

@@ -2,6 +2,7 @@ package randx
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -313,5 +314,28 @@ func TestUniformRange(t *testing.T) {
 		if v < -2 || v >= 3 {
 			t.Fatalf("Uniform out of range: %g", v)
 		}
+	}
+}
+
+// TestZipfTablesDieWithSampler: a sampler's tables are its own, so once
+// the sampler is dropped a collection frees them; nothing in the package
+// keeps a copy for later samplers.
+func TestZipfTablesDieWithSampler(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	z := NewZipf(New(1), 1<<20, 1.0)
+	held := heap()
+	runtime.KeepAlive(z)
+	after := heap()
+	if held-before < 8<<20 {
+		t.Fatalf("a live sampler over 1<<20 values holds %d B, want its 8.5 MB of tables", held-before)
+	}
+	if after-before > 1<<20 {
+		t.Errorf("%d B still held after the sampler was dropped, want under 1 MB", after-before)
 	}
 }

@@ -92,9 +92,22 @@ type Config struct {
 	Policy Policy
 }
 
+// maxReuse bounds the arrays New takes over: at most maxReuse times what
+// the new geometry needs. 8 lets the 512 kB l2half L2 (8 192 ways) reuse
+// the 3 MB Table 2 L2's 49 152, six times its need, while a 64 MiB L2's
+// 1 048 576 ways, 21 times the Table 2 L2's, are dropped rather than
+// pinning 16 MB behind a small cache.
+const maxReuse = 8
+
 // New builds a cache. Size, associativity, and block size must be positive
 // powers of two with Size = sets × ways × block.
-func New(cfg Config) (*Cache, error) {
+//
+// reuse, if not nil, is a cache the new one replaces, and it must not be
+// used afterwards. New takes over its key and stamp arrays when their
+// capacity holds the new geometry and is at most maxReuse times it. The
+// result is the cache a nil reuse gives: every key is cleared, and a stale
+// stamp belongs to an invalid way, whose stamp is never read (see Reset).
+func New(cfg Config, reuse *Cache) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockSize <= 0 {
 		return nil, errors.New("cache: non-positive geometry")
 	}
@@ -123,14 +136,22 @@ func New(cfg Config) (*Cache, error) {
 	if uint64(cfg.BlockSize)*uint64(sets) < 4 {
 		return nil, fmt.Errorf("cache: %d sets of %d-byte blocks leave no room for the line state bits", sets, cfg.BlockSize)
 	}
+	n := sets * cfg.Ways
+	var keys, stamps []uint64
+	if reuse != nil && n <= cap(reuse.keys) && cap(reuse.keys) <= maxReuse*n {
+		keys, stamps = reuse.keys[:n], reuse.stamps[:n]
+		clear(keys)
+	} else {
+		keys, stamps = make([]uint64, n), make([]uint64, n)
+	}
 	c := &Cache{
 		name:      cfg.Name,
 		sets:      sets,
 		ways:      cfg.Ways,
 		blockBits: blockBits,
 		policy:    cfg.Policy,
-		keys:      make([]uint64, sets*cfg.Ways),
-		stamps:    make([]uint64, sets*cfg.Ways),
+		keys:      keys,
+		stamps:    stamps,
 		rngState:  initialRNGState,
 	}
 	if sets&(sets-1) == 0 {

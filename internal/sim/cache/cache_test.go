@@ -9,7 +9,7 @@ import (
 
 func mustNew(t *testing.T, size, ways, block int) *Cache {
 	t.Helper()
-	c, err := New(Config{Name: "test", SizeBytes: size, Ways: ways, BlockSize: block})
+	c, err := New(Config{Name: "test", SizeBytes: size, Ways: ways, BlockSize: block}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestNewValidation(t *testing.T) {
 		{SizeBytes: 4, Ways: 2, BlockSize: 2},       // no room below the tag for state bits
 	}
 	for _, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := New(cfg, nil); err == nil {
 			t.Errorf("config %+v should be rejected", cfg)
 		}
 	}
@@ -149,7 +149,7 @@ func TestFlushRatio(t *testing.T) {
 // Working set within capacity: after a warmup pass, everything hits.
 func TestWorkingSetFitsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		c, err := New(Config{SizeBytes: 8192, Ways: 4, BlockSize: 64})
+		c, err := New(Config{SizeBytes: 8192, Ways: 4, BlockSize: 64}, nil)
 		if err != nil {
 			return false
 		}
@@ -179,7 +179,7 @@ func TestWorkingSetFitsProperty(t *testing.T) {
 // Invariant: hits + misses equals accesses; evictions never exceed misses.
 func TestStatsInvariantProperty(t *testing.T) {
 	f := func(seed uint64, nr uint16) bool {
-		c, err := New(Config{SizeBytes: 2048, Ways: 2, BlockSize: 64})
+		c, err := New(Config{SizeBytes: 2048, Ways: 2, BlockSize: 64}, nil)
 		if err != nil {
 			return false
 		}
@@ -206,7 +206,7 @@ func TestBlockAddr(t *testing.T) {
 }
 
 func TestFIFOIgnoresRecency(t *testing.T) {
-	c, err := New(Config{SizeBytes: 1024, Ways: 2, BlockSize: 64, Policy: FIFO})
+	c, err := New(Config{SizeBytes: 1024, Ways: 2, BlockSize: 64, Policy: FIFO}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 
 func TestRandomPolicyDeterministic(t *testing.T) {
 	mk := func() *Cache {
-		c, err := New(Config{SizeBytes: 2048, Ways: 4, BlockSize: 64, Policy: Random})
+		c, err := New(Config{SizeBytes: 2048, Ways: 4, BlockSize: 64, Policy: Random}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestPolicyDifferencesShowUnderThrash(t *testing.T) {
 	// pathological case (0% hit) where FIFO behaves identically but
 	// Random gets some hits.
 	missRate := func(p Policy) float64 {
-		c, err := New(Config{SizeBytes: 512, Ways: 8, BlockSize: 64, Policy: p})
+		c, err := New(Config{SizeBytes: 512, Ways: 8, BlockSize: 64, Policy: p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,10 +273,81 @@ func TestPolicyDifferencesShowUnderThrash(t *testing.T) {
 }
 
 func TestBadPolicyRejected(t *testing.T) {
-	if _, err := New(Config{SizeBytes: 1024, Ways: 2, BlockSize: 64, Policy: Policy(7)}); err == nil {
+	if _, err := New(Config{SizeBytes: 1024, Ways: 2, BlockSize: 64, Policy: Policy(7)}, nil); err == nil {
 		t.Error("unknown policy should error")
 	}
 	if LRU.String() != "lru" || FIFO.String() != "fifo" || Random.String() != "random" {
 		t.Error("policy names wrong")
+	}
+}
+
+// TestNewReuseRule pins which arrays New takes over from the cache it
+// replaces: those that hold the new geometry and are at most maxReuse
+// times it. The 512 kB l2half L2 takes the 3 MB Table 2 L2's arrays and
+// hands them back, while a 64 MiB L2's arrays are too large to keep
+// behind a Table 2 L2.
+func TestNewReuseRule(t *testing.T) {
+	l2 := func(size int, reuse *Cache) *Cache {
+		t.Helper()
+		c, err := New(Config{Name: "l2", SizeBytes: size, Ways: 16, BlockSize: 64}, reuse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	shares := func(a, b *Cache) bool { return &a.keys[0] == &b.keys[0] && &a.stamps[0] == &b.stamps[0] }
+	table2 := l2(3<<20, nil)
+	half := l2(512<<10, table2)
+	if !shares(half, table2) {
+		t.Error("the l2half L2 did not reuse the Table 2 L2's arrays")
+	}
+	back := l2(3<<20, half)
+	if !shares(back, table2) {
+		t.Error("the Table 2 L2 did not take its arrays back from the l2half L2")
+	}
+	if len(back.keys) != 3<<20/64 {
+		t.Errorf("reused keys hold %d ways, want %d", len(back.keys), 3<<20/64)
+	}
+	huge := l2(64<<20, back)
+	if shares(huge, back) {
+		t.Error("a 64 MiB L2 reused arrays too small for it")
+	}
+	after := l2(3<<20, huge)
+	if shares(after, huge) || cap(after.keys) != 3<<20/64 {
+		t.Errorf("a Table 2 L2 kept a 64 MiB L2's arrays (capacity %d)", cap(after.keys))
+	}
+}
+
+// TestReusedCacheMatchesFresh: a cache built over a used one, whose keys
+// and stamps are full of stale lines, behaves exactly as a fresh cache
+// under every policy.
+func TestReusedCacheMatchesFresh(t *testing.T) {
+	for _, p := range []Policy{LRU, FIFO, Random} {
+		old, err := New(Config{SizeBytes: 64 << 10, Ways: 8, BlockSize: 64, Policy: p}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := randx.New(uint64(p) + 1)
+		for i := 0; i < 20000; i++ {
+			old.Access(uint64(r.Intn(1<<16))*64, r.Bernoulli(0.3))
+		}
+		cfg := Config{SizeBytes: 16 << 10, Ways: 4, BlockSize: 64, Policy: p}
+		reused, err := New(cfg, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20000; i++ {
+			addr, write := uint64(r.Intn(1<<12))*64, r.Bernoulli(0.3)
+			if got, want := reused.Access(addr, write), fresh.Access(addr, write); got != want {
+				t.Fatalf("%v access %d: reused cache %+v, fresh %+v", p, i, got, want)
+			}
+		}
+		if reused.Stats() != fresh.Stats() {
+			t.Errorf("%v: reused cache stats %+v, fresh %+v", p, reused.Stats(), fresh.Stats())
+		}
 	}
 }

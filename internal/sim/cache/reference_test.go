@@ -166,7 +166,7 @@ func TestCacheMatchesLineReference(t *testing.T) {
 	for _, g := range geometries {
 		for _, policy := range []Policy{LRU, FIFO, Random} {
 			t.Run(fmt.Sprintf("%s/%s", g.name, policy), func(t *testing.T) {
-				c, err := New(Config{Name: g.name, SizeBytes: g.size, Ways: g.ways, BlockSize: 64, Policy: policy})
+				c, err := New(Config{Name: g.name, SizeBytes: g.size, Ways: g.ways, BlockSize: 64, Policy: policy}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

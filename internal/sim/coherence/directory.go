@@ -105,19 +105,31 @@ type Stats struct {
 
 // New builds a MESI directory for the given core count (≤ 64).
 func New(cores int) (*Directory, error) {
-	return NewWithProtocol(cores, MESI)
+	return NewWithProtocol(cores, MESI, nil)
 }
 
 // NewWithProtocol builds a directory running the given protocol variant.
-func NewWithProtocol(cores int, p Protocol) (*Directory, error) {
+//
+// reuse, if not nil, is a directory the new one replaces, and it must not
+// be used afterwards. The new directory takes over its index table and
+// slab as Reset keeps them: the blocks a directory tracks, and so its
+// table size, come from the program's footprint, not from the core count
+// or the protocol, and no result depends on the table size.
+func NewWithProtocol(cores int, p Protocol, reuse *Directory) (*Directory, error) {
 	if cores <= 0 || cores > 64 {
 		return nil, fmt.Errorf("coherence: core count %d outside 1..64", cores)
 	}
 	if p != MESI && p != MSI {
 		return nil, fmt.Errorf("coherence: unknown protocol %d", p)
 	}
-	return &Directory{cores: cores, protocol: p,
-		index: make([]int32, 1<<initialIndexBits), shift: 64 - initialIndexBits}, nil
+	d := &Directory{cores: cores, protocol: p}
+	if reuse != nil {
+		d.index, d.shift, d.slab = reuse.index, reuse.shift, reuse.slab
+		d.Reset()
+	} else {
+		d.index, d.shift = make([]int32, 1<<initialIndexBits), 64-initialIndexBits
+	}
+	return d, nil
 }
 
 // initialIndexBits sizes a new directory's index at 1024 buckets (4 KiB),

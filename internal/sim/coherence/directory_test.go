@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -209,7 +210,7 @@ func TestCheckCorePanics(t *testing.T) {
 }
 
 func TestMSIProtocolNoExclusive(t *testing.T) {
-	d, err := NewWithProtocol(2, MSI)
+	d, err := NewWithProtocol(2, MSI, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestMSIProtocolNoExclusive(t *testing.T) {
 	if actMESI.Upgrade || actMESI.WasMiss {
 		t.Errorf("MESI E→M should be silent: %+v", actMESI)
 	}
-	if _, err := NewWithProtocol(2, Protocol(9)); err == nil {
+	if _, err := NewWithProtocol(2, Protocol(9), nil); err == nil {
 		t.Error("unknown protocol should error")
 	}
 	if MSI.String() != "MSI" || MESI.String() != "MESI" {
@@ -241,7 +242,7 @@ func TestMSIProtocolNoExclusive(t *testing.T) {
 }
 
 func TestMSIInvariantsUnderTraffic(t *testing.T) {
-	d, err := NewWithProtocol(4, MSI)
+	d, err := NewWithProtocol(4, MSI, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func (d *mapDirectory) stateOf(block uint64) (State, []int) {
 func TestDirectoryMatchesMapModel(t *testing.T) {
 	for _, proto := range []Protocol{MESI, MSI} {
 		const cores, distinct = 4, 12000
-		d, err := NewWithProtocol(cores, proto)
+		d, err := NewWithProtocol(cores, proto, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,4 +510,58 @@ func normAction(a Action) Action {
 		a.InvalidatedCores = nil
 	}
 	return a
+}
+
+// TestNewWithProtocolReuse: a directory built over a replaced one takes
+// over its grown table and acts exactly as a fresh one, whatever core
+// count and protocol the old one ran.
+func TestNewWithProtocolReuse(t *testing.T) {
+	old, err := NewWithProtocol(4, MESI, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := randx.New(3)
+	for i := 0; i < 5000; i++ {
+		old.Write(r.Intn(4), uint64(r.Intn(4096))*64)
+	}
+	grown := len(old.index)
+	if grown <= 1<<initialIndexBits {
+		t.Fatalf("the old directory's table did not grow (%d buckets)", grown)
+	}
+	d, err := NewWithProtocol(2, MSI, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.index) != grown || d.TrackedBlocks() != 0 {
+		t.Fatalf("reused directory: %d buckets and %d blocks, want %d and 0", len(d.index), d.TrackedBlocks(), grown)
+	}
+	fresh, err := NewWithProtocol(2, MSI, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		core, block := r.Intn(2), uint64(r.Intn(8192))*64
+		var got, want any
+		switch r.Intn(4) {
+		case 0:
+			got, want = d.Read(core, block), fresh.Read(core, block)
+		case 1:
+			got, want = d.Write(core, block), fresh.Write(core, block)
+		case 2:
+			got, want = d.Evict(core, block), fresh.Evict(core, block)
+		default:
+			h1, m1 := d.DropBlock(block)
+			h2, m2 := fresh.DropBlock(block)
+			got, want = fmt.Sprint(h1, m1), fmt.Sprint(h2, m2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d on block %#x: reused directory %+v, fresh %+v", i, block, got, want)
+		}
+	}
+	if d.Stats() != fresh.Stats() || d.TrackedBlocks() != fresh.TrackedBlocks() {
+		t.Errorf("reused directory: %+v, %d blocks; fresh: %+v, %d blocks", d.Stats(), d.TrackedBlocks(), fresh.Stats(), fresh.TrackedBlocks())
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 }

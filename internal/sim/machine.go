@@ -162,7 +162,15 @@ func RunProgram(prog *workload.Program, cfg Config, rng *randx.Rand) (*Result, e
 // caches, directory, interconnect, DRAM, predictors, TLBs, core contexts.
 // It is the expensive half of machine construction; a pooled Runner calls
 // it once per configuration and replays only initRun for subsequent runs.
+//
+// When the Config changes, the caches and the directory of the machine
+// being replaced hand their arrays to the new ones (cache.New and
+// coherence.NewWithProtocol state when), so an arena that switches
+// between a few Configs stops allocating after it has seen each. The
+// arrays are reset exactly as same-Config reuse resets them, so the
+// result is the one a fresh arena gives.
 func (m *machine) build(cfg Config) error {
+	old := *m
 	*m = machine{
 		cfg:      cfg,
 		locks:    make(map[int]*lockSt),
@@ -179,12 +187,12 @@ func (m *machine) build(cfg Config) error {
 	var err error
 	for c := 0; c < cfg.Cores; c++ {
 		l1i, err := cache.New(cache.Config{Name: fmt.Sprintf("l1i%d", c),
-			SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays, BlockSize: cfg.BlockSize, Policy: policy})
+			SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays, BlockSize: cfg.BlockSize, Policy: policy}, cacheAt(old.l1i, c))
 		if err != nil {
 			return err
 		}
 		l1d, err := cache.New(cache.Config{Name: fmt.Sprintf("l1d%d", c),
-			SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays, BlockSize: cfg.BlockSize, Policy: policy})
+			SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays, BlockSize: cfg.BlockSize, Policy: policy}, cacheAt(old.l1d, c))
 		if err != nil {
 			return err
 		}
@@ -204,7 +212,7 @@ func (m *machine) build(cfg Config) error {
 	m.cores = make([]coreCtx, cfg.Cores)
 	m.wakeAt = make([]uint64, cfg.Cores)
 	m.l2, err = cache.New(cache.Config{Name: "l2",
-		SizeBytes: cfg.L2Size, Ways: cfg.L2Ways, BlockSize: cfg.BlockSize, Policy: policy})
+		SizeBytes: cfg.L2Size, Ways: cfg.L2Ways, BlockSize: cfg.BlockSize, Policy: policy}, old.l2)
 	if err != nil {
 		return err
 	}
@@ -212,7 +220,7 @@ func (m *machine) build(cfg Config) error {
 	if cfg.CoherenceProtocol == "msi" {
 		proto = coherence.MSI
 	}
-	m.dir, err = coherence.NewWithProtocol(cfg.Cores, proto)
+	m.dir, err = coherence.NewWithProtocol(cfg.Cores, proto, old.dir)
 	if err != nil {
 		return err
 	}
@@ -228,6 +236,15 @@ func (m *machine) build(cfg Config) error {
 		JitterMax:   maxInt(cfg.JitterMax, 0),
 	}, randx.New(0))
 	return err
+}
+
+// cacheAt returns caches[i], or nil past the end: a machine with more
+// cores than the one it replaces builds its extra L1s from scratch.
+func cacheAt(caches []*cache.Cache, i int) *cache.Cache {
+	if i < len(caches) {
+		return caches[i]
+	}
+	return nil
 }
 
 // initRun readies a built machine for one run of prog on rng: components

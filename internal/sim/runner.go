@@ -13,7 +13,9 @@ import (
 // Runner is a reusable simulation arena: the machine built for the first
 // run — caches, directory, interconnect, predictors, core contexts, event
 // queue — is reset in place and reused for subsequent runs with the same
-// Config, instead of being reallocated per run. A Runner is stateful and
+// Config, instead of being reallocated per run. A run with another Config
+// builds a new machine that takes over the old one's cache and directory
+// arrays where they fit (see machine.build). A Runner is stateful and
 // must not be used from multiple goroutines concurrently; callers that
 // simulate in parallel hold one Runner per goroutine (population.Executor)
 // or rely on the free list behind the package-level Run, which hands each
@@ -47,7 +49,8 @@ func (r *Runner) RunVariant(profile string, cfg Config, scale float64, progSeed,
 }
 
 // RunProgram is sim.RunProgram on this arena. A config change rebuilds the
-// machine; otherwise the existing structures are reset and reused.
+// machine, recycling its cache and directory arrays; otherwise the
+// existing structures are reset and reused.
 func (r *Runner) RunProgram(prog *workload.Program, cfg Config, rng *randx.Rand) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -86,43 +89,80 @@ type programKey struct {
 
 // programs holds every built profile of the process, shared read-only by
 // all arenas, and ops counts their ops. When a new program would push ops
-// past maxCachedOps the whole cache is dropped before it is stored, so a
-// program larger than the cap is kept alone until the next key arrives.
-// Since a program depends only on its key, eviction never changes a
-// result. Two arenas that miss one key at once both build it, and the
-// first copy stored is kept.
-var programs struct {
+// past maxCachedOps every built program is dropped before it is stored,
+// so a program larger than the cap is kept alone until the next key
+// arrives. Since a program depends only on its key, eviction never
+// changes a result. A key's entry is stored when its build starts, so
+// arenas that miss it meanwhile wait for that one build, as popcache's
+// flights do; builds counts the builds started.
+var programs = struct {
 	sync.Mutex
-	byKey map[programKey]*workload.Program
-	ops   int
+	byKey  map[programKey]*programEntry
+	ops    int
+	builds int
+}{byKey: make(map[programKey]*programEntry)}
+
+// programEntry is one key's build: prog and err are set before done is
+// closed, and prog is set under programs' lock, so the eviction scan can
+// tell a built entry from one in flight.
+type programEntry struct {
+	done chan struct{}
+	prog *workload.Program
+	err  error
 }
 
 // cachedProgram returns the named profile built at scale from progSeed.
 func cachedProgram(profile string, scale float64, progSeed uint64) (*workload.Program, error) {
 	key := programKey{profile, math.Float64bits(scale), progSeed}
 	programs.Lock()
-	prog := programs.byKey[key]
-	programs.Unlock()
-	if prog != nil {
-		return prog, nil
+	e := programs.byKey[key]
+	if e == nil {
+		e = &programEntry{done: make(chan struct{})}
+		programs.byKey[key] = e
+		programs.builds++
+		programs.Unlock()
+		e.build(key, profile, scale, progSeed)
+	} else {
+		programs.Unlock()
+		<-e.done
 	}
+	return e.prog, e.err
+}
+
+// build builds e's program and stores it, or, if the build fails or
+// panics, removes e from the cache so the next call builds again. Either
+// way it releases e's waiters.
+func (e *programEntry) build(key programKey, profile string, scale float64, progSeed uint64) {
+	defer func() {
+		if e.prog == nil {
+			if e.err == nil {
+				e.err = fmt.Errorf("sim: building %s at scale %g panicked", profile, scale)
+			}
+			programs.Lock()
+			delete(programs.byKey, key) // eviction drops only built entries
+			programs.Unlock()
+		}
+		close(e.done)
+	}()
 	p, err := workload.ByName(profile)
 	if err != nil {
-		return nil, err
+		e.err = err
+		return
 	}
-	prog = p.Build(scale, randx.New(progSeed))
+	prog := p.Build(scale, randx.New(progSeed))
 	n := prog.Len()
 	programs.Lock()
 	defer programs.Unlock()
-	if kept := programs.byKey[key]; kept != nil {
-		return kept, nil
+	if programs.ops+n > maxCachedOps {
+		for k, kept := range programs.byKey {
+			if kept.prog != nil {
+				delete(programs.byKey, k)
+			}
+		}
+		programs.ops = 0
 	}
-	if programs.byKey == nil || programs.ops+n > maxCachedOps {
-		programs.byKey, programs.ops = make(map[programKey]*workload.Program), 0
-	}
-	programs.byKey[key] = prog
 	programs.ops += n
-	return prog, nil
+	e.prog = prog
 }
 
 // idleRunners holds idle arenas for the package-level Run/RunProgram
