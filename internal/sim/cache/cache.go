@@ -51,7 +51,6 @@ type Stats struct {
 // LRU/FIFO stamp sits at the same index of a parallel array that only a
 // fill, an LRU hit and victim choice touch.
 type Cache struct {
-	name      string
 	sets      int
 	ways      int
 	blockBits uint
@@ -84,7 +83,6 @@ const initialRNGState = 0x9E3779B97F4A7C15
 
 // Config sizes a cache.
 type Config struct {
-	Name      string
 	SizeBytes int
 	Ways      int
 	BlockSize int
@@ -145,7 +143,6 @@ func New(cfg Config, reuse *Cache) (*Cache, error) {
 		keys, stamps = make([]uint64, n), make([]uint64, n)
 	}
 	c := &Cache{
-		name:      cfg.Name,
 		sets:      sets,
 		ways:      cfg.Ways,
 		blockBits: blockBits,
@@ -346,9 +343,6 @@ func (c *Cache) Blocks() []uint64 {
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }
 
 // Sets and Ways expose geometry for tests.
 func (c *Cache) Sets() int { return c.sets }

@@ -9,7 +9,7 @@ import (
 
 func mustNew(t *testing.T, size, ways, block int) *Cache {
 	t.Helper()
-	c, err := New(Config{Name: "test", SizeBytes: size, Ways: ways, BlockSize: block}, nil)
+	c, err := New(Config{SizeBytes: size, Ways: ways, BlockSize: block}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestBadPolicyRejected(t *testing.T) {
 func TestNewReuseRule(t *testing.T) {
 	l2 := func(size int, reuse *Cache) *Cache {
 		t.Helper()
-		c, err := New(Config{Name: "l2", SizeBytes: size, Ways: 16, BlockSize: 64}, reuse)
+		c, err := New(Config{SizeBytes: size, Ways: 16, BlockSize: 64}, reuse)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,8 +74,9 @@ type Config struct {
 	// LinkBytes is the crossbar flit size (Table 2: 16B links).
 	LinkBytes int
 
-	// Front-end structures. BPKind selects the branch predictor:
-	// "bimodal" (default) or "gshare".
+	// Front-end structures. BPKind selects the branch predictor's
+	// history: "gshare" keeps BPHistoryBits of global history, and
+	// "bimodal" (the default) keeps none.
 	BPKind            string
 	BPEntries         int
 	BPHistoryBits     uint

@@ -6,11 +6,16 @@ package cpu
 
 import "fmt"
 
-// BranchPredictor is a table of 2-bit saturating counters indexed by a PC
-// hash — the classic bimodal predictor.
-type BranchPredictor struct {
+// Predictor is a gshare branch predictor: a table of 2-bit saturating
+// counters indexed by a PC hash XORed with a shift register of the most
+// recent outcomes, which lets it capture correlated branches. With zero
+// history bits the register stays 0 and the index is the PC hash alone:
+// the classic bimodal predictor.
+type Predictor struct {
 	counters []uint8
 	mask     uint64
+	history  uint64
+	histMask uint64
 	stats    BranchStats
 }
 
@@ -20,50 +25,60 @@ type BranchStats struct {
 	Mispredicts uint64
 }
 
-// NewBranchPredictor builds a predictor with the given number of counters
-// (rounded up to a power of two, minimum 16). Counters start weakly taken.
-func NewBranchPredictor(entries int) *BranchPredictor {
-	n := 16
+// NewPredictor builds a predictor with the given number of counters
+// (rounded up to a power of two, minimum 16) and history length in bits
+// (clamped to the index width). Counters start weakly taken.
+func NewPredictor(entries int, historyBits uint) *Predictor {
+	n, idxBits := 16, uint(4)
 	for n < entries {
 		n <<= 1
+		idxBits++
 	}
+	historyBits = min(historyBits, idxBits)
 	c := make([]uint8, n)
 	for i := range c {
 		c[i] = 2 // weakly taken
 	}
-	return &BranchPredictor{counters: c, mask: uint64(n - 1)}
+	return &Predictor{counters: c, mask: uint64(n - 1), histMask: 1<<historyBits - 1}
 }
 
 // Predict consumes the actual outcome of the branch at pc and reports
-// whether the predictor mispredicted it, updating the counter.
-func (b *BranchPredictor) Predict(pc uint64, taken bool) (mispredict bool) {
-	idx := (pc >> 2) & b.mask
-	ctr := b.counters[idx]
+// whether the predictor mispredicted it, updating the counter and the
+// history.
+func (p *Predictor) Predict(pc uint64, taken bool) (mispredict bool) {
+	idx := ((pc >> 2) ^ p.history) & p.mask
+	ctr := p.counters[idx]
 	predictTaken := ctr >= 2
 	mispredict = predictTaken != taken
 	if taken && ctr < 3 {
-		b.counters[idx] = ctr + 1
+		p.counters[idx] = ctr + 1
 	}
 	if !taken && ctr > 0 {
-		b.counters[idx] = ctr - 1
+		p.counters[idx] = ctr - 1
 	}
-	b.stats.Predictions++
+	p.history <<= 1
+	if taken {
+		p.history |= 1
+	}
+	p.history &= p.histMask
+	p.stats.Predictions++
 	if mispredict {
-		b.stats.Mispredicts++
+		p.stats.Mispredicts++
 	}
 	return mispredict
 }
 
 // Stats returns a copy of the counters.
-func (b *BranchPredictor) Stats() BranchStats { return b.stats }
+func (p *Predictor) Stats() BranchStats { return p.stats }
 
-// Reset restores every counter to weakly taken and zeroes the statistics, as
-// in a freshly built predictor.
-func (b *BranchPredictor) Reset() {
-	for i := range b.counters {
-		b.counters[i] = 2
+// Reset restores every counter to weakly taken and clears the history and
+// the statistics, as in a freshly built predictor.
+func (p *Predictor) Reset() {
+	for i := range p.counters {
+		p.counters[i] = 2
 	}
-	b.stats = BranchStats{}
+	p.history = 0
+	p.stats = BranchStats{}
 }
 
 // TLB is a fully associative, true-LRU translation lookaside buffer over
@@ -237,88 +252,3 @@ func (t *TLB) Reset() {
 
 // Resident returns the number of valid entries.
 func (t *TLB) Resident() int { return int(t.fill) }
-
-// Gshare is a global-history branch predictor: the PC hash is XORed with a
-// shift register of recent outcomes before indexing the counter table,
-// letting it capture correlated branches the bimodal table cannot.
-type Gshare struct {
-	counters []uint8
-	mask     uint64
-	history  uint64
-	histBits uint
-	stats    BranchStats
-}
-
-// NewGshare builds a gshare predictor with the given table size (rounded
-// up to a power of two, minimum 16) and history length in bits (clamped to
-// the index width).
-func NewGshare(entries int, historyBits uint) *Gshare {
-	n := 16
-	for n < entries {
-		n <<= 1
-	}
-	idxBits := uint(0)
-	for 1<<idxBits < n {
-		idxBits++
-	}
-	if historyBits > idxBits {
-		historyBits = idxBits
-	}
-	c := make([]uint8, n)
-	for i := range c {
-		c[i] = 2 // weakly taken
-	}
-	return &Gshare{counters: c, mask: uint64(n - 1), histBits: historyBits}
-}
-
-// Predict consumes the branch outcome, updating the counters and the
-// global history, and reports whether the prediction was wrong.
-func (g *Gshare) Predict(pc uint64, taken bool) (mispredict bool) {
-	idx := ((pc >> 2) ^ g.history) & g.mask
-	ctr := g.counters[idx]
-	predictTaken := ctr >= 2
-	mispredict = predictTaken != taken
-	if taken && ctr < 3 {
-		g.counters[idx] = ctr + 1
-	}
-	if !taken && ctr > 0 {
-		g.counters[idx] = ctr - 1
-	}
-	g.history = (g.history << 1) & ((1 << g.histBits) - 1)
-	if taken {
-		g.history |= 1
-	}
-	g.stats.Predictions++
-	if mispredict {
-		g.stats.Mispredicts++
-	}
-	return mispredict
-}
-
-// Stats returns a copy of the counters.
-func (g *Gshare) Stats() BranchStats { return g.stats }
-
-// Reset restores the counters to weakly taken and clears the global history
-// and statistics, as in a freshly built predictor.
-func (g *Gshare) Reset() {
-	for i := range g.counters {
-		g.counters[i] = 2
-	}
-	g.history = 0
-	g.stats = BranchStats{}
-}
-
-// Predictor is the interface both branch predictors satisfy, letting the
-// machine select one by configuration.
-type Predictor interface {
-	Predict(pc uint64, taken bool) bool
-	Stats() BranchStats
-	// Reset restores the predictor to its freshly built state.
-	Reset()
-}
-
-// Interface checks.
-var (
-	_ Predictor = (*BranchPredictor)(nil)
-	_ Predictor = (*Gshare)(nil)
-)

@@ -1,13 +1,14 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/randx"
 )
 
 func TestBranchPredictorLearnsBias(t *testing.T) {
-	bp := NewBranchPredictor(1024)
+	bp := NewPredictor(1024, 0)
 	// A branch always taken: after warmup, no mispredictions.
 	for i := 0; i < 10; i++ {
 		bp.Predict(0x400, true)
@@ -24,7 +25,7 @@ func TestBranchPredictorLearnsBias(t *testing.T) {
 }
 
 func TestBranchPredictorAlternatingIsHard(t *testing.T) {
-	bp := NewBranchPredictor(64)
+	bp := NewPredictor(64, 0)
 	mis := 0
 	for i := 0; i < 1000; i++ {
 		if bp.Predict(0x80, i%2 == 0) {
@@ -38,11 +39,11 @@ func TestBranchPredictorAlternatingIsHard(t *testing.T) {
 }
 
 func TestBranchPredictorTableRounding(t *testing.T) {
-	bp := NewBranchPredictor(1000) // rounds up to 1024
+	bp := NewPredictor(1000, 0) // rounds up to 1024
 	if len(bp.counters) != 1024 {
 		t.Errorf("table size %d, want 1024", len(bp.counters))
 	}
-	bp2 := NewBranchPredictor(0)
+	bp2 := NewPredictor(0, 0)
 	if len(bp2.counters) != 16 {
 		t.Errorf("minimum table size %d, want 16", len(bp2.counters))
 	}
@@ -246,8 +247,8 @@ func TestGshareLearnsCorrelatedPattern(t *testing.T) {
 	// A strictly periodic pattern (T T N) defeats a bimodal counter but is
 	// perfectly predictable with 2+ bits of history.
 	pattern := []bool{true, true, false}
-	g := NewGshare(256, 8)
-	b := NewBranchPredictor(256)
+	g := NewPredictor(256, 8)
+	b := NewPredictor(256, 0)
 	var gMis, bMis int
 	for i := 0; i < 3000; i++ {
 		taken := pattern[i%3]
@@ -265,7 +266,7 @@ func TestGshareLearnsCorrelatedPattern(t *testing.T) {
 		t.Error("prediction count wrong")
 	}
 	// After warmup, gshare should be nearly perfect on this pattern.
-	warm := NewGshare(256, 8)
+	warm := NewPredictor(256, 8)
 	for i := 0; i < 300; i++ {
 		warm.Predict(0x40, pattern[i%3])
 	}
@@ -281,14 +282,136 @@ func TestGshareLearnsCorrelatedPattern(t *testing.T) {
 }
 
 func TestGshareHistoryClamp(t *testing.T) {
-	g := NewGshare(16, 60) // history clamped to index width (4 bits)
-	if g.histBits != 4 {
-		t.Errorf("history bits = %d, want clamped 4", g.histBits)
+	g := NewPredictor(16, 60) // history clamped to index width (4 bits)
+	if g.histMask != 1<<4-1 {
+		t.Errorf("history mask = %b, want clamped 1111", g.histMask)
 	}
 	for i := 0; i < 100; i++ {
 		g.Predict(uint64(i)*4, i%2 == 0)
 	}
-	if g.history >= 1<<4 {
-		t.Errorf("history %b escaped its clamp", g.history)
+	if g.history > g.histMask {
+		t.Errorf("history %b escaped its mask", g.history)
+	}
+}
+
+// refTable is a reference predictor's counter table, sized as
+// NewPredictor sizes its own.
+func refTable(entries int) ([]uint8, uint64) {
+	n := 16
+	for n < entries {
+		n <<= 1
+	}
+	c := make([]uint8, n)
+	for i := range c {
+		c[i] = 2
+	}
+	return c, uint64(n - 1)
+}
+
+// refUpdate predicts the branch at counter idx, updates the counter and
+// reports a misprediction.
+func refUpdate(counters []uint8, idx uint64, taken bool) bool {
+	ctr := counters[idx]
+	if taken && ctr < 3 {
+		counters[idx] = ctr + 1
+	}
+	if !taken && ctr > 0 {
+		counters[idx] = ctr - 1
+	}
+	return (ctr >= 2) != taken
+}
+
+// refBimodal is the bimodal predictor, indexed by the PC hash alone.
+type refBimodal struct {
+	counters []uint8
+	mask     uint64
+}
+
+func (b *refBimodal) predict(pc uint64, taken bool) bool {
+	return refUpdate(b.counters, (pc>>2)&b.mask, taken)
+}
+
+// refGshare is the gshare predictor this package had before it became
+// Predictor: it masks the history and then ORs in the outcome, so with 0
+// history bits a taken branch leaves the history at 1.
+type refGshare struct {
+	counters []uint8
+	mask     uint64
+	history  uint64
+	histBits uint
+}
+
+func newRefGshare(entries int, historyBits uint) *refGshare {
+	c, mask := refTable(entries)
+	idxBits := uint(0)
+	for 1<<idxBits < len(c) {
+		idxBits++
+	}
+	return &refGshare{counters: c, mask: mask, histBits: min(historyBits, idxBits)}
+}
+
+func (g *refGshare) predict(pc uint64, taken bool) bool {
+	mis := refUpdate(g.counters, ((pc>>2)^g.history)&g.mask, taken)
+	g.history = (g.history << 1) & ((1 << g.histBits) - 1)
+	if taken {
+		g.history |= 1
+	}
+	return mis
+}
+
+// branchStream draws n branches over 64 PCs from seed: each PC has a bias
+// of its own, and a third of them follow the previous outcome, so history
+// matters.
+func branchStream(seed uint64, n int) (pcs []uint64, taken []bool) {
+	r := randx.New(seed)
+	bias := make([]float64, 64)
+	for i := range bias {
+		bias[i] = r.Float64()
+	}
+	last := false
+	for i := 0; i < n; i++ {
+		pc := 0x4000 + uint64(r.Intn(len(bias)))*4
+		tk := r.Bernoulli(bias[(pc-0x4000)/4])
+		if (pc/4)%3 == 0 {
+			tk = !last
+		}
+		pcs, taken = append(pcs, pc), append(taken, tk)
+		last = tk
+	}
+	return pcs, taken
+}
+
+// TestPredictorMatchesReferences: with zero history bits the predictor is
+// exactly bimodal, with 1 to 20 bits exactly the gshare it replaced, and
+// its history never leaves its mask, at several table sizes.
+func TestPredictorMatchesReferences(t *testing.T) {
+	pcs, taken := branchStream(29, 20000)
+	check := func(name string, p *Predictor, ref func(pc uint64, taken bool) bool) {
+		t.Helper()
+		mis := uint64(0)
+		for i, pc := range pcs {
+			got := p.Predict(pc, taken[i])
+			if want := ref(pc, taken[i]); got != want {
+				t.Fatalf("%s: branch %d at %#x mispredicted %v, reference %v", name, i, pc, got, want)
+			}
+			if p.history > p.histMask {
+				t.Fatalf("%s: history %b past mask %b", name, p.history, p.histMask)
+			}
+			if got {
+				mis++
+			}
+		}
+		if st := p.Stats(); st.Predictions != uint64(len(pcs)) || st.Mispredicts != mis {
+			t.Fatalf("%s: stats %+v, want %d predictions and %d mispredicts", name, st, len(pcs), mis)
+		}
+	}
+	for _, entries := range []int{0, 16, 100, 1024, 4096} {
+		c, mask := refTable(entries)
+		b := &refBimodal{counters: c, mask: mask}
+		check(fmt.Sprintf("%d entries, 0 bits", entries), NewPredictor(entries, 0), b.predict)
+		for k := uint(1); k <= 20; k++ {
+			g := newRefGshare(entries, k)
+			check(fmt.Sprintf("%d entries, %d bits", entries, k), NewPredictor(entries, k), g.predict)
+		}
 	}
 }

@@ -81,7 +81,7 @@ type machine struct {
 	dir  *coherence.Directory
 	xbar *noc.Crossbar
 	dram *mem.DRAM
-	bp   []cpu.Predictor
+	bp   []*cpu.Predictor
 	tlb  []*cpu.TLB
 
 	cores    []coreCtx
@@ -184,25 +184,26 @@ func (m *machine) build(cfg Config) error {
 	case "random":
 		policy = cache.Random
 	}
+	// Gshare with no history bits is bimodal.
+	histBits := uint(0)
+	if cfg.BPKind == "gshare" {
+		histBits = cfg.BPHistoryBits
+	}
 	var err error
 	for c := 0; c < cfg.Cores; c++ {
-		l1i, err := cache.New(cache.Config{Name: fmt.Sprintf("l1i%d", c),
-			SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays, BlockSize: cfg.BlockSize, Policy: policy}, cacheAt(old.l1i, c))
+		l1i, err := cache.New(cache.Config{SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays,
+			BlockSize: cfg.BlockSize, Policy: policy}, cacheAt(old.l1i, c))
 		if err != nil {
 			return err
 		}
-		l1d, err := cache.New(cache.Config{Name: fmt.Sprintf("l1d%d", c),
-			SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays, BlockSize: cfg.BlockSize, Policy: policy}, cacheAt(old.l1d, c))
+		l1d, err := cache.New(cache.Config{SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays,
+			BlockSize: cfg.BlockSize, Policy: policy}, cacheAt(old.l1d, c))
 		if err != nil {
 			return err
 		}
 		m.l1i = append(m.l1i, l1i)
 		m.l1d = append(m.l1d, l1d)
-		if cfg.BPKind == "gshare" {
-			m.bp = append(m.bp, cpu.NewGshare(cfg.BPEntries, cfg.BPHistoryBits))
-		} else {
-			m.bp = append(m.bp, cpu.NewBranchPredictor(cfg.BPEntries))
-		}
+		m.bp = append(m.bp, cpu.NewPredictor(cfg.BPEntries, histBits))
 		tlb, err := cpu.NewTLB(cfg.TLBEntries, cfg.PageSize)
 		if err != nil {
 			return err
@@ -211,8 +212,8 @@ func (m *machine) build(cfg Config) error {
 	}
 	m.cores = make([]coreCtx, cfg.Cores)
 	m.wakeAt = make([]uint64, cfg.Cores)
-	m.l2, err = cache.New(cache.Config{Name: "l2",
-		SizeBytes: cfg.L2Size, Ways: cfg.L2Ways, BlockSize: cfg.BlockSize, Policy: policy}, old.l2)
+	m.l2, err = cache.New(cache.Config{SizeBytes: cfg.L2Size, Ways: cfg.L2Ways,
+		BlockSize: cfg.BlockSize, Policy: policy}, old.l2)
 	if err != nil {
 		return err
 	}
@@ -230,11 +231,7 @@ func (m *machine) build(cfg Config) error {
 	}
 	// The per-run jitter stream is installed by initRun's dram.Reset; the
 	// placeholder here never draws.
-	m.dram, err = mem.New(mem.Config{
-		BaseLatency: cfg.MemLatency,
-		Jitter:      jitterKind(cfg.JitterMax),
-		JitterMax:   maxInt(cfg.JitterMax, 0),
-	}, randx.New(0))
+	m.dram, err = mem.New(mem.Config{BaseLatency: cfg.MemLatency, JitterMax: max(cfg.JitterMax, 0)}, randx.New(0))
 	return err
 }
 
@@ -358,20 +355,6 @@ func (m *machine) initRun(prog *workload.Program, rng *randx.Rand) error {
 	m.syncWaitCycles = 0
 	m.prefetches = 0
 	return nil
-}
-
-func jitterKind(jitterMax int) mem.JitterKind {
-	if jitterMax < 0 {
-		return mem.JitterNone
-	}
-	return mem.JitterUniform
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // run drives the event loop to completion.

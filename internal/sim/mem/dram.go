@@ -3,8 +3,8 @@
 // and the paper's Sec. 5.2, each access can receive a small uniform random
 // extra latency (0–4 cycles by default), drawn from a seeded per-run stream:
 // enough to perturb thread interleavings while keeping each run
-// deterministic for its seed. Alternative injection sources (none, and
-// Gaussian scheduler noise applied elsewhere) support the ablation study.
+// deterministic for its seed. A zero bound injects nothing, the ablation's
+// deterministic case; Gaussian scheduler noise is applied elsewhere.
 package mem
 
 import (
@@ -13,48 +13,27 @@ import (
 	"repro/internal/randx"
 )
 
-// JitterKind selects the variability injection mode for DRAM accesses.
-type JitterKind int
-
-const (
-	// JitterUniform adds Uniform[0, Max] cycles per access — the paper's
-	// configuration (0–4 cycles on each L2 miss).
-	JitterUniform JitterKind = iota
-	// JitterNone disables injection; a deterministic simulator then yields
-	// identical runs for every seed (the ablation's degenerate case).
-	JitterNone
-)
-
 // Config sizes the memory model.
 type Config struct {
 	// BaseLatency is the unloaded access latency in cycles (Table 2: 90).
 	BaseLatency uint64
-	// Jitter selects the injection mode.
-	Jitter JitterKind
-	// JitterMax is the inclusive upper bound of the uniform extra latency.
+	// JitterMax is the inclusive upper bound of the uniform extra latency
+	// drawn for each access; 0 draws none.
 	JitterMax int
-	// Channels is the number of independent channels; accesses serialize
-	// per channel, modeling bandwidth contention. Zero selects 2.
-	Channels int
-	// BurstCycles is each access's occupancy of its channel. Zero selects 4.
-	BurstCycles uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Channels <= 0 {
-		c.Channels = 2
-	}
-	if c.BurstCycles == 0 {
-		c.BurstCycles = 4
-	}
-	return c
-}
+// The channel geometry. Accesses serialize per channel, modeling
+// bandwidth contention: each occupies its channel for burstCycles.
+const (
+	channels    = 2
+	burstCycles = 4
+)
 
 // DRAM is the main-memory timing model.
 type DRAM struct {
 	cfg      Config
 	rng      *randx.Rand
-	chanBusy []uint64
+	chanBusy [channels]uint64
 	stats    Stats
 }
 
@@ -69,24 +48,23 @@ type Stats struct {
 // New builds a DRAM model. The rng must be a dedicated stream for this
 // component (split from the run seed) so injection is reproducible.
 func New(cfg Config, rng *randx.Rand) (*DRAM, error) {
-	cfg = cfg.withDefaults()
 	if cfg.BaseLatency == 0 {
 		return nil, fmt.Errorf("mem: zero base latency")
 	}
-	if cfg.Jitter == JitterUniform && cfg.JitterMax < 0 {
+	if cfg.JitterMax < 0 {
 		return nil, fmt.Errorf("mem: negative jitter bound %d", cfg.JitterMax)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("mem: nil rng")
 	}
-	return &DRAM{cfg: cfg, rng: rng, chanBusy: make([]uint64, cfg.Channels)}, nil
+	return &DRAM{cfg: cfg, rng: rng}, nil
 }
 
 // Reset clears channel occupancies and counters and installs a fresh rng
 // stream, returning the model to its post-New state for the next run. The
 // configuration is retained.
 func (d *DRAM) Reset(rng *randx.Rand) {
-	clear(d.chanBusy)
+	d.chanBusy = [channels]uint64{}
 	d.rng = rng
 	d.stats = Stats{}
 }
@@ -95,19 +73,19 @@ func (d *DRAM) Reset(rng *randx.Rand) {
 // the completion cycle: queueing on the addr-mapped channel, the base
 // latency, and the injected jitter.
 func (d *DRAM) Access(addr uint64, now uint64) uint64 {
-	ch := int((addr >> 6) % uint64(len(d.chanBusy)))
+	ch := (addr >> 6) % channels
 	start := now
 	if d.chanBusy[ch] > start {
 		start = d.chanBusy[ch]
 	}
 	d.stats.StallCycles += start - now
 	lat := d.cfg.BaseLatency
-	if d.cfg.Jitter == JitterUniform && d.cfg.JitterMax > 0 {
+	if d.cfg.JitterMax > 0 {
 		j := uint64(d.rng.UniformInt(0, d.cfg.JitterMax))
 		lat += j
 		d.stats.JitterCycles += j
 	}
-	d.chanBusy[ch] = start + d.cfg.BurstCycles
+	d.chanBusy[ch] = start + burstCycles
 	done := start + lat
 	d.stats.Accesses++
 	if total := done - now; total > d.stats.MaxAccessTime {

@@ -19,7 +19,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestNoJitterDeterministicLatency(t *testing.T) {
-	d, err := New(Config{BaseLatency: 90, Jitter: JitterNone}, randx.New(1))
+	d, err := New(Config{BaseLatency: 90}, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,18 +27,18 @@ func TestNoJitterDeterministicLatency(t *testing.T) {
 		t.Errorf("done = %d, want 190", done)
 	}
 	if d.Stats().JitterCycles != 0 {
-		t.Error("JitterNone should inject nothing")
+		t.Error("a zero jitter bound should inject nothing")
 	}
 }
 
 func TestUniformJitterWithinBounds(t *testing.T) {
-	d, err := New(Config{BaseLatency: 90, Jitter: JitterUniform, JitterMax: 4, Channels: 64}, randx.New(7))
+	d, err := New(Config{BaseLatency: 90, JitterMax: 4}, randx.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < 2000; i++ {
-		// Spread addresses across channels to avoid queueing.
+		// Accesses far apart in time never queue.
 		addr := uint64(i) * 64
 		now := uint64(i) * 1000
 		lat := d.Access(addr, now) - now
@@ -56,7 +56,7 @@ func TestUniformJitterWithinBounds(t *testing.T) {
 
 func TestJitterDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) []uint64 {
-		d, _ := New(Config{BaseLatency: 90, Jitter: JitterUniform, JitterMax: 4}, randx.New(seed))
+		d, _ := New(Config{BaseLatency: 90, JitterMax: 4}, randx.New(seed))
 		out := make([]uint64, 50)
 		for i := range out {
 			out[i] = d.Access(uint64(i)*64, uint64(i)*1000)
@@ -83,26 +83,26 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 }
 
 func TestChannelContention(t *testing.T) {
-	d, _ := New(Config{BaseLatency: 90, Jitter: JitterNone, Channels: 1, BurstCycles: 10}, randx.New(1))
+	d, _ := New(Config{BaseLatency: 90}, randx.New(1))
 	d1 := d.Access(0, 0)
-	d2 := d.Access(64, 0) // same channel, must queue behind the burst
+	d2 := d.Access(channels*64, 0) // same channel, must queue behind the burst
 	if d1 != 90 {
 		t.Errorf("first access done = %d", d1)
 	}
-	if d2 != 100 {
-		t.Errorf("queued access done = %d, want 100", d2)
+	if d2 != 90+burstCycles {
+		t.Errorf("queued access done = %d, want %d", d2, 90+burstCycles)
 	}
-	if d.Stats().StallCycles != 10 {
-		t.Errorf("stall cycles = %d, want 10", d.Stats().StallCycles)
+	if d.Stats().StallCycles != burstCycles {
+		t.Errorf("stall cycles = %d, want %d", d.Stats().StallCycles, burstCycles)
 	}
 }
 
 func TestMaxAccessTimeTracked(t *testing.T) {
-	d, _ := New(Config{BaseLatency: 90, Jitter: JitterUniform, JitterMax: 4, Channels: 1, BurstCycles: 50}, randx.New(3))
+	d, _ := New(Config{BaseLatency: 90, JitterMax: 4}, randx.New(3))
 	d.Access(0, 0)
-	d.Access(64, 0) // queues: end-to-end ≥ 140
-	if d.Stats().MaxAccessTime < 140 {
-		t.Errorf("MaxAccessTime = %d, want ≥ 140", d.Stats().MaxAccessTime)
+	d.Access(channels*64, 0) // queues: end-to-end ≥ 90 + burstCycles
+	if d.Stats().MaxAccessTime < 90+burstCycles {
+		t.Errorf("MaxAccessTime = %d, want ≥ %d", d.Stats().MaxAccessTime, 90+burstCycles)
 	}
 	if d.Stats().Accesses != 2 {
 		t.Errorf("accesses = %d", d.Stats().Accesses)
@@ -110,26 +110,16 @@ func TestMaxAccessTimeTracked(t *testing.T) {
 }
 
 func TestChannelMappingByAddress(t *testing.T) {
-	d, _ := New(Config{BaseLatency: 90, Jitter: JitterNone, Channels: 2, BurstCycles: 50}, randx.New(1))
-	// Blocks 0 and 2 map to channel 0; block 1 maps to channel 1: the
-	// middle access must not queue behind the first.
+	d, _ := New(Config{BaseLatency: 90}, randx.New(1))
+	// Blocks 0 and channels map to channel 0; block 1 maps to channel 1:
+	// the middle access must not queue behind the first.
 	d0 := d.Access(0*64, 0)
 	d1 := d.Access(1*64, 0)
-	d2 := d.Access(2*64, 0)
+	d2 := d.Access(channels*64, 0)
 	if d0 != 90 || d1 != 90 {
 		t.Errorf("independent channels should not queue: %d, %d", d0, d1)
 	}
-	if d2 != 140 {
-		t.Errorf("same-channel access should queue: %d, want 140", d2)
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	d, err := New(Config{BaseLatency: 90}, randx.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.chanBusy) != 2 || d.cfg.BurstCycles != 4 {
-		t.Errorf("defaults not applied: %d channels, burst %d", len(d.chanBusy), d.cfg.BurstCycles)
+	if d2 != 90+burstCycles {
+		t.Errorf("same-channel access should queue: %d, want %d", d2, 90+burstCycles)
 	}
 }

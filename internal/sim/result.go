@@ -78,55 +78,8 @@ func (m *machine) result() *Result {
 		kInstr = 1
 	}
 
-	var l1dMiss, l1iMiss, tlbMiss uint64
-	for c := 0; c < m.cfg.Cores; c++ {
-		l1dMiss += m.l1d[c].Stats().Misses
-		l1iMiss += m.l1i[c].Stats().Misses
-		tlbMiss += m.tlb[c].Stats().Misses
-	}
-	var brMisp uint64
-	for _, bp := range m.bp {
-		brMisp += bp.Stats().Mispredicts
-	}
-	l2 := m.l2.Stats()
-	l2Acc := l2.Hits + l2.Misses
-	if l2Acc == 0 {
-		l2Acc = 1
-	}
-	avgLoad := 0.0
-	if m.loads > 0 {
-		avgLoad = float64(m.loadLatencySum) / float64(m.loads)
-	}
-
-	metrics := map[string]float64{
-		MetricRuntime:       float64(cycles) / (m.cfg.FreqGHz * 1e9),
-		MetricCycles:        float64(cycles),
-		MetricInstructions:  float64(instr),
-		MetricIPC:           float64(instr) / float64(cycles),
-		MetricL1DMPKI:       float64(l1dMiss) / kInstr,
-		MetricL1IMPKI:       float64(l1iMiss) / kInstr,
-		MetricL2MPKI:        float64(l2.Misses) / kInstr,
-		MetricL2MissRate:    float64(l2.Misses) / float64(l2Acc),
-		MetricBranchMPKI:    float64(brMisp) / kInstr,
-		MetricTLBMPKI:       float64(tlbMiss) / kInstr,
-		MetricMaxLoadLat:    float64(m.loadLatencyMax), // integer-valued by construction
-		MetricAvgLoadLat:    avgLoad,
-		MetricSyncWaitFrac:  float64(m.syncWaitCycles) / (float64(cycles) * float64(m.cfg.Cores)),
-		MetricMemAccesses:   float64(m.dram.Stats().Accesses),
-		MetricCtxSwitches:   float64(m.ctxSwitches),
-		MetricSprintEntries: float64(m.thermal.sprintEntries),
-		MetricPrefetches:    float64(m.prefetches),
-		MetricThermalAlerts: float64(m.thermal.alerts),
-	}
-
-	tr, err := m.tracer.trace()
-	if err != nil {
-		// The tracer only fails on internal length mismatches, which would
-		// be a bug; surface it as an empty trace rather than panicking.
-		tr = nil
-	}
 	detail := Detail{
-		L2:         l2,
+		L2:         m.l2.Stats(),
 		Directory:  m.dir.Stats(),
 		Crossbar:   m.xbar.Stats(),
 		DRAM:       m.dram.Stats(),
@@ -145,7 +98,43 @@ func (m *machine) result() *Result {
 		detail.TLB.Lookups += ts.Lookups
 		detail.TLB.Misses += ts.Misses
 	}
+	l2 := detail.L2
+	l2Acc := l2.Hits + l2.Misses
+	if l2Acc == 0 {
+		l2Acc = 1
+	}
+	avgLoad := 0.0
+	if m.loads > 0 {
+		avgLoad = float64(m.loadLatencySum) / float64(m.loads)
+	}
 
+	metrics := map[string]float64{
+		MetricRuntime:       float64(cycles) / (m.cfg.FreqGHz * 1e9),
+		MetricCycles:        float64(cycles),
+		MetricInstructions:  float64(instr),
+		MetricIPC:           float64(instr) / float64(cycles),
+		MetricL1DMPKI:       float64(detail.L1D.Misses) / kInstr,
+		MetricL1IMPKI:       float64(detail.L1I.Misses) / kInstr,
+		MetricL2MPKI:        float64(l2.Misses) / kInstr,
+		MetricL2MissRate:    float64(l2.Misses) / float64(l2Acc),
+		MetricBranchMPKI:    float64(detail.Branch.Mispredicts) / kInstr,
+		MetricTLBMPKI:       float64(detail.TLB.Misses) / kInstr,
+		MetricMaxLoadLat:    float64(m.loadLatencyMax), // integer-valued by construction
+		MetricAvgLoadLat:    avgLoad,
+		MetricSyncWaitFrac:  float64(m.syncWaitCycles) / (float64(cycles) * float64(m.cfg.Cores)),
+		MetricMemAccesses:   float64(detail.DRAM.Accesses),
+		MetricCtxSwitches:   float64(m.ctxSwitches),
+		MetricSprintEntries: float64(m.thermal.sprintEntries),
+		MetricPrefetches:    float64(m.prefetches),
+		MetricThermalAlerts: float64(m.thermal.alerts),
+	}
+
+	tr, err := m.tracer.trace()
+	if err != nil {
+		// The tracer only fails on internal length mismatches, which would
+		// be a bug; surface it as an empty trace rather than panicking.
+		tr = nil
+	}
 	return &Result{
 		Benchmark:    m.prog.Name,
 		Cycles:       cycles,

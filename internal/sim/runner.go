@@ -32,16 +32,11 @@ type Runner struct {
 // NewRunner returns an empty arena; the first Run populates it.
 func NewRunner() *Runner { return &Runner{} }
 
-// Run is sim.Run on this arena.
+// Run is sim.Run on this arena. It replays the program from the
+// process-wide program cache. A caller who wants another instance of a
+// profile builds it with its own program seed and calls RunProgram.
 func (r *Runner) Run(profile string, cfg Config, scale float64, seed uint64) (*Result, error) {
-	return r.RunVariant(profile, cfg, scale, defaultProgSeed, seed)
-}
-
-// RunVariant is Run with an explicit program-structure seed, for studies
-// that also want distinct program instances (e.g. different inputs). It
-// replays the program from the process-wide program cache.
-func (r *Runner) RunVariant(profile string, cfg Config, scale float64, progSeed, seed uint64) (*Result, error) {
-	prog, err := cachedProgram(profile, scale, progSeed)
+	prog, err := cachedProgram(profile, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -79,12 +74,12 @@ func (r *Runner) RunProgram(prog *workload.Program, cfg Config, rng *randx.Rand)
 // fits.
 const maxCachedOps = 1 << 20
 
-// programKey is what a built profile is a pure function of. The scale is
-// keyed by its bits, so a NaN scale matches itself.
+// programKey is what a built profile is a pure function of, since every
+// profile is built from defaultProgSeed. The scale is keyed by its bits,
+// so a NaN scale matches itself.
 type programKey struct {
-	profile  string
-	scale    uint64
-	progSeed uint64
+	profile string
+	scale   uint64
 }
 
 // programs holds every built profile of the process, shared read-only by
@@ -111,9 +106,9 @@ type programEntry struct {
 	err  error
 }
 
-// cachedProgram returns the named profile built at scale from progSeed.
-func cachedProgram(profile string, scale float64, progSeed uint64) (*workload.Program, error) {
-	key := programKey{profile, math.Float64bits(scale), progSeed}
+// cachedProgram returns the named profile built at scale.
+func cachedProgram(profile string, scale float64) (*workload.Program, error) {
+	key := programKey{profile, math.Float64bits(scale)}
 	programs.Lock()
 	e := programs.byKey[key]
 	if e == nil {
@@ -121,7 +116,7 @@ func cachedProgram(profile string, scale float64, progSeed uint64) (*workload.Pr
 		programs.byKey[key] = e
 		programs.builds++
 		programs.Unlock()
-		e.build(key, profile, scale, progSeed)
+		e.build(key, profile, scale)
 	} else {
 		programs.Unlock()
 		<-e.done
@@ -132,7 +127,7 @@ func cachedProgram(profile string, scale float64, progSeed uint64) (*workload.Pr
 // build builds e's program and stores it, or, if the build fails or
 // panics, removes e from the cache so the next call builds again. Either
 // way it releases e's waiters.
-func (e *programEntry) build(key programKey, profile string, scale float64, progSeed uint64) {
+func (e *programEntry) build(key programKey, profile string, scale float64) {
 	defer func() {
 		if e.prog == nil {
 			if e.err == nil {
@@ -149,7 +144,7 @@ func (e *programEntry) build(key programKey, profile string, scale float64, prog
 		e.err = err
 		return
 	}
-	prog := p.Build(scale, randx.New(progSeed))
+	prog := p.Build(scale, randx.New(defaultProgSeed))
 	n := prog.Len()
 	programs.Lock()
 	defer programs.Unlock()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/randx"
@@ -131,7 +130,7 @@ func TestProgramLargerThanCacheKeptAlone(t *testing.T) {
 	if got.Cycles != want.Cycles || metricsDigest(got) != metricsDigest(want) {
 		t.Errorf("cache path: %d cycles, want %d", got.Cycles, want.Cycles)
 	}
-	big := programKey{bench, math.Float64bits(scale), defaultProgSeed}
+	big := programKey{bench, math.Float64bits(scale)}
 	programs.Lock()
 	kept, entries := programs.byKey[big], len(programs.byKey)
 	programs.Unlock()
@@ -146,7 +145,7 @@ func TestProgramLargerThanCacheKeptAlone(t *testing.T) {
 	if programs.byKey[big] != nil {
 		t.Error("the next key did not drop the over-cap program")
 	}
-	if programs.byKey[programKey{"ferret", math.Float64bits(0.05), defaultProgSeed}] == nil {
+	if programs.byKey[programKey{"ferret", math.Float64bits(0.05)}] == nil {
 		t.Error("the next key was not cached")
 	}
 }
@@ -185,21 +184,24 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 	wg.Wait()
 }
 
-// buildOnceCalls counts TestConcurrentMissesBuildOnce's calls.
-var buildOnceCalls atomic.Uint64
-
 // TestConcurrentMissesBuildOnce: arenas that miss one program key at the
 // same moment wait for a single build, and every run equals the serial
 // one. A build that fails releases its waiters and is not cached.
 func TestConcurrentMissesBuildOnce(t *testing.T) {
 	const bench, scale, arenas = "streamcluster", 0.0625, 8 // a key no other test runs
-	// A program seed of its own per call keeps the key new under -count.
-	progSeed := defaultProgSeed + buildOnceCalls.Add(1)
+	// Dropping the key first keeps it new under -count.
+	key := programKey{bench, math.Float64bits(scale)}
+	programs.Lock()
+	if e := programs.byKey[key]; e != nil {
+		programs.ops -= e.prog.Len()
+		delete(programs.byKey, key)
+	}
+	programs.Unlock()
 	p, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewRunner().RunProgram(p.Build(scale, randx.New(progSeed)), DefaultConfig(), randx.New(4))
+	want, err := NewRunner().RunProgram(p.Build(scale, randx.New(defaultProgSeed)), DefaultConfig(), randx.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 				defer wg.Done()
 				r := NewRunner()
 				<-start
-				res[i], errs[i] = r.RunVariant(profile, DefaultConfig(), scale, progSeed, 4)
+				res[i], errs[i] = r.Run(profile, DefaultConfig(), scale, 4)
 			}()
 		}
 		close(start)
@@ -250,12 +252,12 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 		}
 	}
 	programs.Lock()
-	cached := programs.byKey[programKey{unknown, math.Float64bits(scale), progSeed}]
+	cached := programs.byKey[programKey{unknown, math.Float64bits(scale)}]
 	programs.Unlock()
 	if cached != nil {
 		t.Error("a failed build stayed in the cache")
 	}
-	if _, err := NewRunner().RunVariant(unknown, DefaultConfig(), scale, progSeed, 4); err == nil {
+	if _, err := NewRunner().Run(unknown, DefaultConfig(), scale, 4); err == nil {
 		t.Error("the call after a failed build did not fail again")
 	}
 }

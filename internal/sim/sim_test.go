@@ -417,22 +417,6 @@ func TestMoreThreadsThanCoresCompletes(t *testing.T) {
 	}
 }
 
-func TestRunVariantChangesProgram(t *testing.T) {
-	cfg := DefaultConfig()
-	r := NewRunner()
-	a, err := r.RunVariant("swaptions", cfg, testScale, 1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.RunVariant("swaptions", cfg, testScale, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Instructions == b.Instructions && a.Cycles == b.Cycles {
-		t.Error("different program seeds should produce different executions")
-	}
-}
-
 func TestThermalSprintCycle(t *testing.T) {
 	tm := &thermalModel{}
 	tm.init(DefaultConfig().Thermal, DefaultConfig().Thermal.Ambient)

@@ -18,7 +18,7 @@ func traceMachine(t *testing.T, cores int) *machine {
 	cfg.Thermal.Enabled = false
 	m := &machine{cfg: cfg}
 	for i := 0; i < cores; i++ {
-		l1, err := cache.New(cache.Config{Name: "l1d", SizeBytes: 4096, Ways: 4, BlockSize: 64}, nil)
+		l1, err := cache.New(cache.Config{SizeBytes: 4096, Ways: 4, BlockSize: 64}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func traceMachine(t *testing.T, cores int) *machine {
 		}
 		m.tlb = append(m.tlb, tlb)
 	}
-	l2, err := cache.New(cache.Config{Name: "l2", SizeBytes: 64 * 1024, Ways: 8, BlockSize: 64}, nil)
+	l2, err := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 8, BlockSize: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/randx"
 )
@@ -39,15 +40,18 @@ func (rs RegionSpec) validate() error {
 	return nil
 }
 
-// build instantiates the region for thread tid.
+// build instantiates the region for thread tid, drawing from r.
 func (rs RegionSpec) build(tid int, r *randx.Rand) *region {
 	base := uint64(SharedBase)
 	if !rs.Shared {
 		base = privBase(tid)
 	}
-	reg := newRegion(base, rs.SizeBytes, rs.ZipfSkew, r)
-	if rs.HotFraction > 0 {
-		reg.withLocality(rs.HotFraction, rs.HotBlocks, rs.AdvanceEvery)
+	reg := &region{
+		base: base, size: rs.SizeBytes, r: r, shared: rs.Shared,
+		hotFrac: rs.HotFraction, hotBlocks: rs.HotBlocks, advanceEvery: rs.AdvanceEvery,
+	}
+	if rs.ZipfSkew > 0 {
+		reg.zipf = randx.NewZipf(r, max(int(rs.SizeBytes/blockBytes), 1), rs.ZipfSkew)
 	}
 	return reg
 }
@@ -106,7 +110,8 @@ func (spec PipelineSpec) validate() error {
 // NewPipelineProfile builds a custom pipeline workload profile with a
 // single-threaded source and sink around the declared stages, exactly the
 // structure of the built-in ferret/dedup profiles. The scale factor
-// multiplies Items (floored so stage splits stay exact).
+// multiplies Items, floored to a multiple of every stage's thread count
+// and to at least 4 items.
 func NewPipelineProfile(name string, spec PipelineSpec) (Profile, error) {
 	if name == "" {
 		return Profile{}, errors.New("workload: empty profile name")
@@ -114,8 +119,26 @@ func NewPipelineProfile(name string, spec PipelineSpec) (Profile, error) {
 	if err := spec.validate(); err != nil {
 		return Profile{}, err
 	}
-	// Divisibility must survive scaling: use the LCM-ish simple approach
-	// of scaling then rounding down to a multiple of every thread count.
+	source := PipelineStageSpec{Threads: 1, ComputeMean: 50, ComputeJitter: 10, MemOps: 4, WriteFraction: 0.2, SharedFrac: 0.1, Branches: 2}
+	sink := PipelineStageSpec{Threads: 1, ComputeMean: 40, ComputeJitter: 8, MemOps: 3, WriteFraction: 0.6, SharedFrac: 0.1, Branches: 2}
+	spec.Stages = slices.Concat([]PipelineStageSpec{source}, spec.Stages, []PipelineStageSpec{sink})
+	return pipeline(name, 0xD000, spec), nil
+}
+
+// minItems is the fewest items a pipeline processes, rounded up to a
+// multiple of its stages' thread counts. It is ferret's floor, where the
+// thread counts alone would allow 2.
+const minItems = 4
+
+// pipeline assembles a pipeline profile: spec.Stages run in order, the
+// first consuming nothing and the last producing nothing, and stage i
+// consumes queue i-1 and produces queue i, each queue of
+// spec.QueueCapacity. Thread tid's branches sit at pcBase + tid·0x100, its
+// private region draws from the stream Split(500+tid) and its loop from
+// Split(tid) of the program's stream, and the shared region from
+// Split(1000).
+func pipeline(name string, pcBase uint64, spec PipelineSpec) Profile {
+	// Every stage's threads must split the items evenly at every scale.
 	mult := 1
 	for _, st := range spec.Stages {
 		mult = lcm(mult, st.Threads)
@@ -123,47 +146,34 @@ func NewPipelineProfile(name string, spec PipelineSpec) (Profile, error) {
 	return Profile{
 		Name: name,
 		Build: func(scale float64, r *randx.Rand) *Program {
-			items := scaleCount(spec.Items, scale) / mult * mult
-			if items < mult {
-				items = mult
-			}
+			items := max(scaleCount(spec.Items, scale)/mult*mult, (minItems+mult-1)/mult*mult)
 			prog := &Program{Name: name}
-			sh := spec.Shared
-			sh.Shared = true
+			sh, pr := spec.Shared, spec.Private // copies: spec is shared by concurrent builds
+			sh.Shared, pr.Shared = true, false
 			shared := sh.build(0, r.Split(1000))
-			nq := len(spec.Stages) + 1
-			for q := 0; q < nq; q++ {
+			for q := 0; q < len(spec.Stages)-1; q++ {
 				prog.Queues = append(prog.Queues, QueueSpec{ID: q, Capacity: spec.QueueCapacity})
 			}
-			tid := 0
-			add := func(p pipelineStageParams) {
-				p.pcBase = 0xD000 + uint64(tid)*0x100
-				pr := spec.Private
-				pr.Shared = false
-				p.private = pr.build(tid, r.Split(uint64(500+tid)))
-				p.shared = shared
-				prog.Threads = append(prog.Threads, pipelineStageThread(p, r.Split(uint64(tid))))
-				tid++
-			}
-			// Source.
-			add(pipelineStageParams{items: items, inQueue: -1, outQueue: 0,
-				computeMean: 50, computeJitter: 10, memOps: 4, writeFrac: 0.2, sharedFrac: 0.1, branches: 2})
 			for i, st := range spec.Stages {
+				out := i
+				if i == len(spec.Stages)-1 {
+					out = -1
+				}
 				for k := 0; k < st.Threads; k++ {
-					add(pipelineStageParams{
-						items: items / st.Threads, inQueue: i, outQueue: i + 1,
-						computeMean: st.ComputeMean, computeJitter: st.ComputeJitter,
-						memOps: st.MemOps, writeFrac: st.WriteFraction,
-						sharedFrac: st.SharedFrac, branches: st.Branches,
-					})
+					tid := len(prog.Threads)
+					l := loop{
+						iters: items / st.Threads, in: i - 1, out: out,
+						pcBase: pcBase + uint64(tid)*0x100, branches: st.Branches, branchBias: 0.85,
+						computeMean: st.ComputeMean, computeJitter: st.ComputeJitter, instrsPerCycle: 1.2,
+						memOps: st.MemOps, writeFrac: st.WriteFraction, sharedFrac: st.SharedFrac,
+						private: pr.build(tid, r.Split(uint64(500+tid))), shared: shared,
+					}
+					prog.Threads = append(prog.Threads, l.generate(r.Split(uint64(tid))))
 				}
 			}
-			// Sink.
-			add(pipelineStageParams{items: items, inQueue: nq - 1, outQueue: -1,
-				computeMean: 40, computeJitter: 8, memOps: 3, writeFrac: 0.6, sharedFrac: 0.1, branches: 2})
 			return prog.drawShared(shared)
 		},
-	}, nil
+	}
 }
 
 func gcd(a, b int) int {

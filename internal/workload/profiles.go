@@ -26,280 +26,181 @@ func RegionIndex(addr uint64) int {
 	return 1 + int((addr-PrivateBase)/PrivateStep)
 }
 
-// Each data-parallel profile below takes its thread's private-region
-// stream, tr.Split(1), inside the params literal, before dataParallelThread
-// draws from tr. A split reads the parent's current state
-// (randx.SplitInto), so this order is part of every program the golden
-// fence pins.
+// parallel declares a data-parallel profile: four threads run one loop,
+// each over a private region of its own and all over one shared region.
+type parallel struct {
+	iters   int        // iterations per thread at scale 1
+	pcBase  uint64     // thread t's branches sit at pcBase + t·0x100
+	shared  RegionSpec // zero size for no shared region
+	private RegionSpec
+	// locks spreads the critical sections: thread t takes lock t % locks.
+	locks int
+	// loop is every other field of the threads' loop.
+	loop loop
+}
+
+// lastIter, as a parallel profile's barrierEvery, puts one barrier on the
+// last iteration.
+const lastIter = -1
+
+// dataParallel assembles a data-parallel profile. Thread t draws from the
+// stream Split(t) of the program's stream and takes its private region's
+// stream, Split(1), before its loop draws: a split reads the parent's
+// current state (randx.SplitInto), so this order is part of every
+// program. The shared region draws from Split(1000).
+func dataParallel(name string, spec parallel) Profile {
+	return Profile{
+		Name: name,
+		Build: func(scale float64, r *randx.Rand) *Program {
+			const threads = 4
+			prog := &Program{Name: name}
+			iters := scaleCount(spec.iters, scale)
+			var shared *region
+			if spec.shared.SizeBytes > 0 {
+				shared = spec.shared.build(0, r.Split(1000))
+			}
+			for t := 0; t < threads; t++ {
+				tr := r.Split(uint64(t))
+				l := spec.loop // a copy: spec is shared by concurrent builds
+				l.iters, l.in, l.out = iters, -1, -1
+				l.pcBase = spec.pcBase + uint64(t)*0x100
+				l.private, l.shared = spec.private.build(t, tr.Split(1)), shared
+				if spec.locks > 0 {
+					l.lockID = t % spec.locks
+				}
+				if l.barrierEvery == lastIter {
+					l.barrierEvery = iters
+				}
+				prog.Threads = append(prog.Threads, l.generate(tr))
+			}
+			if spec.loop.barrierEvery != 0 {
+				prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
+			}
+			return prog.drawShared(shared)
+		},
+	}
+}
+
 var profiles = []Profile{
-	{
-		// Embarrassingly parallel option pricing: private streaming data,
-		// a single final barrier, essentially no sharing. The lowest
-		// variability of the suite (the paper's CoV floor of 0.0002).
-		Name: "blackscholes",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "blackscholes"}
-			iters := scaleCount(400, scale)
-			shared := newRegion(SharedBase, 1*mb, 0, r.Split(1000))
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 300, computeJitter: 20,
-					instrsPerCycle: 1.5, memOps: 48, writeFrac: 0.25,
-					sharedFrac: 0.02, branches: 4, branchBias: 0.92,
-					private: newRegion(privBase(t), 1*mb, 0, tr.Split(1)).withLocality(0.92, 48, 160),
-					shared:  shared, lockID: -1, barrierID: 0,
-					barrierEvery: iters, // one barrier at the end
-					pcBase:       0x1000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog.drawShared(shared)
+	// Embarrassingly parallel option pricing: private streaming data,
+	// a single final barrier, essentially no sharing. The lowest
+	// variability of the suite (the paper's CoV floor of 0.0002).
+	dataParallel("blackscholes", parallel{
+		iters: 400, pcBase: 0x1000,
+		shared:  RegionSpec{Shared: true, SizeBytes: 1 * mb},
+		private: RegionSpec{SizeBytes: 1 * mb, HotFraction: 0.92, HotBlocks: 48, AdvanceEvery: 160},
+		loop: loop{
+			computeMean: 300, computeJitter: 20, instrsPerCycle: 1.5,
+			memOps: 48, writeFrac: 0.25, sharedFrac: 0.02, branches: 4, branchBias: 0.92,
+			barrierEvery: lastIter,
 		},
-	},
-	{
-		// Per-frame data parallelism with frequent barriers and a shared
-		// model updated under a lock.
-		Name: "bodytrack",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "bodytrack"}
-			iters := scaleCount(300, scale)
-			shared := newRegion(SharedBase, 4*mb, 0.7, r.Split(1000))
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 220, computeJitter: 50,
-					instrsPerCycle: 1.3, memOps: 80, writeFrac: 0.3,
-					sharedFrac: 0.15, branches: 6, branchBias: 0.85,
-					private: newRegion(privBase(t), 2*mb, 0, tr.Split(1)).withLocality(0.9, 64, 160),
-					shared:  shared, lockID: 0, lockEvery: 40, lockHeldOps: 3,
-					barrierID: 0, barrierEvery: 25,
-					pcBase: 0x2000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog.drawShared(shared)
+	}),
+	// Per-frame data parallelism with frequent barriers and a shared
+	// model updated under a lock.
+	dataParallel("bodytrack", parallel{
+		iters: 300, pcBase: 0x2000,
+		shared:  RegionSpec{Shared: true, SizeBytes: 4 * mb, ZipfSkew: 0.7},
+		private: RegionSpec{SizeBytes: 2 * mb, HotFraction: 0.9, HotBlocks: 64, AdvanceEvery: 160},
+		locks:   1,
+		loop: loop{
+			computeMean: 220, computeJitter: 50, instrsPerCycle: 1.3,
+			memOps: 80, writeFrac: 0.3, sharedFrac: 0.15, branches: 6, branchBias: 0.85,
+			lockEvery: 40, lockHeldOps: 3, barrierEvery: 25,
 		},
-	},
-	{
-		// Simulated annealing over a netlist far larger than the L2:
-		// pointer-chasing random accesses, tiny lock-protected swaps.
-		// The L2-MPKI outlier of the suite.
-		Name: "canneal",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "canneal"}
-			iters := scaleCount(250, scale)
-			shared := newRegion(SharedBase, 48*mb, 0, r.Split(1000))
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 90, computeJitter: 20,
-					instrsPerCycle: 1.0, memOps: 240, writeFrac: 0.4,
-					sharedFrac: 0.9, branches: 5, branchBias: 0.6,
-					private: newRegion(privBase(t), 256*1024, 0, tr.Split(1)).withLocality(0.85, 48, 200),
-					shared:  shared, lockID: t % 2, lockEvery: 10, lockHeldOps: 2,
-					barrierID: -1,
-					pcBase:    0x3000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			return prog.drawShared(shared)
+	}),
+	// Simulated annealing over a netlist far larger than the L2:
+	// pointer-chasing random accesses, tiny lock-protected swaps.
+	// The L2-MPKI outlier of the suite.
+	dataParallel("canneal", parallel{
+		iters: 250, pcBase: 0x3000,
+		shared:  RegionSpec{Shared: true, SizeBytes: 48 * mb},
+		private: RegionSpec{SizeBytes: 256 * 1024, HotFraction: 0.85, HotBlocks: 48, AdvanceEvery: 200},
+		locks:   2,
+		loop: loop{
+			computeMean: 90, computeJitter: 20, instrsPerCycle: 1.0,
+			memOps: 240, writeFrac: 0.4, sharedFrac: 0.9, branches: 5, branchBias: 0.6,
+			lockEvery: 10, lockHeldOps: 2,
 		},
-	},
-	{
-		// Three-stage deduplication pipeline over bounded queues.
-		Name: "dedup",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			prog := &Program{Name: "dedup"}
-			items := scaleCount(48, scale) / 6 * 6 // divisible by 2 and 3
-			if items < 6 {
-				items = 6
-			}
-			shared := newRegion(SharedBase, 12*mb, 1.0, r.Split(1000))
-			prog.Queues = []QueueSpec{{ID: 0, Capacity: 4}, {ID: 1, Capacity: 4}, {ID: 2, Capacity: 4}}
-			tid := 0
-			add := func(p pipelineStageParams) {
-				p.pcBase = 0x4000 + uint64(tid)*0x100
-				if p.private == nil {
-					p.private = newRegion(privBase(tid), 1*mb, 0, r.Split(uint64(500+tid))).withLocality(0.9, 64, 150)
-				}
-				p.shared = shared
-				prog.Threads = append(prog.Threads, pipelineStageThread(p, r.Split(uint64(tid))))
-				tid++
-			}
-			// Source reads input and produces chunks.
-			add(pipelineStageParams{items: items, inQueue: -1, outQueue: 0,
-				computeMean: 120, computeJitter: 30, memOps: 64, writeFrac: 0.2, sharedFrac: 0.2, branches: 3})
-			// Two chunkers.
-			for i := 0; i < 2; i++ {
-				add(pipelineStageParams{items: items / 2, inQueue: 0, outQueue: 1,
-					computeMean: 260, computeJitter: 60, memOps: 96, writeFrac: 0.3, sharedFrac: 0.5, branches: 5})
-			}
-			// Three compressors (the heavy stage).
-			for i := 0; i < 3; i++ {
-				add(pipelineStageParams{items: items / 3, inQueue: 1, outQueue: 2,
-					computeMean: 520, computeJitter: 140, memOps: 128, writeFrac: 0.4, sharedFrac: 0.3, branches: 6})
-			}
-			// Sink.
-			add(pipelineStageParams{items: items, inQueue: 2, outQueue: -1,
-				computeMean: 90, computeJitter: 20, memOps: 48, writeFrac: 0.6, sharedFrac: 0.2, branches: 2})
-			return prog.drawShared(shared)
+	}),
+	// Three-stage deduplication pipeline over bounded queues: a source
+	// reads input and produces chunks, two chunkers, three compressors
+	// (the heavy stage) and a sink.
+	pipeline("dedup", 0x4000, PipelineSpec{
+		Items: 48, QueueCapacity: 4,
+		Shared:  RegionSpec{SizeBytes: 12 * mb, ZipfSkew: 1.0},
+		Private: RegionSpec{SizeBytes: 1 * mb, HotFraction: 0.9, HotBlocks: 64, AdvanceEvery: 150},
+		Stages: []PipelineStageSpec{
+			{Threads: 1, ComputeMean: 120, ComputeJitter: 30, MemOps: 64, WriteFraction: 0.2, SharedFrac: 0.2, Branches: 3},
+			{Threads: 2, ComputeMean: 260, ComputeJitter: 60, MemOps: 96, WriteFraction: 0.3, SharedFrac: 0.5, Branches: 5},
+			{Threads: 3, ComputeMean: 520, ComputeJitter: 140, MemOps: 128, WriteFraction: 0.4, SharedFrac: 0.3, Branches: 6},
+			{Threads: 1, ComputeMean: 90, ComputeJitter: 20, MemOps: 48, WriteFraction: 0.6, SharedFrac: 0.2, Branches: 2},
 		},
-	},
-	{
-		// Content-based image search: the paper's variability star. A
-		// deep pipeline (input → segment → extract×2 → index×2 → rank×2 →
-		// output) over small bounded queues; the rank stage dominates, so
-		// which interleaving the scheduler falls into decides whether the
-		// pipeline streams or stalls — frequent synchronization and data
-		// sharing, exactly as Sec. 5.1 describes.
-		Name: "ferret",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			prog := &Program{Name: "ferret"}
-			items := scaleCount(64, scale) / 2 * 2
-			if items < 4 {
-				items = 4
-			}
-			shared := newRegion(SharedBase, 896*1024, 0.3, r.Split(1000))
-			prog.Queues = []QueueSpec{
-				{ID: 0, Capacity: 2}, {ID: 1, Capacity: 2},
-				{ID: 2, Capacity: 2}, {ID: 3, Capacity: 2}, {ID: 4, Capacity: 2},
-			}
-			tid := 0
-			add := func(p pipelineStageParams) {
-				p.pcBase = 0x5000 + uint64(tid)*0x100
-				if p.private == nil {
-					p.private = newRegion(privBase(tid), 768*1024, 0, r.Split(uint64(500+tid))).withLocality(0.9, 64, 150)
-				}
-				p.shared = shared
-				prog.Threads = append(prog.Threads, pipelineStageThread(p, r.Split(uint64(tid))))
-				tid++
-			}
-			add(pipelineStageParams{items: items, inQueue: -1, outQueue: 0,
-				computeMean: 60, computeJitter: 15, memOps: 32, writeFrac: 0.2, sharedFrac: 0.1, branches: 2})
-			add(pipelineStageParams{items: items, inQueue: 0, outQueue: 1,
-				computeMean: 200, computeJitter: 50, memOps: 80, writeFrac: 0.25, sharedFrac: 0.55, branches: 4})
-			for i := 0; i < 2; i++ {
-				add(pipelineStageParams{items: items / 2, inQueue: 1, outQueue: 2,
-					computeMean: 340, computeJitter: 90, memOps: 112, writeFrac: 0.3, sharedFrac: 0.65, branches: 5})
-			}
-			for i := 0; i < 2; i++ {
-				add(pipelineStageParams{items: items / 2, inQueue: 2, outQueue: 3,
-					computeMean: 300, computeJitter: 80, memOps: 144, writeFrac: 0.25, sharedFrac: 0.8, branches: 5})
-			}
-			for i := 0; i < 2; i++ {
-				add(pipelineStageParams{items: items / 2, inQueue: 3, outQueue: 4,
-					computeMean: 900, computeJitter: 260, memOps: 176, writeFrac: 0.2, sharedFrac: 0.75, branches: 8})
-			}
-			add(pipelineStageParams{items: items, inQueue: 4, outQueue: -1,
-				computeMean: 50, computeJitter: 10, memOps: 24, writeFrac: 0.7, sharedFrac: 0.1, branches: 2})
-			return prog.drawShared(shared)
+	}),
+	// Content-based image search: the paper's variability star. A
+	// deep pipeline (input → segment → extract×2 → index×2 → rank×2 →
+	// output) over small bounded queues; the rank stage dominates, so
+	// which interleaving the scheduler falls into decides whether the
+	// pipeline streams or stalls — frequent synchronization and data
+	// sharing, exactly as Sec. 5.1 describes.
+	pipeline("ferret", 0x5000, PipelineSpec{
+		Items: 64, QueueCapacity: 2,
+		Shared:  RegionSpec{SizeBytes: 896 * 1024, ZipfSkew: 0.3},
+		Private: RegionSpec{SizeBytes: 768 * 1024, HotFraction: 0.9, HotBlocks: 64, AdvanceEvery: 150},
+		Stages: []PipelineStageSpec{
+			{Threads: 1, ComputeMean: 60, ComputeJitter: 15, MemOps: 32, WriteFraction: 0.2, SharedFrac: 0.1, Branches: 2},
+			{Threads: 1, ComputeMean: 200, ComputeJitter: 50, MemOps: 80, WriteFraction: 0.25, SharedFrac: 0.55, Branches: 4},
+			{Threads: 2, ComputeMean: 340, ComputeJitter: 90, MemOps: 112, WriteFraction: 0.3, SharedFrac: 0.65, Branches: 5},
+			{Threads: 2, ComputeMean: 300, ComputeJitter: 80, MemOps: 144, WriteFraction: 0.25, SharedFrac: 0.8, Branches: 5},
+			{Threads: 2, ComputeMean: 900, ComputeJitter: 260, MemOps: 176, WriteFraction: 0.2, SharedFrac: 0.75, Branches: 8},
+			{Threads: 1, ComputeMean: 50, ComputeJitter: 10, MemOps: 24, WriteFraction: 0.7, SharedFrac: 0.1, Branches: 2},
 		},
-	},
-	{
-		// Grid fluid dynamics: the most lock-intensive PARSEC code
-		// (fine-grained cell locks) plus frequent barriers.
-		Name: "fluidanimate",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "fluidanimate"}
-			iters := scaleCount(300, scale)
-			shared := newRegion(SharedBase, 6*mb, 0.8, r.Split(1000))
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 150, computeJitter: 30,
-					instrsPerCycle: 1.4, memOps: 96, writeFrac: 0.35,
-					sharedFrac: 0.3, branches: 5, branchBias: 0.8,
-					private: newRegion(privBase(t), 1536*1024, 0, tr.Split(1)).withLocality(0.9, 56, 180),
-					shared:  shared, lockID: t, lockEvery: 1, lockHeldOps: 2,
-					barrierID: 0, barrierEvery: 30,
-					pcBase: 0x6000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog.drawShared(shared)
+	}),
+	// Grid fluid dynamics: the most lock-intensive PARSEC code
+	// (fine-grained cell locks) plus frequent barriers.
+	dataParallel("fluidanimate", parallel{
+		iters: 300, pcBase: 0x6000,
+		shared:  RegionSpec{Shared: true, SizeBytes: 6 * mb, ZipfSkew: 0.8},
+		private: RegionSpec{SizeBytes: 1536 * 1024, HotFraction: 0.9, HotBlocks: 56, AdvanceEvery: 180},
+		locks:   4,
+		loop: loop{
+			computeMean: 150, computeJitter: 30, instrsPerCycle: 1.4,
+			memOps: 96, writeFrac: 0.35, sharedFrac: 0.3, branches: 5, branchBias: 0.8,
+			lockEvery: 1, lockHeldOps: 2, barrierEvery: 30,
 		},
-	},
-	{
-		// Frequent-itemset mining over a shared FP-tree: read-mostly
-		// skewed accesses, almost no locking.
-		Name: "freqmine",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "freqmine"}
-			iters := scaleCount(280, scale)
-			shared := newRegion(SharedBase, 8*mb, 1.15, r.Split(1000))
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 350, computeJitter: 60,
-					instrsPerCycle: 1.6, memOps: 112, writeFrac: 0.15,
-					sharedFrac: 0.6, branches: 7, branchBias: 0.75,
-					private: newRegion(privBase(t), 1*mb, 0, tr.Split(1)).withLocality(0.92, 48, 160),
-					shared:  shared, lockID: -1,
-					barrierID: 0, barrierEvery: 140,
-					pcBase: 0x7000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog.drawShared(shared)
+	}),
+	// Frequent-itemset mining over a shared FP-tree: read-mostly
+	// skewed accesses, almost no locking.
+	dataParallel("freqmine", parallel{
+		iters: 280, pcBase: 0x7000,
+		shared:  RegionSpec{Shared: true, SizeBytes: 8 * mb, ZipfSkew: 1.15},
+		private: RegionSpec{SizeBytes: 1 * mb, HotFraction: 0.92, HotBlocks: 48, AdvanceEvery: 160},
+		loop: loop{
+			computeMean: 350, computeJitter: 60, instrsPerCycle: 1.6,
+			memOps: 112, writeFrac: 0.15, sharedFrac: 0.6, branches: 7, branchBias: 0.75,
+			barrierEvery: 140,
 		},
-	},
-	{
-		// Online clustering: barrier after every point batch, half the
-		// accesses hit the shared centers.
-		Name: "streamcluster",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "streamcluster"}
-			iters := scaleCount(300, scale)
-			shared := newRegion(SharedBase, 2*mb, 0.5, r.Split(1000))
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 180, computeJitter: 25,
-					instrsPerCycle: 1.2, memOps: 128, writeFrac: 0.2,
-					sharedFrac: 0.5, branches: 4, branchBias: 0.88,
-					private: newRegion(privBase(t), 1*mb, 0, tr.Split(1)).withLocality(0.92, 48, 160),
-					shared:  shared, lockID: 0, lockEvery: 30, lockHeldOps: 2,
-					barrierID: 0, barrierEvery: 10,
-					pcBase: 0x8000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			prog.Barriers = []BarrierSpec{{ID: 0, Participants: threads}}
-			return prog.drawShared(shared)
+	}),
+	// Online clustering: barrier after every point batch, half the
+	// accesses hit the shared centers.
+	dataParallel("streamcluster", parallel{
+		iters: 300, pcBase: 0x8000,
+		shared:  RegionSpec{Shared: true, SizeBytes: 2 * mb, ZipfSkew: 0.5},
+		private: RegionSpec{SizeBytes: 1 * mb, HotFraction: 0.92, HotBlocks: 48, AdvanceEvery: 160},
+		locks:   1,
+		loop: loop{
+			computeMean: 180, computeJitter: 25, instrsPerCycle: 1.2,
+			memOps: 128, writeFrac: 0.2, sharedFrac: 0.5, branches: 4, branchBias: 0.88,
+			lockEvery: 30, lockHeldOps: 2, barrierEvery: 10,
 		},
-	},
-	{
-		// Monte-Carlo swaption pricing: fully independent threads on
-		// private data; the only synchronization is program exit.
-		Name: "swaptions",
-		Build: func(scale float64, r *randx.Rand) *Program {
-			const threads = 4
-			prog := &Program{Name: "swaptions"}
-			iters := scaleCount(350, scale)
-			for t := 0; t < threads; t++ {
-				tr := r.Split(uint64(t))
-				ops := dataParallelThread(dataParallelParams{
-					iters: iters, computeMean: 400, computeJitter: 60,
-					instrsPerCycle: 1.7, memOps: 32, writeFrac: 0.3,
-					sharedFrac: 0, branches: 5, branchBias: 0.9,
-					private: newRegion(privBase(t), 512*1024, 0, tr.Split(1)).withLocality(0.94, 40, 200),
-					shared:  nil, lockID: -1, barrierID: -1,
-					pcBase: 0x9000 + uint64(t)*0x100,
-				}, tr)
-				prog.Threads = append(prog.Threads, ops)
-			}
-			return prog
+	}),
+	// Monte-Carlo swaption pricing: fully independent threads on
+	// private data; the only synchronization is program exit.
+	dataParallel("swaptions", parallel{
+		iters: 350, pcBase: 0x9000,
+		private: RegionSpec{SizeBytes: 512 * 1024, HotFraction: 0.94, HotBlocks: 40, AdvanceEvery: 200},
+		loop: loop{
+			computeMean: 400, computeJitter: 60, instrsPerCycle: 1.7,
+			memOps: 32, writeFrac: 0.3, branches: 5, branchBias: 0.9,
 		},
-	},
+	}),
 }

@@ -285,52 +285,34 @@ func scaleCount(base int, scale float64) int {
 	return n
 }
 
+// blockBytes is the granularity of a region's addresses: an access picks
+// a block, then a byte offset in it.
+const blockBytes = 64
+
 // region describes an address region a generator draws accesses from,
 // with an optional temporal-locality model: a fraction of accesses target
 // a small "hot" window (the current item buffer / stack frame) that slides
 // through the region, which is what gives the simulated caches realistic
 // hit rates; the rest draw from the whole region (zipf-skewed or uniform).
+// RegionSpec.build makes every region.
 type region struct {
-	base  uint64
-	size  uint64 // bytes
-	zipf  *randx.Zipf
-	r     *randx.Rand
-	block uint64
+	base uint64
+	size uint64 // bytes
+	zipf *randx.Zipf
+	r    *randx.Rand
 	// shared marks the program's shared mapping, which every thread draws
 	// from: its accesses are placeholders until drawShared (see Replay).
 	shared bool
 
 	hotFrac      float64 // fraction of accesses to the hot window
 	hotBlocks    uint64  // hot-window size in blocks
-	advanceEvery int     // window slides after this many accesses
+	advanceEvery int     // window slides by half its size after this many accesses
 	window       uint64  // current window start block
 	count        int
 }
 
-func newRegion(base, size uint64, skew float64, r *randx.Rand) *region {
-	blocks := int(size / 64)
-	if blocks < 1 {
-		blocks = 1
-	}
-	reg := &region{base: base, size: size, r: r, block: 64, shared: RegionIndex(base) == 0}
-	if skew > 0 {
-		reg.zipf = randx.NewZipf(r, blocks, skew)
-	}
-	return reg
-}
-
-// withLocality enables the hot-window model: hotFrac of accesses land in a
-// window of hotBlocks cache blocks that advances by half its size every
-// advanceEvery accesses.
-func (reg *region) withLocality(hotFrac float64, hotBlocks uint64, advanceEvery int) *region {
-	reg.hotFrac = hotFrac
-	reg.hotBlocks = hotBlocks
-	reg.advanceEvery = advanceEvery
-	return reg
-}
-
 func (reg *region) addr() uint64 {
-	blocks := reg.size / reg.block
+	blocks := reg.size / blockBytes
 	if blocks == 0 {
 		blocks = 1
 	}
@@ -354,158 +336,101 @@ func (reg *region) addr() uint64 {
 	} else {
 		b = uint64(reg.r.Intn(int(blocks)))
 	}
-	off := uint64(reg.r.Intn(int(reg.block)))
-	return reg.base + b*reg.block + off
+	off := uint64(reg.r.Intn(blockBytes))
+	return reg.base + b*blockBytes + off
 }
 
-// thread generates one thread's whole op stream, an iteration at a time.
-// It is the structure shared by all profiles: a fixed number of
-// iterations, each emitting a randomized mix of branches, compute, private
-// and shared accesses, and synchronization according to its parameters.
-type thread struct {
-	r     *randx.Rand
-	iter  int
-	ops   []Op
-	claim int // shared addresses the current iteration takes
-}
-
-// generate runs emit for iterations 1 to iters and returns the stream,
-// each iteration's claim recorded on its first op, in a slice cut to its
-// length since a cached program lives as long as the process. Every emit
-// appends at least its compute op. A claim fits in 32 bits: an iteration
-// of 2^32 shared accesses would take 96 GB of ops.
-func generate(r *randx.Rand, iters int, emit func(t *thread)) []Op {
-	t := &thread{r: r}
-	for t.iter = 1; t.iter <= iters; t.iter++ {
-		first := len(t.ops)
-		t.claim = 0
-		emit(t)
-		t.ops[first].claim = uint32(t.claim)
-	}
-	return slices.Clone(t.ops)
-}
-
-func (t *thread) push(op Op) { t.ops = append(t.ops, op) }
-
-// access appends a store to reg when write holds, else a load. An access
-// to the shared region is a placeholder the claim rule fills in.
-func (t *thread) access(reg *region, write bool) {
-	op := Op{kind: OpLoad}
-	if write {
-		op.kind = OpStore
-	}
-	if reg.shared {
-		op.shared = true
-		t.claim++
-	} else {
-		op.a = reg.addr()
-	}
-	t.push(op)
-}
-
-// dataParallelParams shape a data-parallel thread.
-type dataParallelParams struct {
+// loop shapes one thread's op stream, the one structure every profile's
+// threads share. Each of its iters iterations runs, in this order: a
+// consume from queue in, a cluster of branches, a compute burst, memOps
+// accesses, a critical section every lockEvery iterations, a barrier
+// every barrierEvery iterations and a produce into queue out. A negative
+// queue or a zero period leaves its step out.
+type loop struct {
 	iters          int
-	computeMean    int     // cycles per iteration burst
+	in, out        int     // queues consumed and produced, -1 for none
+	pcBase         uint64  // branch b of the cluster sits at pcBase + 4b
+	branches       int     // branches per iteration
+	branchBias     float64 // probability a branch is taken
+	computeMean    int     // cycles per burst
 	computeJitter  int     // ± uniform jitter on the burst
 	instrsPerCycle float64 // instructions represented per compute cycle
-	memOps         int     // memory accesses per iteration
+	memOps         int     // accesses per iteration
 	writeFrac      float64
 	sharedFrac     float64 // fraction of accesses to the shared region
-	branches       int     // branches per iteration
-	branchBias     float64 // probability taken
 	private        *region
-	shared         *region
-	lockID         int // -1 for none
-	lockEvery      int // take the lock every k iterations
-	lockHeldOps    int // accesses inside the critical section
-	barrierID      int // -1 for none
-	barrierEvery   int
-	pcBase         uint64
+	shared         *region // nil when the program has no shared region
+	lockID         int
+	lockEvery      int // iterations between critical sections
+	lockHeldOps    int // shared accesses inside a critical section
+	barrierID      int
+	barrierEvery   int // iterations between barriers
 }
 
-func dataParallelThread(p dataParallelParams, r *randx.Rand) []Op {
-	return generate(r, p.iters, func(t *thread) {
-		// Branch cluster at the loop head.
-		for b := 0; b < p.branches; b++ {
-			t.push(Branch(p.pcBase+uint64(b)*4, t.r.Bernoulli(p.branchBias)))
+// generate draws the loop's whole op stream from r and returns it in a
+// slice cut to its length, since a cached program lives as long as the
+// process. Each iteration's claim, the shared addresses it takes, is
+// recorded on its first op (see Replay); every iteration emits its
+// compute op, so a claim always has an op to sit on. A claim fits in 32
+// bits: an iteration of 2^32 shared accesses would take 96 GB of ops.
+func (l *loop) generate(r *randx.Rand) []Op {
+	var ops []Op
+	claim := 0
+	// access appends a store to reg when write holds, else a load. An
+	// access to the shared region is a placeholder the claim rule fills.
+	access := func(reg *region, write bool) {
+		op := Op{kind: OpLoad}
+		if write {
+			op.kind = OpStore
 		}
-		// Compute burst.
-		c := p.computeMean
-		if p.computeJitter > 0 {
-			c += t.r.UniformInt(-p.computeJitter, p.computeJitter)
+		if reg.shared {
+			op.shared = true
+			claim++
+		} else {
+			op.a = reg.addr()
+		}
+		ops = append(ops, op)
+	}
+	for iter := 1; iter <= l.iters; iter++ {
+		first := len(ops)
+		claim = 0
+		if l.in >= 0 {
+			ops = append(ops, Consume(l.in))
+		}
+		for b := 0; b < l.branches; b++ {
+			ops = append(ops, Branch(l.pcBase+uint64(b)*4, r.Bernoulli(l.branchBias)))
+		}
+		c := l.computeMean
+		if l.computeJitter > 0 {
+			c += r.UniformInt(-l.computeJitter, l.computeJitter)
 		}
 		if c < 1 {
 			c = 1
 		}
-		t.push(Compute(uint64(c), uint64(float64(c)*p.instrsPerCycle)))
-		// Memory accesses.
-		for m := 0; m < p.memOps; m++ {
-			reg := p.private
-			if p.shared != nil && t.r.Bernoulli(p.sharedFrac) {
-				reg = p.shared
+		ops = append(ops, Compute(uint64(c), uint64(float64(c)*l.instrsPerCycle)))
+		for m := 0; m < l.memOps; m++ {
+			reg := l.private
+			if l.shared != nil && r.Bernoulli(l.sharedFrac) {
+				reg = l.shared
 			}
-			t.access(reg, t.r.Bernoulli(p.writeFrac))
+			access(reg, r.Bernoulli(l.writeFrac))
 		}
-		// Critical section.
-		if p.lockID >= 0 && p.lockEvery > 0 && t.iter%p.lockEvery == 0 {
-			t.push(Lock(p.lockID))
-			for m := 0; m < p.lockHeldOps; m++ {
-				t.access(p.shared, t.r.Bernoulli(0.5))
+		if l.lockEvery > 0 && iter%l.lockEvery == 0 {
+			ops = append(ops, Lock(l.lockID))
+			for m := 0; m < l.lockHeldOps; m++ {
+				access(l.shared, r.Bernoulli(0.5))
 			}
-			t.push(Unlock(p.lockID))
+			ops = append(ops, Unlock(l.lockID))
 		}
-		// Barrier.
-		if p.barrierID >= 0 && p.barrierEvery > 0 && t.iter%p.barrierEvery == 0 {
-			t.push(Barrier(p.barrierID))
+		if l.barrierEvery > 0 && iter%l.barrierEvery == 0 {
+			ops = append(ops, Barrier(l.barrierID))
 		}
-	})
-}
-
-// pipelineStageParams shape a pipeline-stage thread: consume from one
-// queue, process, produce into the next.
-type pipelineStageParams struct {
-	items         int // items this thread processes
-	inQueue       int // -1 for the source stage
-	outQueue      int // -1 for the sink stage
-	computeMean   int
-	computeJitter int
-	memOps        int
-	writeFrac     float64
-	sharedFrac    float64
-	branches      int
-	private       *region
-	shared        *region
-	pcBase        uint64
-}
-
-func pipelineStageThread(p pipelineStageParams, r *randx.Rand) []Op {
-	return generate(r, p.items, func(t *thread) {
-		if p.inQueue >= 0 {
-			t.push(Consume(p.inQueue))
+		if l.out >= 0 {
+			ops = append(ops, Produce(l.out))
 		}
-		for b := 0; b < p.branches; b++ {
-			t.push(Branch(p.pcBase+uint64(b)*4, t.r.Bernoulli(0.85)))
-		}
-		c := p.computeMean
-		if p.computeJitter > 0 {
-			c += t.r.UniformInt(-p.computeJitter, p.computeJitter)
-		}
-		if c < 1 {
-			c = 1
-		}
-		t.push(Compute(uint64(c), uint64(float64(c)*1.2)))
-		for m := 0; m < p.memOps; m++ {
-			reg := p.private
-			if p.shared != nil && t.r.Bernoulli(p.sharedFrac) {
-				reg = p.shared
-			}
-			t.access(reg, t.r.Bernoulli(p.writeFrac))
-		}
-		if p.outQueue >= 0 {
-			t.push(Produce(p.outQueue))
-		}
-	})
+		ops[first].claim = uint32(claim)
+	}
+	return slices.Clone(ops)
 }
 
 // mb is a convenience for region sizes.

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -309,6 +310,38 @@ func TestBuildSharedStream(t *testing.T) {
 		for _, a := range prog.shared {
 			if RegionIndex(a) != 0 {
 				t.Fatalf("%s: shared address %#x outside the shared mapping", name, a)
+			}
+		}
+	}
+}
+
+// TestConcurrentBuilds builds every profile at two scales at once, as the
+// simulator's program cache does when two arenas miss two scales of one
+// profile, and each build equals a serial one. Under -race this checks
+// that a Build only reads what its profile captured.
+func TestConcurrentBuilds(t *testing.T) {
+	scales := []float64{0.01, 0.05}
+	for _, p := range fenceProfiles(t) {
+		want := make([]string, len(scales))
+		for i, scale := range scales {
+			want[i] = programDigest(p.Build(scale, randx.New(1)))
+		}
+		got := make([]string, len(scales))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, scale := range scales {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = programDigest(p.Build(scale, randx.New(1)))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range scales {
+			if got[i] != want[i] {
+				t.Errorf("%s at scale %g: a concurrent build differs from the serial one", p.Name, scales[i])
 			}
 		}
 	}
