@@ -56,6 +56,7 @@ func (p *Predictor) Predict(pc uint64, taken bool) (mispredict bool) {
 	if !taken && ctr > 0 {
 		p.counters[idx] = ctr - 1
 	}
+	// Shift the outcome in, then mask: with no history bits nothing stays.
 	p.history <<= 1
 	if taken {
 		p.history |= 1

@@ -343,9 +343,10 @@ func (reg *region) addr() uint64 {
 // loop shapes one thread's op stream, the one structure every profile's
 // threads share. Each of its iters iterations runs, in this order: a
 // consume from queue in, a cluster of branches, a compute burst, memOps
-// accesses, a critical section every lockEvery iterations, a barrier
-// every barrierEvery iterations and a produce into queue out. A negative
-// queue or a zero period leaves its step out.
+// accesses, a critical section every lockEvery iterations, a join of
+// barrier 0, the program's one barrier, every barrierEvery iterations and
+// a produce into queue out. A negative queue or a zero period leaves its
+// step out.
 type loop struct {
 	iters          int
 	in, out        int     // queues consumed and produced, -1 for none
@@ -363,7 +364,6 @@ type loop struct {
 	lockID         int
 	lockEvery      int // iterations between critical sections
 	lockHeldOps    int // shared accesses inside a critical section
-	barrierID      int
 	barrierEvery   int // iterations between barriers
 }
 
@@ -423,7 +423,7 @@ func (l *loop) generate(r *randx.Rand) []Op {
 			ops = append(ops, Unlock(l.lockID))
 		}
 		if l.barrierEvery > 0 && iter%l.barrierEvery == 0 {
-			ops = append(ops, Barrier(l.barrierID))
+			ops = append(ops, Barrier(0))
 		}
 		if l.out >= 0 {
 			ops = append(ops, Produce(l.out))
