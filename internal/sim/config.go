@@ -64,7 +64,8 @@ type Config struct {
 
 	// JitterMax is the inclusive bound of the uniform random latency added
 	// to each memory access — the paper's variability injection (0–4).
-	// Negative disables injection (the ablation's deterministic mode).
+	// Zero or negative disables injection (the ablation's deterministic
+	// mode).
 	JitterMax int
 
 	// L2Banks is the number of L2 banks (crossbar output ports).
