@@ -103,3 +103,42 @@ func TestLCM(t *testing.T) {
 		t.Error("lcm wrong")
 	}
 }
+
+// TestPipelineItemFloor: at a scale too small for them, a pipeline's
+// items are floored at 4 rounded up to a multiple of its stages' thread
+// counts, for ferret and custom pipelines alike.
+func TestPipelineItemFloor(t *testing.T) {
+	items := func(p Profile) int {
+		n := 0
+		for _, op := range p.Build(0.01, randx.New(1)).Threads[0] {
+			if op.Kind() == OpProduce {
+				n++
+			}
+		}
+		return n
+	}
+	ferret, err := ByName("ferret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := items(ferret); got != 4 {
+		t.Errorf("ferret: %d items, want 4", got)
+	}
+	for _, tc := range []struct {
+		threads []int
+		want    int
+	}{{[]int{1}, 4}, {[]int{2}, 4}, {[]int{3}, 6}, {[]int{2, 3}, 6}, {[]int{4}, 4}} {
+		spec := validPipeline()
+		spec.Stages = nil
+		for _, n := range tc.threads {
+			spec.Stages = append(spec.Stages, PipelineStageSpec{Threads: n, ComputeMean: 10, MemOps: 2, Branches: 1})
+		}
+		p, err := NewPipelineProfile("floor", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := items(p); got != tc.want {
+			t.Errorf("stage threads %v: %d items, want %d", tc.threads, got, tc.want)
+		}
+	}
+}
